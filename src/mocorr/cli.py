@@ -75,9 +75,7 @@ def _build_parser():
     ev.add_argument("--skeleton", required=True)
 
     run = sub.add_parser("run", help="full pipeline")
-    run.add_argument("--checkpoint", help="reuse a trained checkpoint")
-    run.add_argument("--skip-train", action="store_true",
-                     help="skip training (requires --checkpoint)")
+    run.add_argument("--checkpoint", help="reuse a trained checkpoint (skips training)")
     return parser
 
 
@@ -197,8 +195,6 @@ def _cmd_eval(args):
 
 def _cmd_run(args):
     cfg = _load_config(args)
-    if args.skip_train and not args.checkpoint:
-        raise ConfigError("--skip-train requires --checkpoint")
     report = run_pipeline(cfg, args.out, checkpoint=args.checkpoint, log=print)
     for stage in ("init", "hybrid", "refined"):
         s = report["stages"][stage]

@@ -7,19 +7,29 @@ so save followed by load is bit-exact for finite values.
 
 Writes land in "<path>.partial" first and are renamed into place; a crash
 mid-write leaves the .partial file behind and never a truncated final file.
+NaN and infinity are not JSON: a document holding one is refused, its
+.partial file removed and the target left as it was. The encoder streams
+into the file rather than building the whole text first, which would hold
+about twice the document's size in memory.
 """
 
 import json
 import os
 
-from .errors import ParseError, UnsupportedVersionError
+from .errors import NumericFailureError, ParseError, UnsupportedVersionError
 
 
 def save_document(path, doc):
     path = os.fspath(path)
     tmp = path + ".partial"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        try:
+            json.dump(doc, fh, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            fh.close()
+            os.remove(tmp)
+            raise NumericFailureError(
+                f"{path}: refusing to save a non-finite value ({exc})") from exc
         fh.write("\n")
     os.replace(tmp, path)
 

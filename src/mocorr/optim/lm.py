@@ -4,7 +4,9 @@ Minimizes sum(r(x)**2) for a user-supplied residual function. The Jacobian
 may be a callable returning a dense array or a scipy.sparse matrix; when
 omitted, central finite differences are used. Steps solve
 (J^T J + damping * I) dx = -J^T r and are accepted only when the cost
-decreases, so the reported cost history is monotone by construction.
+decreases, so the reported cost history is monotone by construction. J^T J
+is formed once per Jacobian; a rejected step only raises the damping and
+solves again.
 """
 
 from dataclasses import dataclass, field
@@ -61,16 +63,16 @@ def numeric_jacobian(residuals, x, step_scale=1e-6):
     return jac
 
 
-def _solve_normal_equations(jac, grad, damping):
+def _solve_normal_equations(jtj, grad, damping):
     n = grad.size
-    if sp.issparse(jac):
-        lhs = (jac.T @ jac + damping * sp.identity(n, format="csr")).tocsc()
+    if sp.issparse(jtj):
+        lhs = (jtj + damping * sp.identity(n, format="csr")).tocsc()
         try:
             step = spla.spsolve(lhs, -grad)
         except RuntimeError:
             return None
         return step if np.all(np.isfinite(step)) else None
-    lhs = jac.T @ jac + damping * np.eye(n)
+    lhs = jtj + damping * np.eye(n)
     try:
         step = np.linalg.solve(lhs, -grad)
     except np.linalg.LinAlgError:
@@ -108,9 +110,10 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
             status = "gradient"
             break
 
+        jtj = jac.T @ jac
         accepted = False
         while damping < _DAMPING_CEILING:
-            step = _solve_normal_equations(jac, grad, damping)
+            step = _solve_normal_equations(jtj, grad, damping)
             if step is None:
                 damping *= opts.damping_up
                 continue

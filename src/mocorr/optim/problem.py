@@ -195,17 +195,18 @@ class PoseProblem:
         if self._light[0] == key:
             return self._light[1]
         u, rv, tr = self.split(x)
-        poses = [SkeletalPose(self.bounds.theta(u[t]), rv[t], tr[t]) for t in range(self.T)]
-        pos = [fk_frames(self.skeleton, p)[0] for p in poses]
+        frames = SkeletalPose(self.bounds.theta(u), rv, tr)
+        pos = fk_frames(self.skeleton, frames)[0]
         sil = []
         if self.use_sil:
             for t in range(self.T):
                 if self.sil_obs[t].shape[0] == 0:
                     sil.append(None)
                     continue
+                pose = SkeletalPose(frames.theta[t], rv[t], tr[t])
                 try:
                     pts, records = silhouette_structure(
-                        self.sil_camera, self.skeleton, poses[t], self.body, self.n_sil
+                        self.sil_camera, self.skeleton, pose, self.body, self.n_sil
                     )
                 except EmptySilhouetteError:
                     sil.append("lost")
@@ -218,7 +219,7 @@ class PoseProblem:
                         "nn_model": _nearest(pts, self.sil_obs[t]),
                     }
                 )
-        state = {"poses": poses, "pos": pos, "u": u, "sil": sil}
+        state = {"frames": frames, "pos": pos, "u": u, "sil": sil}
         self._light = (key, state)
         return state
 
@@ -240,20 +241,18 @@ class PoseProblem:
                 diff[~valid] = 0.0
                 out[cur:cur + 2 * incl.size] = diff.ravel()
                 cur += 2 * incl.size
+        frames = st["frames"]
         if self.use_3d:
-            for t in range(self.T):
-                p = st["poses"][t]
-                out[cur:cur + self.D] = p.theta - self.net_theta[t]
-                out[cur + self.D:cur + self.D + 3] = p.root_rot - self.net_rv[t]
-                cur += self.D + 3
+            block = np.concatenate(
+                [frames.theta - self.net_theta, frames.root_rot - self.net_rv], axis=1)
+            out[cur:cur + block.size] = block.ravel()
+            cur += block.size
         if self.temporal:
             s = np.sqrt(w.lambda_t)
-            for t in range(self.T - 1):
-                a, b = st["poses"][t], st["poses"][t + 1]
-                out[cur:cur + self.D] = s * (b.theta - a.theta)
-                out[cur + self.D:cur + self.D + 3] = s * (b.root_rot - a.root_rot)
-                out[cur + self.D + 3:cur + self.Pf] = s * (b.root_trans - a.root_trans)
-                cur += self.Pf
+            params = np.concatenate([frames.theta, frames.root_rot, frames.root_trans], axis=1)
+            block = s * np.diff(params, axis=0)
+            out[cur:cur + block.size] = block.ravel()
+            cur += block.size
         if self.use_sil:
             for t in range(self.T):
                 obs = self.sil_obs[t]
@@ -285,9 +284,9 @@ class PoseProblem:
         if self._heavy[0] == key:
             return self._heavy[1]
         light = self._light_state(x)
-        dtheta = [self.bounds.dtheta_du(light["u"][t]) for t in range(self.T)]
-        fk = [fk_jacobian(self.skeleton, p) for p in light["poses"]]
-        state = {"light": light, "dtheta": dtheta, "fk": fk}
+        dtheta = self.bounds.dtheta_du(light["u"])
+        jpos = fk_jacobian(self.skeleton, light["frames"])[2]
+        state = {"light": light, "dtheta": dtheta, "jpos": jpos}
         self._heavy = (key, state)
         return state
 
@@ -309,13 +308,8 @@ class PoseProblem:
                 if incl.size == 0:
                     continue
                 scale = np.sqrt(w.lambda_2d * view.weight / (self.T * incl.size))
-                _, _, jpos = st["fk"][t]
-                block = np.zeros((2 * incl.size, self.Pf))
-                for row, i in enumerate(incl):
-                    duv_dw, _, vis = projection_jacobian(view.camera, light["pos"][t][i])
-                    if not vis:
-                        continue
-                    block[2 * row:2 * row + 2] = scale * (duv_dw @ jpos[i])
+                duv_dw, _, _ = projection_jacobian(view.camera, light["pos"][t][incl])
+                block = (scale * (duv_dw @ st["jpos"][t][incl])).reshape(-1, self.Pf)
                 builder.add_block(cur, t * self.Pf, self._chain_u(block, st["dtheta"][t]))
                 cur += 2 * incl.size
         if self.use_3d:
@@ -363,7 +357,7 @@ class PoseProblem:
         m = a + s*v + r(s)*n(phi) with its piece parameters frozen.
         """
         cam = self.sil_camera
-        _, _, jpos = st["fk"][t]
+        jpos = st["jpos"][t]
         pos = st["light"]["pos"][t]
         records = data["records"]
         dmodel = np.zeros((self.n_sil, 2, self.Pf))
@@ -453,10 +447,10 @@ class TranslationProblem:
             np.flatnonzero(f.conf >= weights.conf_threshold) for f in frames
         ]
         self.targets = [f.keypoints for f in frames]
-        self.base = []
-        for pose in fixed_poses:
-            zeroed = SkeletalPose(pose.theta, pose.root_rot, np.zeros(3))
-            self.base.append(fk_frames(skeleton, zeroed)[0])
+        zeroed = SkeletalPose(np.stack([p.theta for p in fixed_poses]),
+                              np.stack([p.root_rot for p in fixed_poses]),
+                              np.zeros((self.T, 3)))
+        self.base = fk_frames(skeleton, zeroed)[0]
         self.n_rows = sum(2 * i.size for i in self.included) + (
             3 * (self.T - 1) if self.T >= 2 else 0
         )
@@ -496,12 +490,8 @@ class TranslationProblem:
             if incl.size == 0:
                 continue
             scale = np.sqrt(self.weights.lambda_2d / (self.T * incl.size))
-            block = np.zeros((2 * incl.size, 3))
-            for row, i in enumerate(incl):
-                duv, _, vis = projection_jacobian(self.camera, self.base[t][i] + tr[t])
-                if vis:
-                    block[2 * row:2 * row + 2] = scale * duv
-            builder.add_block(cur, 3 * t, block)
+            duv, _, _ = projection_jacobian(self.camera, self.base[t][incl] + tr[t])
+            builder.add_block(cur, 3 * t, (scale * duv).reshape(-1, 3))
             cur += 2 * incl.size
         if self.T >= 2:
             s = np.sqrt(self.weights.lambda_t)

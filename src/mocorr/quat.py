@@ -137,19 +137,28 @@ def from_matrix(m):
     return canonicalize(normalize(q))
 
 
-def rot_x(a):
+def _plane_rotation(a, i, j):
+    """Rotation by angle a taking axis i towards axis j; batched over a's shape."""
     c, s = np.cos(a), np.sin(a)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
+    m = np.zeros(np.shape(a) + (3, 3))
+    m[..., 3 - i - j, 3 - i - j] = 1.0
+    m[..., i, i] = c
+    m[..., j, j] = c
+    m[..., i, j] = -s
+    m[..., j, i] = s
+    return m
+
+
+def rot_x(a):
+    return _plane_rotation(a, 1, 2)
 
 
 def rot_y(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=float)
+    return _plane_rotation(a, 2, 0)
 
 
 def rot_z(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
+    return _plane_rotation(a, 0, 1)
 
 
 _AXIS_ROT = {"X": rot_x, "Y": rot_y, "Z": rot_z}
@@ -157,7 +166,7 @@ _AXIS_INDEX = {"X": 0, "Y": 1, "Z": 2}
 
 
 def axis_rotation(axis, angle):
-    """Rotation about a named axis 'X', 'Y' or 'Z'."""
+    """Rotation about a named axis 'X', 'Y' or 'Z': (3, 3), or (..., 3, 3) for an array of angles."""
     return _AXIS_ROT[axis](angle)
 
 

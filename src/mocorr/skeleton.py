@@ -3,8 +3,10 @@ pose <-> quaternion mapping.
 
 A pose carries three pieces: per-joint angles theta (one entry per declared
 rotation axis, concatenated in joint order), a root axis-angle rotation, and
-a root translation in meters. The quaternion form stores one unit quaternion
-per joint, with the root rotation in slot 0.
+a root translation in meters. The same type holds a whole sequence when each
+piece gains a leading frame axis: theta (T, D), root_rot and root_trans
+(T, 3). The quaternion form stores one unit quaternion per joint, with the
+root rotation in slot 0.
 
 Joint rotation axes are always listed in X, Y, Z order and the local
 rotation composes in that order, so converting a quaternion back to angles
@@ -103,6 +105,10 @@ class SkeletonModel:
             if j.parent is not None:
                 self.descendants[:, i] = self.descendants[:, j.parent]
                 self.descendants[j.parent, i] = True
+        # per angle column c: the joint it turns, and dof_descendants[c, i] <=>
+        # angle c moves joint i
+        self.dof_joint = np.repeat(np.arange(n), counts)
+        self.dof_descendants = self.descendants[self.dof_joint]
 
     @property
     def n_joints(self):
@@ -124,6 +130,8 @@ class SkeletonModel:
 
 @dataclass
 class SkeletalPose:
+    """One pose, or a sequence of T poses when every part has a leading frame axis."""
+
     theta: np.ndarray
     root_rot: np.ndarray
     root_trans: np.ndarray
@@ -132,8 +140,14 @@ class SkeletalPose:
         self.theta = np.asarray(self.theta, dtype=float)
         self.root_rot = np.asarray(self.root_rot, dtype=float)
         self.root_trans = np.asarray(self.root_trans, dtype=float)
-        if self.root_rot.shape != (3,) or self.root_trans.shape != (3,):
-            raise InvalidInputError("root_rot and root_trans must be 3-vectors")
+        if (self.root_rot.ndim not in (1, 2) or self.root_rot.shape[-1] != 3
+                or self.root_trans.shape != self.root_rot.shape):
+            raise InvalidInputError(
+                "root_rot and root_trans must be 3-vectors, or (T, 3) for a sequence"
+            )
+        if self.theta.ndim != self.root_rot.ndim or (
+                self.theta.shape[:-1] != self.root_rot.shape[:-1]):
+            raise InvalidInputError("theta must have one row of angles per frame")
         for part in (self.theta, self.root_rot, self.root_trans):
             if not np.all(np.isfinite(part)):
                 raise InvalidInputError("pose entries must be finite")
@@ -160,40 +174,58 @@ def identity_pose(skeleton):
 
 
 def _check_dims(skeleton, pose):
-    if pose.theta.shape != (skeleton.total_dof,):
+    if pose.theta.shape[-1] != skeleton.total_dof:
         raise InvalidInputError(
-            f"pose has {pose.theta.shape[0] if pose.theta.ndim == 1 else pose.theta.shape} "
-            f"angles, skeleton expects {skeleton.total_dof}"
+            f"pose has {pose.theta.shape[-1]} angles, skeleton expects {skeleton.total_dof}"
         )
 
 
 def local_rotation(skeleton, i, pose):
-    """Local rotation of joint i: composed axis rotations (root folds in root_rot)."""
+    """Local rotation of joint i: composed axis rotations (root folds in root_rot).
+
+    (3, 3) for one pose, (T, 3, 3) for a sequence; a joint without angles
+    gives the identity (3, 3) either way.
+    """
     joint = skeleton.joints[i]
     if joint.parent is None:
         return quat.to_matrix(quat.from_rotvec(pose.root_rot))
     r = np.eye(3)
-    angles = pose.theta[skeleton.theta_slice(i)]
-    for ax, a in zip(joint.dof, angles):
-        r = r @ quat.axis_rotation(ax, a)
+    angles = pose.theta[..., skeleton.theta_slice(i)]
+    for m, ax in enumerate(joint.dof):
+        r = r @ quat.axis_rotation(ax, angles[..., m])
     return r
 
 
+def as_sequence(pose):
+    """The pose as a sequence: a single pose becomes one frame (T = 1)."""
+    if pose.root_rot.ndim == 2:
+        return pose
+    return SkeletalPose(pose.theta[None], pose.root_rot[None], pose.root_trans[None])
+
+
 def fk_frames(skeleton, pose):
-    """World positions (n,3) and world rotations (n,3,3) of every joint."""
+    """World positions and world rotations of every joint.
+
+    One pose gives (n, 3) and (n, 3, 3); a sequence gives (T, n, 3) and
+    (T, n, 3, 3). Each step of the joint loop covers all frames, and a single
+    pose runs as a sequence of one.
+    """
     _check_dims(skeleton, pose)
-    n = skeleton.n_joints
-    pos = np.empty((n, 3))
-    rot = np.empty((n, 3, 3))
+    seq = as_sequence(pose)
+    n_frames = seq.root_rot.shape[0]
+    pos = np.empty((n_frames, skeleton.n_joints, 3))
+    rot = np.empty((n_frames, skeleton.n_joints, 3, 3))
     for i, joint in enumerate(skeleton.joints):
-        local = local_rotation(skeleton, i, pose)
+        local = local_rotation(skeleton, i, seq)
         if joint.parent is None:
-            pos[i] = pose.root_trans
-            rot[i] = local
+            pos[:, i] = seq.root_trans
+            rot[:, i] = local
         else:
-            pos[i] = pos[joint.parent] + rot[joint.parent] @ joint.offset
-            rot[i] = rot[joint.parent] @ local
-    return pos, rot
+            pos[:, i] = pos[:, joint.parent] + rot[:, joint.parent] @ joint.offset
+            rot[:, i] = rot[:, joint.parent] @ local
+    if seq is pose:
+        return pos, rot
+    return pos[0], rot[0]
 
 
 def forward_kinematics(skeleton, pose):
@@ -203,6 +235,8 @@ def forward_kinematics(skeleton, pose):
 
 def pose_to_quat(skeleton, pose):
     _check_dims(skeleton, pose)
+    if pose.root_rot.ndim != 1:
+        raise InvalidInputError("pose_to_quat takes a single pose")
     q = np.empty((skeleton.n_joints, 4))
     for i, joint in enumerate(skeleton.joints):
         if joint.parent is None:

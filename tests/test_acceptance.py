@@ -261,6 +261,7 @@ def test_criterion_4_loss_arithmetic():
     print("\n  hand values reproduced to 1e-12; 0.79 gated out, 0.80 kept")
 
 
+@pytest.mark.slow
 def test_criterion_5_pipeline_ordering_on_benchmark(tmp_path):
     start = time.perf_counter()
     cfg = default_pipeline_config(42)

@@ -149,13 +149,6 @@ def test_infer_needs_obs_and_camera_together(scene_dir, tmp_path, capsys):
     assert rc == 2
 
 
-def test_skip_train_requires_checkpoint(scene_dir, tmp_path, capsys):
-    rc = main(["--config", scene_dir["config"], "--out", str(tmp_path),
-               "run", "--skip-train"])
-    assert rc == 2
-    assert "requires --checkpoint" in capsys.readouterr().err
-
-
 def test_corrupt_motion_exits_2(scene_dir, tmp_path, capsys):
     mangled = tmp_path / "mangled.motion.json"
     mangled.write_text('{"format": "motion/1"}')

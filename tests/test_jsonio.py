@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from mocorr.errors import ParseError, UnsupportedVersionError
+from mocorr.errors import NumericFailureError, ParseError, UnsupportedVersionError
 from mocorr.jsonio import load_document, require_array, require_field, save_document
 
 
@@ -16,6 +16,21 @@ def test_save_leaves_no_partial(tmp_path):
     assert path.exists()
     assert not (tmp_path / "doc.json.partial").exists()
     assert load_document(path, "x/1")["value"] == 3
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+def test_save_refuses_non_finite_values(tmp_path, bad):
+    path = tmp_path / "doc.json"
+    save_document(path, {"format": "x/1", "value": 3})
+    before = path.read_bytes()
+    doc = {"format": "x/1", "nested": {"history": [1.0, bad]}}
+    with pytest.raises(NumericFailureError, match="doc.json"):
+        save_document(path, doc)
+    assert path.read_bytes() == before
+    assert not (tmp_path / "doc.json.partial").exists()
+    with pytest.raises(NumericFailureError):
+        save_document(tmp_path / "new.json", {"format": "x/1", "x": np.float64(bad)})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
 
 def test_save_is_atomic_replacement(tmp_path):

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mocorr.camera import look_at, project_points
 from mocorr.errors import InvalidInputError, NumericFailureError
+from mocorr.motion import FrameObservations
+from mocorr.optim.energies import EnergyWeights
 from mocorr.optim.lm import (
     LMOptions,
     levenberg_marquardt,
     numeric_jacobian,
 )
+from mocorr.optim.problem import PoseProblem, View
+from mocorr.skeleton import forward_kinematics
+
+from conftest import make_toy_skeleton, random_pose
+from oracles import levenberg_marquardt_rebuilt
 
 
 def rosenbrock_residuals(x):
@@ -123,3 +131,50 @@ def test_stalled_status_on_flat_problem():
                                  np.ones(1))
     assert result.status in ("gradient", "stalled")
     assert result.iterations == 0
+
+
+def _small_pose_problem(rng, n_frames=3):
+    skeleton = make_toy_skeleton()
+    camera = look_at(np.array([0.0, 1.2, 2.5]), np.zeros(3), 500.0, 480.0, 320.0, 240.0)
+    seq = [random_pose(rng, skeleton, margin=0.25, trans_scale=0.15)
+           for _ in range(n_frames)]
+    frames = []
+    for pose in seq:
+        uv, _, _ = project_points(camera, forward_kinematics(skeleton, pose))
+        frames.append(FrameObservations(uv + rng.normal(0.0, 3.0, uv.shape),
+                                        np.ones(skeleton.n_joints), np.zeros((0, 2))))
+    problem = PoseProblem(skeleton, [View(camera, frames)],
+                          EnergyWeights(lambda_2d=1.0, lambda_t=2.0), temporal=True)
+    mid = 0.5 * (skeleton.theta_min + skeleton.theta_max)
+    x0 = problem.pack(np.tile(mid, (n_frames, 1)), np.zeros((n_frames, 3)),
+                      np.zeros((n_frames, 3)))
+    return problem, x0
+
+
+def _counted(fn, calls):
+    def wrapped(x):
+        calls.append(1)
+        return fn(x)
+    return wrapped
+
+
+@pytest.mark.parametrize("jacobian_kind", ["sparse", "dense"])
+def test_jtj_once_per_iteration_matches_rebuilding_reference(jacobian_kind):
+    """Forming J^T J once per Jacobian reproduces the loop that rebuilt it on
+    every damping retry, bit for bit, on a solve that retries often."""
+    problem, x0 = _small_pose_problem(np.random.default_rng(33))
+    if jacobian_kind == "sparse":
+        jacobian = problem.jacobian
+    else:
+        jacobian = lambda x: problem.jacobian(x).toarray()
+    options = LMOptions(max_iterations=40, damping_init=1e3)
+    calls = []
+    reference = levenberg_marquardt_rebuilt(_counted(problem.residuals, calls), x0,
+                                            jacobian, options)
+    result = levenberg_marquardt(problem.residuals, x0, jacobian, options)
+    retries = len(calls) - 1 - reference.iterations
+    assert retries >= 10
+    assert np.array_equal(result.x, reference.x)
+    assert result.cost_history == reference.cost_history
+    assert result.iterations == reference.iterations
+    assert result.status == reference.status

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mocorr.camera import default_body, look_at, silhouette_points
 from mocorr.errors import InvalidInputError
@@ -21,10 +23,23 @@ from mocorr.optim.kinematics import (
 )
 from mocorr.optim.lm import levenberg_marquardt, LMOptions, numeric_jacobian
 from mocorr.optim.problem import BoundedAngles, PoseProblem, TranslationProblem, View
-from mocorr.skeleton import SkeletalPose, forward_kinematics, pose_to_quat
+from mocorr.skeleton import (
+    Joint,
+    SkeletalPose,
+    SkeletonModel,
+    fk_frames,
+    forward_kinematics,
+    pose_to_quat,
+)
 
-from conftest import make_toy_skeleton, random_pose
-from oracles import central_diff, grad_check, project_matrix
+from conftest import make_random_skeleton, make_toy_skeleton, random_pose
+from oracles import (
+    central_diff,
+    fk_frames_per_frame,
+    fk_jacobian_per_frame,
+    grad_check,
+    project_matrix,
+)
 
 
 def make_camera(angle=0.0):
@@ -208,6 +223,79 @@ def test_fk_jacobian_matches_fd(toy_skeleton):
         numeric = central_diff(positions, pose_params(pose), 1e-6)
         analytic = jac.reshape(-1, jac.shape[2])
         assert grad_check(analytic, numeric, rtol=1e-6) < 1e-6
+
+
+def stack_poses(seq):
+    return SkeletalPose(np.stack([p.theta for p in seq]),
+                        np.stack([p.root_rot for p in seq]),
+                        np.stack([p.root_trans for p in seq]))
+
+
+def test_batched_fk_jacobian_matches_fd(toy_skeleton):
+    rng = np.random.default_rng(52)
+    seq = stack_poses([random_pose(rng, toy_skeleton, margin=0.2) for _ in range(3)])
+    _, _, jac = fk_jacobian(toy_skeleton, seq)
+    assert jac.shape == (3, toy_skeleton.n_joints, 3, toy_skeleton.total_dof + 6)
+    d = toy_skeleton.total_dof
+
+    def positions(p):
+        return forward_kinematics(toy_skeleton, params_to_pose(toy_skeleton, p)).ravel()
+
+    for t in range(3):
+        params = np.concatenate([seq.theta[t], seq.root_rot[t], seq.root_trans[t]])
+        numeric = central_diff(positions, params, 1e-6)
+        analytic = jac[t].reshape(-1, d + 6)
+        assert grad_check(analytic, numeric, rtol=1e-6) < 1e-6
+
+
+def _strip_dofs(skeleton, fixed):
+    """The same tree with the angles of the joints in `fixed` removed."""
+    joints = [Joint(j.name, j.parent, j.offset, () if i in fixed else j.dof,
+                    np.zeros((0, 2)) if i in fixed else j.limits)
+              for i, j in enumerate(skeleton.joints)]
+    return SkeletonModel(joints, skeleton.region_map)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 6),
+       fixed_share=st.sampled_from([0.0, 0.3, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_batched_fk_equals_per_frame_oracle(seed, n_frames, fixed_share):
+    """FK and its Jacobian over a leading frame axis reproduce the per-frame
+    loops bit for bit, joints without angles included."""
+    rng = np.random.default_rng(seed)
+    skeleton = make_random_skeleton(rng)
+    fixed = {i for i in range(1, skeleton.n_joints) if rng.uniform() < fixed_share}
+    skeleton = _strip_dofs(skeleton, fixed)
+    seq = [random_pose(rng, skeleton) for _ in range(n_frames)]
+    pos, rot = fk_frames(skeleton, stack_poses(seq))
+    jpos, jrot, jac = fk_jacobian(skeleton, stack_poses(seq))
+    n = skeleton.n_joints
+    assert pos.shape == (n_frames, n, 3) and rot.shape == (n_frames, n, 3, 3)
+    assert jac.shape == (n_frames, n, 3, skeleton.total_dof + 6)
+    for t, pose in enumerate(seq):
+        ref_pos, ref_rot = fk_frames_per_frame(skeleton, pose)
+        _, _, ref_jac = fk_jacobian_per_frame(skeleton, pose)
+        assert np.array_equal(pos[t], ref_pos) and np.array_equal(rot[t], ref_rot)
+        assert np.array_equal(jpos[t], ref_pos) and np.array_equal(jrot[t], ref_rot)
+        assert np.array_equal(jac[t], ref_jac)
+        # a single pose keeps its unbatched shapes and the same values
+        one_pos, one_rot = fk_frames(skeleton, pose)
+        assert np.array_equal(one_pos, ref_pos) and np.array_equal(one_rot, ref_rot)
+        assert np.array_equal(fk_jacobian(skeleton, pose)[2], ref_jac)
+
+
+def test_projection_jacobian_of_a_stack_matches_single_points(toy_skeleton):
+    rng = np.random.default_rng(53)
+    camera = make_camera(1.0)
+    points = rng.uniform(-0.5, 0.5, (4, 5, 3))
+    points[1, 2] = -camera.rotation.T @ camera.translation - camera.rotation[2] * 0.5
+    duv, z, vis = projection_jacobian(camera, points)
+    assert duv.shape == (4, 5, 2, 3) and z.shape == vis.shape == (4, 5)
+    assert not vis[1, 2] and np.all(duv[1, 2] == 0.0)
+    for idx in np.ndindex(4, 5):
+        one_duv, one_z, one_vis = projection_jacobian(camera, points[idx])
+        assert np.array_equal(duv[idx], one_duv)
+        assert z[idx] == one_z and vis[idx] == one_vis
 
 
 def test_projection_jacobian_matches_fd(toy_skeleton):
