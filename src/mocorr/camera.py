@@ -6,6 +6,12 @@ intrinsic scaling. Silhouettes come from per-bone capsules: each bone
 projects to a generalized stadium (two circles of per-endpoint pixel radius
 joined by external tangents), and the body outline is sampled densely on
 every stadium boundary, dropping samples that land inside another stadium.
+
+The silhouette functions take joint positions with a leading frame axis,
+(T, n, 3), so one call covers a whole sequence. Stadiums are arrays with a
+leading stadium axis (`Stadiums`), and each outline point's sampling record
+is a row of arrays (stadium index, piece kind code, fraction) in `Outline`.
+A single pose runs as T = 1 (`silhouette_points`).
 """
 
 from dataclasses import dataclass
@@ -18,7 +24,7 @@ from .errors import (
     InvalidInputError,
 )
 from .jsonio import load_document, require_array, save_document
-from .skeleton import fk_frames
+from .skeleton import as_sequence, fk_frames
 
 CAMERA_FORMAT = "camera/1"
 
@@ -52,7 +58,7 @@ class Camera:
             raise InvalidInputError("rotation must be proper (det +1)")
 
     def to_camera(self, points):
-        """World -> camera frame for an (n, 3) array (or single 3-vector)."""
+        """World -> camera frame for a (..., 3) array (or single 3-vector)."""
         points = np.asarray(points, dtype=float)
         return points @ self.rotation.T + self.translation
 
@@ -86,18 +92,18 @@ def project(camera, point):
 
 
 def project_points(camera, points):
-    """Batched projection.
+    """Batched projection of points (..., 3), e.g. (n, 3) or (T, n, 3).
 
     Returns (uv, z, valid); rows with z <= Z_EPS get uv = 0 and valid False,
     so callers can mask residuals instead of handling exceptions.
     """
     p = camera.to_camera(points)
-    z = p[:, 2]
+    z = p[..., 2]
     valid = z > Z_EPS
     safe_z = np.where(valid, z, 1.0)
-    uv = np.empty((p.shape[0], 2))
-    uv[:, 0] = camera.fx * p[:, 0] / safe_z + camera.cx
-    uv[:, 1] = camera.fy * p[:, 1] / safe_z + camera.cy
+    uv = np.empty(p.shape[:-1] + (2,))
+    uv[..., 0] = camera.fx * p[..., 0] / safe_z + camera.cx
+    uv[..., 1] = camera.fy * p[..., 1] / safe_z + camera.cy
     uv[~valid] = 0.0
     return uv, z, valid
 
@@ -154,168 +160,257 @@ def default_body(skeleton):
     return CapsuleBody(np.array(radii))
 
 
-def bone_stadiums(camera, skeleton, pose, body):
-    """Per visible bone: projected endpoints and per-endpoint pixel radii.
+# Outline piece kinds. A stadium whose end circles are joined by external
+# tangents has four pieces, in this order; one whose larger end circle
+# swallows the other has a single "circle".
+PIECE_KINDS = ("arc_a", "seg_hi", "arc_b", "seg_lo", "circle")
+ARC_A, SEG_HI, ARC_B, SEG_LO, CIRCLE = range(len(PIECE_KINDS))
 
-    Returns a list of dicts {bone, a, b, ra, rb}; bones with either endpoint
-    at or behind the camera plane are dropped.
+# outline candidates sampled per point kept, before the inside-another-stadium cull
+OVERSAMPLE = 4
+
+
+@dataclass
+class Stadiums:
+    """Projected bones with a leading stadium axis: one row per bone visible
+    in a frame, in frame order and then bone order."""
+
+    a: np.ndarray  # (S, 2) pixel centre of the parent-joint circle
+    b: np.ndarray  # (S, 2) pixel centre of the child-joint circle
+    ra: np.ndarray  # (S,) pixel radius at a
+    rb: np.ndarray  # (S,) pixel radius at b
+    frame: np.ndarray  # (S,) frame index
+    bone: np.ndarray  # (S,) index into skeleton.bones
+
+
+@dataclass
+class Outline:
+    """n outline points per frame and the sampling record of each point: its
+    stadium, the kind of boundary piece it lies on and its fraction along
+    that piece. The records let an optimizer freeze the sampling structure
+    and move the points analytically with the pose (`piece_points`)."""
+
+    stadiums: Stadiums
+    points: np.ndarray  # (T, n, 2)
+    stadium: np.ndarray  # (T, n) index into stadiums
+    kind: np.ndarray  # (T, n) index into PIECE_KINDS
+    frac: np.ndarray  # (T, n)
+    lost: np.ndarray  # (T,) no outline: that frame's rows above are meaningless
+
+
+def _row_dots(u, w):
+    """u[i] @ w[i] for every row of two (k, m) arrays.
+
+    Each row is its own BLAS dot, as in single-vector code: BLAS may fuse
+    multiply-adds, so u0*w0 + u1*w1 written out can differ in the last bit.
+    """
+    return (u[:, None, :] @ w[:, :, None])[:, 0, 0]
+
+
+def bone_stadiums(camera, skeleton, pos, body):
+    """Projected endpoints and per-endpoint pixel radii of every bone of every
+    frame whose two joints are in front of the camera.
+
+    pos holds joint positions (T, n, 3); bones with either endpoint at or
+    behind the camera plane are dropped.
     """
     if len(body.radii) != len(skeleton.bones):
         raise InvalidInputError(
             f"body has {len(body.radii)} radii, skeleton has {len(skeleton.bones)} bones"
         )
-    pos, _ = fk_frames(skeleton, pose)
     uv, z, valid = project_points(camera, pos)
-    out = []
-    for k, (i, j) in enumerate(skeleton.bones):
-        if not (valid[i] and valid[j]):
-            continue
-        out.append(
-            {
-                "bone": k,
-                "a": uv[i],
-                "b": uv[j],
-                "ra": camera.fx * body.radii[k] / z[i],
-                "rb": camera.fx * body.radii[k] / z[j],
-            }
-        )
-    return out
+    ends = np.array(skeleton.bones, dtype=int).reshape(-1, 2)
+    frame, bone = np.nonzero(valid[:, ends[:, 0]] & valid[:, ends[:, 1]])
+    i, j = ends[bone, 0], ends[bone, 1]
+    radius = camera.fx * body.radii[bone]
+    return Stadiums(
+        a=uv[frame, i],
+        b=uv[frame, j],
+        ra=radius / z[frame, i],
+        rb=radius / z[frame, j],
+        frame=frame,
+        bone=bone,
+    )
 
 
-def _stadium_pieces(st):
-    """Boundary pieces of one generalized stadium as (kind, length) pairs.
+def stadium_geometry(st):
+    """Per stadium: the a->b vector v, its length d, q = (ra - rb) / d clipped
+    to [-1, 1], the direction psi of v, the half-angle beta = arccos(q) of
+    the arc at b, and whether one end circle swallows the other ("circle":
+    then d may be 0 and q, psi and beta are unused)."""
+    v = st.b - st.a
+    d = np.sqrt(_row_dots(v, v))
+    circle = d <= np.abs(st.rb - st.ra) + 1e-12
+    q = np.clip((st.ra - st.rb) / np.where(circle, 1.0, d), -1.0, 1.0)
+    psi = np.arctan2(v[:, 1], v[:, 0])
+    return v, d, q, psi, np.arccos(q), circle
 
-    Kinds: "arc_a", "arc_b", "seg_hi", "seg_lo" for the tangent-joined shape,
-    or a single "circle" when one projected endpoint circle swallows the other.
+
+def _outline_pieces(st):
+    """Boundary pieces of every stadium, in stadium order and then piece
+    order: (stadium index, kind, length) arrays."""
+    _, d, _, _, beta, circle = stadium_geometry(st)
+    dr = st.rb - st.ra
+    seg = np.sqrt(np.maximum(d * d - dr * dr, 0.0))
+    length = np.stack(
+        [st.ra * (2.0 * np.pi - 2.0 * beta), seg, st.rb * 2.0 * beta, seg], axis=1)
+    length[circle, 0] = 2.0 * np.pi * np.maximum(st.ra, st.rb)[circle]
+    kind = np.tile(np.array([ARC_A, SEG_HI, ARC_B, SEG_LO]), (len(d), 1))
+    kind[circle, 0] = CIRCLE
+    used = np.ones(kind.shape, dtype=bool)
+    used[circle, 1:] = False
+    stadium = np.repeat(np.arange(len(d)), 4).reshape(-1, 4)
+    return stadium[used], kind[used], length[used]
+
+
+def piece_points(st, stadium, kind, frac):
+    """Outline points at sampling records (stadium index, kind, frac).
+
+    Every kind is a centre c = a + w*(b - a) plus a radius r along the angle
+    base + frac*sweep; the per-kind parameters reproduce each piece's own
+    formula operation for operation.
     """
-    d = float(np.linalg.norm(st["b"] - st["a"]))
-    dr = st["rb"] - st["ra"]
-    if d <= abs(dr) + 1e-12:
-        r = max(st["ra"], st["rb"])
-        return [("circle", 2.0 * np.pi * r)], None
-    beta = float(np.arccos(np.clip((st["ra"] - st["rb"]) / d, -1.0, 1.0)))
-    seg = float(np.sqrt(max(d * d - dr * dr, 0.0)))
-    pieces = [
-        ("arc_a", st["ra"] * (2.0 * np.pi - 2.0 * beta)),
-        ("seg_hi", seg),
-        ("arc_b", st["rb"] * 2.0 * beta),
-        ("seg_lo", seg),
-    ]
-    return pieces, beta
+    v, _, _, psi, beta, _ = stadium_geometry(st)
+    a, v, ra, rb = st.a[stadium], v[stadium], st.ra[stadium], st.rb[stadium]
+    psi, beta = psi[stadium], beta[stadium]
+    arc_a, arc_b, circle = kind == ARC_A, kind == ARC_B, kind == CIRCLE
+    centre_w = np.select([arc_a, arc_b, circle], [0.0, 1.0, np.where(ra >= rb, 0.0, 1.0)],
+                         frac)
+    radius = np.select([arc_a, arc_b, circle], [ra, rb, np.maximum(ra, rb)],
+                       ra + frac * (rb - ra))
+    base = np.select([arc_a | (kind == SEG_HI), arc_b | (kind == SEG_LO)],
+                     [psi + beta, psi - beta], 0.0)
+    sweep = np.select([arc_a, arc_b, circle],
+                      [2.0 * np.pi - 2.0 * beta, 2.0 * beta, 2.0 * np.pi], 0.0)
+    ang = base + frac * sweep
+    return (a + centre_w[:, None] * v) + radius[:, None] * np.stack(
+        [np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _piece_points(st, kind, fracs):
-    """Points at fractional positions along one boundary piece."""
-    a, b, ra, rb = st["a"], st["b"], st["ra"], st["rb"]
-    v = b - a
-    d = float(np.linalg.norm(v))
-    if kind == "circle":
-        s = 0.0 if ra >= rb else 1.0
-        r = max(ra, rb)
-        ang = 2.0 * np.pi * fracs
-        centre = a + s * v
-        return centre + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    psi = float(np.arctan2(v[1], v[0]))
-    beta = float(np.arccos(np.clip((ra - rb) / d, -1.0, 1.0)))
-    if kind == "arc_a":
-        theta = psi + beta + fracs * (2.0 * np.pi - 2.0 * beta)
-        return a + ra * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if kind == "arc_b":
-        theta = psi - beta + fracs * (2.0 * beta)
-        return (a + v) + rb * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    sign = 1.0 if kind == "seg_hi" else -1.0
-    n = np.array([np.cos(psi + sign * beta), np.sin(psi + sign * beta)])
-    # tangent segment = sweep centre + swept radius along the common normal
-    s = fracs[:, None]
-    return a + s * v + (ra + s * (rb - ra)) * n
+def _offsets_along(points, a, v):
+    """(p - a[k]) @ v[k] and |p - a[k]|^2 for every stadium k and point p:
+    two (S, m) arrays. The product is one BLAS matrix-vector product per
+    stadium, as for a single stadium."""
+    w = points[None, :, :] - a[:, None, :]
+    return (w @ v[:, :, None])[..., 0], np.sum(w * w, axis=2)
 
 
-def stadium_signed_distance(points, st):
-    """Signed distance (px) from points to one stadium; negative inside.
+def stadium_signed_distance(points, a, b, ra, rb):
+    """Signed distance (px) from points (m, 2) to each of S stadiums given by
+    a, b (S, 2) and ra, rb (S,): an (S, m) matrix, negative inside.
 
-    The stadium is the union of discs centred on the segment a->b with
+    A stadium is the union of discs centred on the segment a->b with
     linearly interpolated radius, so the distance is min over the sweep
     parameter of |p - c(s)| - r(s), minimized in closed form.
     """
     points = np.atleast_2d(points)
-    a, b, ra, rb = st["a"], st["b"], st["ra"], st["rb"]
     v = b - a
-    vv = float(v @ v)
-    dr = rb - ra
-    w = points - a
-    if vv <= dr * dr + 1e-15:
-        s_big = 0.0 if ra >= rb else 1.0
-        centre = a + s_big * v
-        return np.linalg.norm(points - centre, axis=1) - max(ra, rb)
-    wv = w @ v
-    ww = np.sum(w * w, axis=1)
+    vv = _row_dots(v, v)[:, None]
+    dr = (rb - ra)[:, None]
+    wv, ww = _offsets_along(points, a, v)
+
+    def distance_at(s):
+        g = np.sqrt(np.maximum(ww - 2.0 * s * wv + s * s * vv, 0.0))
+        return g - (ra[:, None] + s * dr)
+
     # candidate sweep parameters: ends plus stationary points of the distance
-    cands = [np.zeros_like(wv), np.ones_like(wv)]
-    aa = vv * (vv - dr * dr)
-    bb = -2.0 * wv * (vv - dr * dr)
-    cc = wv * wv - dr * dr * ww
-    disc = bb * bb - 4.0 * aa * cc
-    ok = disc > 0.0
-    root = np.sqrt(np.where(ok, disc, 0.0))
-    for sgn in (-1.0, 1.0):
-        s = np.where(ok, (-bb + sgn * root) / (2.0 * aa), 0.0)
-        cands.append(np.clip(s, 0.0, 1.0))
-    best = None
-    for s in cands:
-        g = np.sqrt(np.maximum(ww - 2.0 * s * wv + s * s * vv, 0.0)) - (ra + s * dr)
-        best = g if best is None else np.minimum(best, g)
+    best = np.minimum(distance_at(np.zeros_like(wv)), distance_at(np.ones_like(wv)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aa = vv * (vv - dr * dr)
+        bb = -2.0 * wv * (vv - dr * dr)
+        disc = bb * bb - 4.0 * aa * (wv * wv - dr * dr * ww)
+        ok = disc > 0.0
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        for sgn in (-1.0, 1.0):
+            s = np.where(ok, (-bb + sgn * root) / (2.0 * aa), 0.0)
+            best = np.minimum(best, distance_at(np.clip(s, 0.0, 1.0)))
+    # one end circle swallows the other: the distance to the bigger one
+    deg = vv[:, 0] <= dr[:, 0] * dr[:, 0] + 1e-15
+    if deg.any():
+        centre = a[deg] + np.where(ra[deg] >= rb[deg], 0.0, 1.0)[:, None] * v[deg]
+        best[deg] = (np.linalg.norm(points[None, :, :] - centre[:, None, :], axis=2)
+                     - np.maximum(ra[deg], rb[deg])[:, None])
     return best
 
 
-def sample_outline(camera, skeleton, pose, body, n, oversample=4):
-    """Outline candidates plus the bookkeeping needed to re-derive each one.
+def _frame_starts(frame, n_frames):
+    """Start of each frame's run in an array sorted by frame: (n_frames + 1,)."""
+    return np.searchsorted(frame, np.arange(n_frames + 1))
 
-    Returns (points (m,2), records, kept_idx): records[i] is (stadium, kind,
-    frac) for candidate i, and kept_idx lists the candidates that survived
-    the inside-another-stadium cull. The records let an optimizer freeze the
-    sampling structure and move points analytically with the pose.
+
+def _running_totals(values, frame, n_frames):
+    """Per-frame totals of values sorted by frame, each added up one value
+    at a time in order, as Python's sum() does; np.sum adds pairwise, and a
+    last-bit difference can move a sample count."""
+    starts = _frame_starts(frame, n_frames)
+    slot = np.arange(len(values)) - starts[frame]
+    table = np.zeros((n_frames, max(int(np.diff(starts).max(initial=0)), 1)))
+    table[frame, slot] = values
+    return np.cumsum(table, axis=1)[:, -1]
+
+
+def silhouette_structure(camera, skeleton, pos, body, n):
+    """n outline points per frame of joint positions pos (T, n_joints, 3).
+
+    Every piece of every stadium gets samples in proportion to its length
+    (about n * OVERSAMPLE per frame); samples that land inside another
+    stadium of the same frame are culled, and n survivors are picked evenly.
+    A frame with no visible bone, a zero-length outline or no survivor is
+    marked lost.
     """
-    stadiums = bone_stadiums(camera, skeleton, pose, body)
-    if not stadiums:
-        raise EmptySilhouetteError("no bone is visible from the camera")
-    budget = max(8 * oversample, n * oversample)
-    pieces = []
-    for st in stadiums:
-        for kind, length in _stadium_pieces(st)[0]:
-            pieces.append((st, kind, length))
-    total = sum(p[2] for p in pieces)
-    if total <= 0.0:
-        raise EmptySilhouetteError("projected body has zero outline length")
-    points = []
-    records = []
-    for st, kind, length in pieces:
-        count = max(1, int(round(budget * length / total)))
-        fracs = (np.arange(count) + 0.5) / count
-        pts = _piece_points(st, kind, fracs)
-        points.append(pts)
-        records.extend((st, kind, float(f)) for f in fracs)
-    points = np.concatenate(points, axis=0)
-
-    keep = np.ones(len(points), dtype=bool)
-    for st in stadiums:
-        sd = stadium_signed_distance(points, st)
-        others = np.array([rec[0] is not st for rec in records])
-        keep &= ~((sd < -1e-6) & others)
-    kept_idx = np.flatnonzero(keep)
-    if kept_idx.size == 0:
-        raise EmptySilhouetteError("every outline sample fell inside the body")
-    return points, records, kept_idx
-
-
-def silhouette_structure(camera, skeleton, pose, body, n):
-    """n outline points plus their (stadium, kind, frac) sampling records."""
     if n < 8:
         raise InvalidInputError("need at least 8 silhouette points")
-    points, records, kept_idx = sample_outline(camera, skeleton, pose, body, n)
-    pick = kept_idx[np.round(np.linspace(0, kept_idx.size - 1, n)).astype(int)]
-    return points[pick], [records[i] for i in pick]
+    pos = np.asarray(pos, dtype=float)
+    n_frames = pos.shape[0]
+    st = bone_stadiums(camera, skeleton, pos, body)
+    p_stadium, p_kind, p_length = _outline_pieces(st)
+    p_frame = st.frame[p_stadium]
+    total = _running_totals(p_length, p_frame, n_frames)
+    lost = ~(total > 0.0)
+
+    budget = max(8 * OVERSAMPLE, n * OVERSAMPLE)
+    live = ~lost[p_frame]
+    counts = np.zeros(len(p_length), dtype=int)
+    counts[live] = np.maximum(
+        1, np.rint(budget * p_length[live] / total[p_frame[live]]).astype(int))
+    piece = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    s_frac = (np.arange(len(piece)) - first[piece] + 0.5) / counts[piece]
+    s_stadium, s_kind = p_stadium[piece], p_kind[piece]
+    s_points = piece_points(st, s_stadium, s_kind, s_frac)
+
+    out = Outline(
+        stadiums=st,
+        points=np.full((n_frames, n, 2), np.nan),
+        stadium=np.full((n_frames, n), -1),
+        kind=np.full((n_frames, n), -1),
+        frac=np.full((n_frames, n), np.nan),
+        lost=lost,
+    )
+    s_starts = _frame_starts(st.frame[s_stadium], n_frames)
+    st_starts = _frame_starts(st.frame, n_frames)
+    for t in np.flatnonzero(~lost):
+        lo, hi = s_starts[t], s_starts[t + 1]
+        own = slice(st_starts[t], st_starts[t + 1])
+        sd = stadium_signed_distance(s_points[lo:hi], st.a[own], st.b[own],
+                                     st.ra[own], st.rb[own])
+        others = s_stadium[lo:hi] != np.arange(own.start, own.stop)[:, None]
+        kept = np.flatnonzero(~np.any((sd < -1e-6) & others, axis=0))
+        if kept.size == 0:
+            lost[t] = True
+            continue
+        pick = lo + kept[np.round(np.linspace(0, kept.size - 1, n)).astype(int)]
+        out.points[t] = s_points[pick]
+        out.stadium[t] = s_stadium[pick]
+        out.kind[t] = s_kind[pick]
+        out.frac[t] = s_frac[pick]
+    return out
 
 
 def silhouette_points(camera, skeleton, pose, body, n):
     """n points (pixels) on the outline of the projected capsule body."""
-    return silhouette_structure(camera, skeleton, pose, body, n)[0]
+    pos = fk_frames(skeleton, as_sequence(pose))[0]
+    out = silhouette_structure(camera, skeleton, pos, body, n)
+    if out.lost[0]:
+        raise EmptySilhouetteError("the projected body has no visible outline")
+    return out.points[0]

@@ -39,7 +39,7 @@ def fk_jacobian(skeleton, pose):
 
     # root rotation: pos_i = t + R(v) s_i with s_i fixed in the body frame
     body = (pos - seq.root_trans[:, None]) @ rot[:, 0]
-    d_rot = np.stack([quat.rotvec_matrix_jacobian(v) for v in seq.root_rot])
+    d_rot = quat.rotvec_matrix_jacobian(seq.root_rot)
     for k in range(3):
         jac[..., d + k] = body @ d_rot[:, k].transpose(0, 2, 1)
 

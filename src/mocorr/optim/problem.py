@@ -24,8 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ..camera import project_points, silhouette_structure
-from ..errors import EmptySilhouetteError, InvalidInputError
+from ..camera import (
+    ARC_A,
+    ARC_B,
+    CIRCLE,
+    SEG_HI,
+    SEG_LO,
+    project_points,
+    silhouette_structure,
+    stadium_geometry,
+)
+from ..errors import InvalidInputError
 from ..skeleton import SkeletalPose, fk_frames
 from .kinematics import fk_jacobian, projection_jacobian
 
@@ -148,6 +157,8 @@ class PoseProblem:
                             for f in sil_frames]
         else:
             self.sil_obs = [np.zeros((0, 2))] * self.T
+        # frames with an observed outline; only these get silhouette rows
+        self.sil_idx = np.flatnonzero([o.shape[0] > 0 for o in self.sil_obs])
 
         self._light = (None, None)
         self._heavy = (None, None)
@@ -162,9 +173,8 @@ class PoseProblem:
         if self.temporal:
             rows += (self.T - 1) * self.Pf
         if self.use_sil:
-            for o in self.sil_obs:
-                if o.shape[0]:
-                    rows += 2 * (o.shape[0] + self.n_sil)
+            for t in self.sil_idx:
+                rows += 2 * (self.sil_obs[t].shape[0] + self.n_sil)
         return rows
 
     # --- packing -----------------------------------------------------------
@@ -197,28 +207,16 @@ class PoseProblem:
         u, rv, tr = self.split(x)
         frames = SkeletalPose(self.bounds.theta(u), rv, tr)
         pos = fk_frames(self.skeleton, frames)[0]
-        sil = []
+        sil = None
         if self.use_sil:
-            for t in range(self.T):
-                if self.sil_obs[t].shape[0] == 0:
-                    sil.append(None)
-                    continue
-                pose = SkeletalPose(frames.theta[t], rv[t], tr[t])
-                try:
-                    pts, records = silhouette_structure(
-                        self.sil_camera, self.skeleton, pose, self.body, self.n_sil
-                    )
-                except EmptySilhouetteError:
-                    sil.append("lost")
-                    continue
-                sil.append(
-                    {
-                        "points": pts,
-                        "records": records,
-                        "nn_obs": _nearest(self.sil_obs[t], pts),
-                        "nn_model": _nearest(pts, self.sil_obs[t]),
-                    }
-                )
+            outline = silhouette_structure(
+                self.sil_camera, self.skeleton, pos[self.sil_idx], self.body, self.n_sil)
+            nearest = []
+            for k, t in enumerate(self.sil_idx):
+                pts = outline.points[k]
+                nearest.append(None if outline.lost[k] else (
+                    _nearest(self.sil_obs[t], pts), _nearest(pts, self.sil_obs[t])))
+            sil = {"outline": outline, "nearest": nearest}
         state = {"frames": frames, "pos": pos, "u": u, "sil": sil}
         self._light = (key, state)
         return state
@@ -254,26 +252,21 @@ class PoseProblem:
             out[cur:cur + block.size] = block.ravel()
             cur += block.size
         if self.use_sil:
-            for t in range(self.T):
+            outline = st["sil"]["outline"]
+            for k, t in enumerate(self.sil_idx):
                 obs = self.sil_obs[t]
-                if obs.shape[0] == 0:
-                    continue
-                block = 2 * (obs.shape[0] + self.n_sil)
-                data = st["sil"][t]
-                if data == "lost":
+                if outline.lost[k]:
+                    block = 2 * (obs.shape[0] + self.n_sil)
                     out[cur:cur + block] = np.inf
                     cur += block
                     continue
+                nn_obs, nn_model = st["sil"]["nearest"][k]
                 w_o = np.sqrt(w.lambda_s * 0.5 / (self.T * obs.shape[0]))
                 w_m = np.sqrt(w.lambda_s * 0.5 / (self.T * self.n_sil))
-                pts = data["points"]
-                out[cur:cur + 2 * obs.shape[0]] = (
-                    (pts[data["nn_obs"]] - obs) * w_o
-                ).ravel()
+                pts = outline.points[k]
+                out[cur:cur + 2 * obs.shape[0]] = ((pts[nn_obs] - obs) * w_o).ravel()
                 cur += 2 * obs.shape[0]
-                out[cur:cur + 2 * self.n_sil] = (
-                    (pts - obs[data["nn_model"]]) * w_m
-                ).ravel()
+                out[cur:cur + 2 * self.n_sil] = ((pts - obs[nn_model]) * w_m).ravel()
                 cur += 2 * self.n_sil
         return out
 
@@ -331,103 +324,99 @@ class PoseProblem:
                 builder.add_block(cur, (t + 1) * self.Pf, right)
                 cur += self.Pf
         if self.use_sil:
-            for t in range(self.T):
+            if light["sil"]["outline"].lost.any():
+                raise InvalidInputError("silhouette lost at a point needing a jacobian")
+            dmodel = self._silhouette_point_jacobians(st)
+            for k, t in enumerate(self.sil_idx):
                 obs = self.sil_obs[t]
-                if obs.shape[0] == 0:
-                    continue
-                data = light["sil"][t]
-                if data == "lost":
-                    raise InvalidInputError("silhouette lost at a point needing a jacobian")
-                dmodel = self._silhouette_point_jacobians(t, st, data)
+                nn_obs, _ = light["sil"]["nearest"][k]
                 w_o = np.sqrt(w.lambda_s * 0.5 / (self.T * obs.shape[0]))
                 w_m = np.sqrt(w.lambda_s * 0.5 / (self.T * self.n_sil))
-                block = (w_o * dmodel[data["nn_obs"]]).reshape(-1, self.Pf)
+                block = (w_o * dmodel[k][nn_obs]).reshape(-1, self.Pf)
                 builder.add_block(cur, t * self.Pf, self._chain_u(block, st["dtheta"][t]))
                 cur += 2 * obs.shape[0]
-                block = (w_m * dmodel).reshape(-1, self.Pf)
+                block = (w_m * dmodel[k]).reshape(-1, self.Pf)
                 builder.add_block(cur, t * self.Pf, self._chain_u(block, st["dtheta"][t]))
                 cur += 2 * self.n_sil
         return builder.build()
 
-    def _silhouette_point_jacobians(self, t, st, data):
-        """d(model point)/d[theta, rv, tr] for every sampled outline point.
+    def _silhouette_point_jacobians(self, st):
+        """d(model point)/d[theta, rv, tr] for every sampled outline point of
+        every frame with an observed outline: (len(sil_idx), n_sil, 2, Pf).
 
         Works per stadium: endpoint pixel positions and radii get their
         derivatives from the kinematic chain, then each sample moves as
-        m = a + s*v + r(s)*n(phi) with its piece parameters frozen.
+        m = a + s*v + r(s)*n(phi) with its piece parameters frozen. Products
+        keep the operand shapes of a single stadium and sample, so every
+        value matches that computation bit for bit.
         """
         cam = self.sil_camera
-        jpos = st["jpos"][t]
-        pos = st["light"]["pos"][t]
-        records = data["records"]
-        dmodel = np.zeros((self.n_sil, 2, self.Pf))
+        outline = st["light"]["sil"]["outline"]
+        stad = outline.stadiums
+        # derivative bundles for the stadiums the samples reference
+        used, rec = np.unique(outline.stadium, return_inverse=True)
+        rec = rec.ravel()
+        frame = self.sil_idx[stad.frame[used]][:, None]
+        ends = np.array(self.skeleton.bones, dtype=int)[stad.bone[used]]
+        duv, z, _ = projection_jacobian(cam, st["light"]["pos"][frame, ends])
+        jpos = st["jpos"][frame, ends]
+        dend = duv @ jpos
+        coef = -cam.fx * self.body.radii[stad.bone[used]][:, None] / (z * z)
+        dradius = coef[..., None] * (cam.rotation[2] @ jpos)
+        da, db = dend[:, 0], dend[:, 1]
+        dra, drb = dradius[:, 0], dradius[:, 1]
+        ra, rb = stad.ra[used], stad.rb[used]
+        v, d, q, psi, beta, circle = (x[used] for x in stadium_geometry(stad))
+        d = np.where(circle, 1.0, d)  # a stadium no arc or segment uses
 
-        # derivative bundles per stadium actually referenced
-        bundles = {}
-        for st_dict, _, _ in records:
-            key = st_dict["bone"]
-            if key in bundles:
-                continue
-            i, j = self.skeleton.bones[key]
-            da, z_a, vis_a = projection_jacobian(cam, pos[i])
-            db, z_b, vis_b = projection_jacobian(cam, pos[j])
-            da = da @ jpos[i]
-            db = db @ jpos[j]
-            dz_a = cam.rotation[2] @ jpos[i]
-            dz_b = cam.rotation[2] @ jpos[j]
-            radius = self.body.radii[key]
-            dra = -cam.fx * radius / (z_a * z_a) * dz_a
-            drb = -cam.fx * radius / (z_b * z_b) * dz_b
-            bundles[key] = (st_dict, da, db, dra, drb)
+        kind = outline.kind.ravel()
+        frac = outline.frac.ravel()
+        dmodel = np.empty((kind.size, 2, self.Pf))
 
-        for idx, (st_dict, kind, frac) in enumerate(records):
-            st_b, da, db, dra, drb = bundles[st_dict["bone"]]
-            a, b, ra, rb = st_b["a"], st_b["b"], st_b["ra"], st_b["rb"]
-            if kind == "circle":
-                if ra >= rb:
-                    centre_j, dr = da, dra
-                else:
-                    centre_j, dr = db, drb
-                ang = 2.0 * np.pi * frac
-                n = np.array([np.cos(ang), np.sin(ang)])
-                dmodel[idx] = centre_j + n[:, None] * dr[None, :]
-                continue
-            v = b - a
-            d = float(np.linalg.norm(v))
-            dv = db - da
-            dpsi = (v[0] * dv[1] - v[1] * dv[0]) / (d * d)
-            q = np.clip((ra - rb) / d, -1.0, 1.0)
-            root = np.sqrt(max(1.0 - q * q, 0.0))
-            dd = (v @ dv) / d
-            dq = (dra - drb) / d - q / d * dd
-            dbeta = -dq / root if root > 1e-9 else np.zeros(self.Pf)
-            beta = float(np.arccos(q))
-            if kind == "arc_a":
-                s, drel = 0.0, 1.0 - 2.0 * frac
-                theta_rel = beta + frac * (2.0 * np.pi - 2.0 * beta)
-            elif kind == "arc_b":
-                s, drel = 1.0, 2.0 * frac - 1.0
-                theta_rel = -beta + frac * 2.0 * beta
-            elif kind == "seg_hi":
-                s, drel = frac, 1.0
-                theta_rel = beta
-            else:
-                s, drel = frac, -1.0
-                theta_rel = -beta
-            psi = float(np.arctan2(v[1], v[0]))
-            phi = psi + theta_rel
-            n = np.array([np.cos(phi), np.sin(phi)])
-            n_perp = np.array([-np.sin(phi), np.cos(phi)])
-            r_s = ra + s * (rb - ra)
-            dr_s = dra + s * (drb - dra)
-            dphi = dpsi + drel * dbeta
-            dmodel[idx] = (
-                da
-                + s * dv
-                + n[:, None] * dr_s[None, :]
-                + r_s * n_perp[:, None] * dphi[None, :]
-            )
-        return dmodel
+        # one end circle swallows the other: the sample turns with the big circle
+        c = kind == CIRCLE
+        big_a = (ra >= rb)[rec[c]]
+        centre = np.where(big_a[:, None, None], da[rec[c]], db[rec[c]])
+        dr = np.where(big_a[:, None], dra[rec[c]], drb[rec[c]])
+        ang = 2.0 * np.pi * frac[c]
+        n = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        dmodel[c] = centre + n[:, :, None] * dr[:, None, :]
+
+        # tangent-joined stadiums: arcs and segments
+        tan = ~c
+        k, frac = rec[tan], frac[tan]
+        kind = kind[tan]
+        dv = db - da
+        dpsi = (v[:, 0, None] * dv[:, 1] - v[:, 1, None] * dv[:, 0]) / (d * d)[:, None]
+        root = np.sqrt(np.maximum(1.0 - q * q, 0.0))
+        dd = (v[:, None, :] @ dv)[:, 0] / d[:, None]
+        dq = (dra - drb) / d[:, None] - (q / d)[:, None] * dd
+        steep = root > 1e-9
+        dbeta = np.zeros_like(dq)
+        dbeta[steep] = -dq[steep] / root[steep, None]
+        beta, psi = beta[k], psi[k]
+        arc_a, arc_b = kind == ARC_A, kind == ARC_B
+        seg_hi, seg_lo = kind == SEG_HI, kind == SEG_LO
+        s = np.select([arc_b, seg_hi | seg_lo], [1.0, frac], 0.0)
+        drel = np.select([arc_a, arc_b, seg_hi], [1.0 - 2.0 * frac, 2.0 * frac - 1.0, 1.0],
+                         -1.0)
+        theta_rel = np.select(
+            [arc_a, arc_b, seg_hi],
+            [beta + frac * (2.0 * np.pi - 2.0 * beta), -beta + frac * 2.0 * beta, beta],
+            -beta)
+        phi = psi + theta_rel
+        n = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        n_perp = np.stack([-np.sin(phi), np.cos(phi)], axis=1)
+        r_s = ra[k] + s * (rb[k] - ra[k])
+        dr_s = dra[k] + s[:, None] * (drb[k] - dra[k])
+        dphi = dpsi[k] + drel[:, None] * dbeta[k]
+        dmodel[tan] = (
+            da[k]
+            + s[:, None, None] * dv[k]
+            + n[:, :, None] * dr_s[:, None, :]
+            + (r_s[:, None] * n_perp)[:, :, None] * dphi[:, None, :]
+        )
+        return dmodel.reshape(outline.kind.shape + (2, self.Pf))
 
 
 class TranslationProblem:

@@ -200,35 +200,39 @@ def euler_xyz_from_matrix(m):
 
 
 def rotvec_matrix_jacobian(v):
-    """d(R)/d(v_k) for R = exp([v]_x): array (3, 3, 3) indexed [k, i, j].
+    """d(R)/d(v_k) for R = exp([v]_x): array (3, 3, 3) indexed [k, i, j], or
+    (T, 3, 3, 3) indexed [t, k, i, j] for rotation vectors (T, 3).
 
     Closed form of Gallego & Yezzi with a first-order fallback near v = 0,
-    where dR/dv_k -> [e_k]_x.
+    where dR/dv_k -> [e_k]_x. Products keep the shapes of the single-vector
+    form, so each frame gets bit for bit what it would get on its own.
     """
     v = np.asarray(v, dtype=float)
-    theta2 = float(v @ v)
-    out = np.empty((3, 3, 3))
-    if theta2 < 1e-14:
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = 1.0
-            out[k] = skew(e)
-        return out
-    r = to_matrix(from_rotvec(v))
-    vx = skew(v)
+    seq = np.atleast_2d(v)
+    theta2 = (seq[:, None, :] @ seq[:, :, None])[:, 0, 0]
+    small = theta2 < 1e-14
+    out = np.empty((seq.shape[0], 3, 3, 3))
+    out[small] = [skew(e) for e in np.eye(3)]
+    big = seq[~small]
+    r = to_matrix(from_rotvec(big))
+    vx = skew(big)
     eye = np.eye(3)
     for k in range(3):
         e = np.zeros(3)
         e[k] = 1.0
-        w = v[k] * vx + skew(np.cross(v, (eye - r) @ e))
-        out[k] = (w / theta2) @ r
-    return out
+        w = big[:, k, None, None] * vx + skew(np.cross(big, (eye - r) @ e))
+        out[~small, k] = (w / theta2[~small, None, None]) @ r
+    return out if v.ndim == 2 else out[0]
 
 
 def skew(v):
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]], dtype=float
-    )
+    """Cross-product matrix [v]_x: (3, 3), or (..., 3, 3) for vectors (..., 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
 
 
 def nlerp(a, b, u):

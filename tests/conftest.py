@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mocorr.camera import CapsuleBody, look_at
 from mocorr.skeleton import AXES, Joint, REGIONS, SkeletalPose, SkeletonModel
 
 
@@ -46,6 +47,21 @@ def random_pose(rng, skeleton, margin=0.05, trans_scale=0.3):
     theta = lo + span * rng.uniform(margin, 1.0 - margin, skeleton.total_dof)
     return SkeletalPose(theta, rng.uniform(-0.6, 0.6, 3),
                         rng.uniform(-trans_scale, trans_scale, 3))
+
+
+def aimed_bone_scene():
+    """Toy skeleton, thick capsule body, a camera on the -z axis looking at
+    the origin, and a two-frame sequence. In frame 0 the root -> "a" bone
+    points straight at the camera, so it projects to a lone circle; that
+    frame's 32-point outline has samples on all five piece kinds."""
+    skeleton = make_toy_skeleton()
+    body = CapsuleBody(np.array([0.08, 0.04, 0.03, 0.03]))
+    camera = look_at(np.array([0.0, 0.0, -2.0]), np.zeros(3), 500.0, 500.0, 320.0, 240.0)
+    theta = 0.5 * (skeleton.theta_min + skeleton.theta_max)
+    seq = SkeletalPose(np.stack([theta, theta]),
+                       np.array([[-np.pi / 2, 0.0, 0.0], [0.3, -0.4, 0.2]]),
+                       np.zeros((2, 3)))
+    return skeleton, body, camera, seq
 
 
 @pytest.fixture

@@ -5,10 +5,10 @@ through scipy.spatial.transform, forward kinematics through explicit 4x4
 homogeneous matrices, projections through a 3x4 matrix, distances through
 brute-force loops.
 
-The per-frame forward kinematics and the Levenberg-Marquardt loop at the end
-are different: they are the earlier, unoptimised versions of package code,
-kept as they were so the optimised versions can be required to reproduce
-them bit for bit.
+The per-frame forward kinematics, root-rotation derivative, Levenberg-Marquardt
+loop and silhouette structure further down are different: they are the
+earlier, unoptimised versions of package code, kept as they were so the
+optimised versions can be required to reproduce them bit for bit.
 """
 
 import numpy as np
@@ -17,9 +17,15 @@ import scipy.sparse.linalg as spla
 from scipy.spatial.transform import Rotation
 
 from mocorr import quat
-from mocorr.errors import NumericFailureError
+from mocorr.camera import project_points
+from mocorr.errors import (
+    EmptySilhouetteError,
+    InvalidInputError,
+    NumericFailureError,
+)
+from mocorr.optim.kinematics import projection_jacobian
 from mocorr.optim.lm import LMOptions, LMResult, numeric_jacobian
-from mocorr.skeleton import AXES
+from mocorr.skeleton import AXES, fk_frames
 
 
 def scipy_quat(q_wxyz):
@@ -159,7 +165,7 @@ def fk_jacobian_per_frame(skeleton, pose):
 
     # root rotation: pos_i = t + R(v) s_i with s_i fixed in the body frame
     body = (pos - pose.root_trans) @ rot[0]
-    d_rot = quat.rotvec_matrix_jacobian(pose.root_rot)
+    d_rot = rotvec_matrix_jacobian_per_frame(pose.root_rot)
     for k in range(3):
         jac[:, :, d + k] = body @ d_rot[k].T
 
@@ -177,6 +183,35 @@ def fk_jacobian_per_frame(skeleton, pose):
             jac[moved, :, col + m] = np.cross(omega, lever)
             before = before @ _axis_rotation_per_frame(ax, angles[m])
     return pos, rot, jac
+
+
+# --- per-frame root-rotation derivative ----------------------------------------
+
+
+def rotvec_matrix_jacobian_per_frame(v):
+    """d(R)/d(v_k) for R = exp([v]_x): array (3, 3, 3) indexed [k, i, j].
+
+    Closed form of Gallego & Yezzi with a first-order fallback near v = 0,
+    where dR/dv_k -> [e_k]_x.
+    """
+    v = np.asarray(v, dtype=float)
+    theta2 = float(v @ v)
+    out = np.empty((3, 3, 3))
+    if theta2 < 1e-14:
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = 1.0
+            out[k] = quat.skew(e)
+        return out
+    r = quat.to_matrix(quat.from_rotvec(v))
+    vx = quat.skew(v)
+    eye = np.eye(3)
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = 1.0
+        w = v[k] * vx + quat.skew(np.cross(v, (eye - r) @ e))
+        out[k] = (w / theta2) @ r
+    return out
 
 
 # --- Levenberg-Marquardt rebuilding J^T J on every damping retry -------------
@@ -258,3 +293,249 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
             break
 
     return LMResult(x=x, cost=cost, iterations=iterations, status=status, cost_history=history)
+
+
+# --- per-frame silhouette structure and its point Jacobians --------------------
+
+
+def bone_stadiums_per_frame(camera, skeleton, pose, body):
+    """Per visible bone: projected endpoints and per-endpoint pixel radii.
+
+    Returns a list of dicts {bone, a, b, ra, rb}; bones with either endpoint
+    at or behind the camera plane are dropped.
+    """
+    if len(body.radii) != len(skeleton.bones):
+        raise InvalidInputError(
+            f"body has {len(body.radii)} radii, skeleton has {len(skeleton.bones)} bones"
+        )
+    pos, _ = fk_frames(skeleton, pose)
+    uv, z, valid = project_points(camera, pos)
+    out = []
+    for k, (i, j) in enumerate(skeleton.bones):
+        if not (valid[i] and valid[j]):
+            continue
+        out.append(
+            {
+                "bone": k,
+                "a": uv[i],
+                "b": uv[j],
+                "ra": camera.fx * body.radii[k] / z[i],
+                "rb": camera.fx * body.radii[k] / z[j],
+            }
+        )
+    return out
+
+
+def _stadium_pieces(st):
+    """Boundary pieces of one generalized stadium as (kind, length) pairs.
+
+    Kinds: "arc_a", "arc_b", "seg_hi", "seg_lo" for the tangent-joined shape,
+    or a single "circle" when one projected endpoint circle swallows the other.
+    """
+    d = float(np.linalg.norm(st["b"] - st["a"]))
+    dr = st["rb"] - st["ra"]
+    if d <= abs(dr) + 1e-12:
+        r = max(st["ra"], st["rb"])
+        return [("circle", 2.0 * np.pi * r)], None
+    beta = float(np.arccos(np.clip((st["ra"] - st["rb"]) / d, -1.0, 1.0)))
+    seg = float(np.sqrt(max(d * d - dr * dr, 0.0)))
+    pieces = [
+        ("arc_a", st["ra"] * (2.0 * np.pi - 2.0 * beta)),
+        ("seg_hi", seg),
+        ("arc_b", st["rb"] * 2.0 * beta),
+        ("seg_lo", seg),
+    ]
+    return pieces, beta
+
+
+def _piece_points(st, kind, fracs):
+    """Points at fractional positions along one boundary piece."""
+    a, b, ra, rb = st["a"], st["b"], st["ra"], st["rb"]
+    v = b - a
+    d = float(np.linalg.norm(v))
+    if kind == "circle":
+        s = 0.0 if ra >= rb else 1.0
+        r = max(ra, rb)
+        ang = 2.0 * np.pi * fracs
+        centre = a + s * v
+        return centre + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    psi = float(np.arctan2(v[1], v[0]))
+    beta = float(np.arccos(np.clip((ra - rb) / d, -1.0, 1.0)))
+    if kind == "arc_a":
+        theta = psi + beta + fracs * (2.0 * np.pi - 2.0 * beta)
+        return a + ra * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if kind == "arc_b":
+        theta = psi - beta + fracs * (2.0 * beta)
+        return (a + v) + rb * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    sign = 1.0 if kind == "seg_hi" else -1.0
+    n = np.array([np.cos(psi + sign * beta), np.sin(psi + sign * beta)])
+    # tangent segment = sweep centre + swept radius along the common normal
+    s = fracs[:, None]
+    return a + s * v + (ra + s * (rb - ra)) * n
+
+
+def stadium_signed_distance(points, st):
+    """Signed distance (px) from points to one stadium; negative inside.
+
+    The stadium is the union of discs centred on the segment a->b with
+    linearly interpolated radius, so the distance is min over the sweep
+    parameter of |p - c(s)| - r(s), minimized in closed form.
+    """
+    points = np.atleast_2d(points)
+    a, b, ra, rb = st["a"], st["b"], st["ra"], st["rb"]
+    v = b - a
+    vv = float(v @ v)
+    dr = rb - ra
+    w = points - a
+    if vv <= dr * dr + 1e-15:
+        s_big = 0.0 if ra >= rb else 1.0
+        centre = a + s_big * v
+        return np.linalg.norm(points - centre, axis=1) - max(ra, rb)
+    wv = w @ v
+    ww = np.sum(w * w, axis=1)
+    # candidate sweep parameters: ends plus stationary points of the distance
+    cands = [np.zeros_like(wv), np.ones_like(wv)]
+    aa = vv * (vv - dr * dr)
+    bb = -2.0 * wv * (vv - dr * dr)
+    cc = wv * wv - dr * dr * ww
+    disc = bb * bb - 4.0 * aa * cc
+    ok = disc > 0.0
+    root = np.sqrt(np.where(ok, disc, 0.0))
+    for sgn in (-1.0, 1.0):
+        s = np.where(ok, (-bb + sgn * root) / (2.0 * aa), 0.0)
+        cands.append(np.clip(s, 0.0, 1.0))
+    best = None
+    for s in cands:
+        g = np.sqrt(np.maximum(ww - 2.0 * s * wv + s * s * vv, 0.0)) - (ra + s * dr)
+        best = g if best is None else np.minimum(best, g)
+    return best
+
+
+def sample_outline_per_frame(camera, skeleton, pose, body, n, oversample=4):
+    """Outline candidates plus the bookkeeping needed to re-derive each one.
+
+    Returns (points (m,2), records, kept_idx): records[i] is (stadium, kind,
+    frac) for candidate i, and kept_idx lists the candidates that survived
+    the inside-another-stadium cull. The records let an optimizer freeze the
+    sampling structure and move points analytically with the pose.
+    """
+    stadiums = bone_stadiums_per_frame(camera, skeleton, pose, body)
+    if not stadiums:
+        raise EmptySilhouetteError("no bone is visible from the camera")
+    budget = max(8 * oversample, n * oversample)
+    pieces = []
+    for st in stadiums:
+        for kind, length in _stadium_pieces(st)[0]:
+            pieces.append((st, kind, length))
+    total = sum(p[2] for p in pieces)
+    if total <= 0.0:
+        raise EmptySilhouetteError("projected body has zero outline length")
+    points = []
+    records = []
+    for st, kind, length in pieces:
+        count = max(1, int(round(budget * length / total)))
+        fracs = (np.arange(count) + 0.5) / count
+        pts = _piece_points(st, kind, fracs)
+        points.append(pts)
+        records.extend((st, kind, float(f)) for f in fracs)
+    points = np.concatenate(points, axis=0)
+
+    keep = np.ones(len(points), dtype=bool)
+    for st in stadiums:
+        sd = stadium_signed_distance(points, st)
+        others = np.array([rec[0] is not st for rec in records])
+        keep &= ~((sd < -1e-6) & others)
+    kept_idx = np.flatnonzero(keep)
+    if kept_idx.size == 0:
+        raise EmptySilhouetteError("every outline sample fell inside the body")
+    return points, records, kept_idx
+
+
+def silhouette_structure_per_frame(camera, skeleton, pose, body, n):
+    """n outline points plus their (stadium, kind, frac) sampling records."""
+    if n < 8:
+        raise InvalidInputError("need at least 8 silhouette points")
+    points, records, kept_idx = sample_outline_per_frame(camera, skeleton, pose, body, n)
+    pick = kept_idx[np.round(np.linspace(0, kept_idx.size - 1, n)).astype(int)]
+    return points[pick], [records[i] for i in pick]
+
+
+def silhouette_point_jacobians_per_frame(problem, t, st, data):
+    """d(model point)/d[theta, rv, tr] for every sampled outline point.
+
+    Works per stadium: endpoint pixel positions and radii get their
+    derivatives from the kinematic chain, then each sample moves as
+    m = a + s*v + r(s)*n(phi) with its piece parameters frozen.
+    """
+    cam = problem.sil_camera
+    jpos = st["jpos"][t]
+    pos = st["light"]["pos"][t]
+    records = data["records"]
+    dmodel = np.zeros((problem.n_sil, 2, problem.Pf))
+
+    # derivative bundles per stadium actually referenced
+    bundles = {}
+    for st_dict, _, _ in records:
+        key = st_dict["bone"]
+        if key in bundles:
+            continue
+        i, j = problem.skeleton.bones[key]
+        da, z_a, vis_a = projection_jacobian(cam, pos[i])
+        db, z_b, vis_b = projection_jacobian(cam, pos[j])
+        da = da @ jpos[i]
+        db = db @ jpos[j]
+        dz_a = cam.rotation[2] @ jpos[i]
+        dz_b = cam.rotation[2] @ jpos[j]
+        radius = problem.body.radii[key]
+        dra = -cam.fx * radius / (z_a * z_a) * dz_a
+        drb = -cam.fx * radius / (z_b * z_b) * dz_b
+        bundles[key] = (st_dict, da, db, dra, drb)
+
+    for idx, (st_dict, kind, frac) in enumerate(records):
+        st_b, da, db, dra, drb = bundles[st_dict["bone"]]
+        a, b, ra, rb = st_b["a"], st_b["b"], st_b["ra"], st_b["rb"]
+        if kind == "circle":
+            if ra >= rb:
+                centre_j, dr = da, dra
+            else:
+                centre_j, dr = db, drb
+            ang = 2.0 * np.pi * frac
+            n = np.array([np.cos(ang), np.sin(ang)])
+            dmodel[idx] = centre_j + n[:, None] * dr[None, :]
+            continue
+        v = b - a
+        d = float(np.linalg.norm(v))
+        dv = db - da
+        dpsi = (v[0] * dv[1] - v[1] * dv[0]) / (d * d)
+        q = np.clip((ra - rb) / d, -1.0, 1.0)
+        root = np.sqrt(max(1.0 - q * q, 0.0))
+        dd = (v @ dv) / d
+        dq = (dra - drb) / d - q / d * dd
+        dbeta = -dq / root if root > 1e-9 else np.zeros(problem.Pf)
+        beta = float(np.arccos(q))
+        if kind == "arc_a":
+            s, drel = 0.0, 1.0 - 2.0 * frac
+            theta_rel = beta + frac * (2.0 * np.pi - 2.0 * beta)
+        elif kind == "arc_b":
+            s, drel = 1.0, 2.0 * frac - 1.0
+            theta_rel = -beta + frac * 2.0 * beta
+        elif kind == "seg_hi":
+            s, drel = frac, 1.0
+            theta_rel = beta
+        else:
+            s, drel = frac, -1.0
+            theta_rel = -beta
+        psi = float(np.arctan2(v[1], v[0]))
+        phi = psi + theta_rel
+        n = np.array([np.cos(phi), np.sin(phi)])
+        n_perp = np.array([-np.sin(phi), np.cos(phi)])
+        r_s = ra + s * (rb - ra)
+        dr_s = dra + s * (drb - dra)
+        dphi = dpsi + drel * dbeta
+        dmodel[idx] = (
+            da
+            + s * dv
+            + n[:, None] * dr_s[None, :]
+            + r_s * n_perp[:, None] * dphi[None, :]
+        )
+    return dmodel

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mocorr.camera import (
+    PIECE_KINDS,
+    _running_totals,
     Camera,
     CapsuleBody,
     bone_stadiums,
@@ -22,10 +26,10 @@ from mocorr.errors import (
     EmptySilhouetteError,
     InvalidInputError,
 )
-from mocorr.skeleton import SkeletalPose, identity_pose
+from mocorr.skeleton import SkeletalPose, as_sequence, fk_frames, identity_pose
 
-from conftest import make_toy_skeleton, random_pose
-from oracles import project_matrix
+from conftest import aimed_bone_scene, make_random_skeleton, make_toy_skeleton, random_pose
+from oracles import project_matrix, silhouette_structure_per_frame
 
 
 def make_camera(seed=0):
@@ -121,28 +125,27 @@ def brute_force_stadium_distance(points, st, samples=200001):
 
 def test_stadium_signed_distance_matches_brute_force():
     rng = np.random.default_rng(22)
-    for _ in range(6):
-        st = {
-            "a": rng.uniform(-50.0, 50.0, 2),
-            "b": rng.uniform(-50.0, 50.0, 2),
-            "ra": float(rng.uniform(2.0, 25.0)),
-            "rb": float(rng.uniform(2.0, 25.0)),
-        }
-        points = rng.uniform(-80.0, 80.0, (40, 2))
-        sd = stadium_signed_distance(points, st)
+    a = rng.uniform(-50.0, 50.0, (6, 2))
+    b = rng.uniform(-50.0, 50.0, (6, 2))
+    ra = rng.uniform(2.0, 25.0, 6)
+    rb = rng.uniform(2.0, 25.0, 6)
+    points = rng.uniform(-80.0, 80.0, (40, 2))
+    sd = stadium_signed_distance(points, a, b, ra, rb)
+    assert sd.shape == (6, 40)
+    for k in range(6):
+        st = {"a": a[k], "b": b[k], "ra": ra[k], "rb": rb[k]}
         ref = brute_force_stadium_distance(points, st)
         # Closed form is exact; the dense scan can only overshoot slightly.
-        assert np.all(sd <= ref + 1e-9)
-        assert np.max(np.abs(sd - ref)) < 1e-4
+        assert np.all(sd[k] <= ref + 1e-9)
+        assert np.max(np.abs(sd[k] - ref)) < 1e-4
 
 
 def test_stadium_signed_distance_degenerate_circle():
     # One circle swallows the other: distance reduces to the big circle.
-    st = {"a": np.array([0.0, 0.0]), "b": np.array([1.0, 0.0]),
-          "ra": 10.0, "rb": 2.0}
     points = np.array([[0.0, 0.0], [15.0, 0.0], [0.0, 10.0]])
-    sd = stadium_signed_distance(points, st)
-    assert np.allclose(sd, [-10.0, 5.0, 0.0], atol=1e-12)
+    sd = stadium_signed_distance(points, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
+                                 np.array([10.0]), np.array([2.0]))
+    assert np.allclose(sd[0], [-10.0, 5.0, 0.0], atol=1e-12)
 
 
 def test_stadium_boundary_points_have_zero_distance():
@@ -151,10 +154,14 @@ def test_stadium_boundary_points_have_zero_distance():
     body = default_body(skeleton)
     camera = make_camera(3)
     pose = random_pose(rng, skeleton, trans_scale=0.1)
-    points, records = silhouette_structure(camera, skeleton, pose, body, 32)
-    for point, (st, _, _) in zip(points, records):
-        sd = stadium_signed_distance(point[None, :], st)
-        assert abs(float(sd[0])) < 1e-9
+    pos = fk_frames(skeleton, as_sequence(pose))[0]
+    out = silhouette_structure(camera, skeleton, pos, body, 32)
+    stads = out.stadiums
+    for point, s in zip(out.points[0], out.stadium[0]):
+        k = slice(s, s + 1)
+        sd = stadium_signed_distance(point[None, :], stads.a[k], stads.b[k],
+                                     stads.ra[k], stads.rb[k])
+        assert abs(float(sd[0, 0])) < 1e-9
 
 
 def test_silhouette_points_cardinality_and_cull():
@@ -162,15 +169,15 @@ def test_silhouette_points_cardinality_and_cull():
     skeleton = make_toy_skeleton()
     body = default_body(skeleton)
     camera = make_camera(4)
-    stadiums = None
     for n in (8, 16, 96):
         pose = random_pose(rng, skeleton, trans_scale=0.1)
         points = silhouette_points(camera, skeleton, pose, body, n)
         assert points.shape == (n, 2)
         # No sampled point sits strictly inside any capsule.
-        stadiums = bone_stadiums(camera, skeleton, pose, body)
-        for st in stadiums:
-            assert np.all(stadium_signed_distance(points, st) >= -1e-6)
+        pos = fk_frames(skeleton, as_sequence(pose))[0]
+        stads = bone_stadiums(camera, skeleton, pos, body)
+        sd = stadium_signed_distance(points, stads.a, stads.b, stads.ra, stads.rb)
+        assert np.all(sd >= -1e-6)
 
 
 def test_silhouette_points_minimum_count():
@@ -196,16 +203,14 @@ def test_bone_stadium_radii_scale_with_depth():
     skeleton = make_toy_skeleton()
     body = default_body(skeleton)
     camera = make_camera(6)
-    pose = identity_pose(skeleton)
-    pos_uv = bone_stadiums(camera, skeleton, pose, body)
-    from mocorr.skeleton import fk_frames
-
-    pos, _ = fk_frames(skeleton, pose)
-    z = camera.to_camera(pos)[:, 2]
-    for st in pos_uv:
-        i, j = skeleton.bones[st["bone"]]
-        assert st["ra"] == pytest.approx(camera.fx * body.radii[st["bone"]] / z[i])
-        assert st["rb"] == pytest.approx(camera.fx * body.radii[st["bone"]] / z[j])
+    pos = fk_frames(skeleton, as_sequence(identity_pose(skeleton)))[0]
+    stads = bone_stadiums(camera, skeleton, pos, body)
+    z = camera.to_camera(pos[0])[:, 2]
+    assert len(stads.bone) == len(skeleton.bones)
+    for k, ra, rb in zip(stads.bone, stads.ra, stads.rb):
+        i, j = skeleton.bones[k]
+        assert ra == pytest.approx(camera.fx * body.radii[k] / z[i])
+        assert rb == pytest.approx(camera.fx * body.radii[k] / z[j])
 
 
 def test_capsule_body_validation():
@@ -213,8 +218,9 @@ def test_capsule_body_validation():
     with pytest.raises(InvalidInputError):
         CapsuleBody(np.array([0.1, -0.1, 0.1, 0.1]))
     body = CapsuleBody(np.array([0.1]))
+    pos = fk_frames(skeleton, as_sequence(identity_pose(skeleton)))[0]
     with pytest.raises(InvalidInputError):
-        bone_stadiums(make_camera(7), skeleton, identity_pose(skeleton), body)
+        bone_stadiums(make_camera(7), skeleton, pos, body)
 
 
 def test_default_body_matches_bone_count():
@@ -222,3 +228,74 @@ def test_default_body_matches_bone_count():
     body = default_body(skeleton)
     assert len(body.radii) == len(skeleton.bones)
     assert np.all(body.radii > 0.0)
+
+
+def frames_of(seq):
+    return [SkeletalPose(seq.theta[t], seq.root_rot[t], seq.root_trans[t])
+            for t in range(seq.theta.shape[0])]
+
+
+def assert_outline_matches_oracle(camera, skeleton, seq, body, n):
+    """The batched structure equals the per-frame oracle frame by frame:
+    points, records (stadium, kind, frac) and the lost flag, bit for bit.
+    Returns the batched outline."""
+    out = silhouette_structure(camera, skeleton, fk_frames(skeleton, seq)[0], body, n)
+    stads = out.stadiums
+    for t, pose in enumerate(frames_of(seq)):
+        try:
+            points, records = silhouette_structure_per_frame(camera, skeleton, pose, body, n)
+        except EmptySilhouetteError:
+            assert out.lost[t]
+            continue
+        assert not out.lost[t]
+        assert np.array_equal(out.points[t], points)
+        assert [PIECE_KINDS[k] for k in out.kind[t]] == [kind for _, kind, _ in records]
+        assert np.array_equal(out.frac[t], [frac for _, _, frac in records])
+        s = out.stadium[t]
+        assert np.all(stads.frame[s] == t)
+        assert np.array_equal(stads.bone[s], [rec["bone"] for rec, _, _ in records])
+        for name in ("a", "b", "ra", "rb"):
+            assert np.array_equal(getattr(stads, name)[s],
+                                  [rec[name] for rec, _, _ in records])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 6),
+       n=st.integers(8, 64))
+def test_batched_silhouette_structure_equals_per_frame_oracle(seed, n_frames, n):
+    rng = np.random.default_rng(seed)
+    skeleton = make_random_skeleton(rng)
+    body = default_body(skeleton)
+    poses = [random_pose(rng, skeleton, trans_scale=0.2) for _ in range(n_frames)]
+    seq = SkeletalPose(np.stack([p.theta for p in poses]),
+                       np.stack([p.root_rot for p in poses]),
+                       np.stack([p.root_trans for p in poses]))
+    position = rng.uniform(-1.0, 1.0, 3) + np.array([0.0, 0.0, -rng.uniform(1.0, 3.5)])
+    camera = look_at(position, np.zeros(3), 500.0, 480.0, 320.0, 240.0)
+    assert_outline_matches_oracle(camera, skeleton, seq, body, n)
+
+
+def test_silhouette_structure_with_a_bone_aimed_at_the_camera():
+    skeleton, body, camera, seq = aimed_bone_scene()
+    out = assert_outline_matches_oracle(camera, skeleton, seq, body, 32)
+    assert set(out.kind[0]) == set(range(len(PIECE_KINDS)))
+
+
+def test_silhouette_structure_marks_a_frame_behind_the_camera_lost():
+    skeleton, body, camera, seq = aimed_bone_scene()
+    seq.root_trans[1] = [0.0, 0.0, -5.0]  # every joint behind the camera
+    out = assert_outline_matches_oracle(camera, skeleton, seq, body, 32)
+    assert out.lost.tolist() == [False, True]
+    assert not np.any(out.stadiums.frame == 1)
+
+
+def test_outline_totals_add_pieces_in_order():
+    """Each frame's outline length adds its pieces one at a time, as the
+    per-frame sum() did; pairwise summation rounds differently here, and a
+    last-bit change in the total can move a sample count."""
+    values = np.array([1.0] + [1e-16] * 9 + [2.0, 3.0])
+    frame = np.array([0] * 10 + [2, 2])
+    totals = _running_totals(values, frame, 3)
+    assert totals.tolist() == [sum(values[:10]), 0.0, 5.0]
+    assert totals[0] != np.sum(values[:10])

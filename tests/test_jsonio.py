@@ -51,6 +51,25 @@ def test_save_bytes_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_save_matches_dumps_of_whole_document(tmp_path):
+    doc = {
+        "format": "x/1",
+        "z": {"b": [1.5, -0.0, 1e300], "a": {}, "c": {"y": None, "x": True}},
+        "list": [{"k2": 1, "k1": [2, 3]}, "text", []],
+        "caf\u00e9 \u2192": np.float64(0.1),
+        "int_keys": {3: "c", 1: "a"},
+        "empty": [],
+        "w": [[0.1, 0.2], [1.0 / 3.0, 5e-324]],
+        # longer than one encoding slice, and exactly two slices long
+        "long": [i / 7.0 for i in range(10001)],
+        "rows": [[i, {"b": i, "a": -i}] for i in range(8192)],
+    }
+    path = tmp_path / "doc.json"
+    save_document(path, doc)
+    expected = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    assert path.read_text() == expected
+
+
 def test_float_round_trip_exact(tmp_path):
     values = [0.1, 1e-17, 1.0 / 3.0, -2.5e300, np.pi, 5e-324]
     path = tmp_path / "f.json"

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mocorr.camera import default_body, look_at, silhouette_points
-from mocorr.errors import InvalidInputError
+from mocorr.camera import (
+    PIECE_KINDS,
+    bone_stadiums,
+    default_body,
+    look_at,
+    piece_points,
+    project_points,
+    silhouette_points,
+)
+from mocorr.errors import EmptySilhouetteError, InvalidInputError
 from mocorr.motion import FrameObservations
 from mocorr.optim.energies import (
     EnergyWeights,
@@ -32,13 +40,15 @@ from mocorr.skeleton import (
     pose_to_quat,
 )
 
-from conftest import make_random_skeleton, make_toy_skeleton, random_pose
+from conftest import aimed_bone_scene, make_random_skeleton, make_toy_skeleton, random_pose
 from oracles import (
     central_diff,
     fk_frames_per_frame,
     fk_jacobian_per_frame,
     grad_check,
     project_matrix,
+    silhouette_point_jacobians_per_frame,
+    silhouette_structure_per_frame,
 )
 
 
@@ -365,3 +375,130 @@ def test_translation_problem_pose_count_mismatch(toy_skeleton):
     with pytest.raises(InvalidInputError):
         TranslationProblem(toy_skeleton, camera, frames, EnergyWeights(),
                            seq[:2])
+
+
+# --- silhouette term -----------------------------------------------------------
+
+
+def frame_poses(frames):
+    return [SkeletalPose(frames.theta[t], frames.root_rot[t], frames.root_trans[t])
+            for t in range(frames.theta.shape[0])]
+
+
+def aimed_problem(rng, seq, n_sil=32):
+    """Pose problem on aimed_bone_scene's skeleton, body and camera: one
+    keypoint view and silhouettes, both from that camera. A frame whose body
+    is behind the camera observes frame 0's outline."""
+    skeleton, body, camera, _ = aimed_bone_scene()
+    frames = []
+    for pose in frame_poses(seq):
+        uv, _, _ = project_points(camera, forward_kinematics(skeleton, pose))
+        try:
+            sil = silhouette_points(camera, skeleton, pose, body, 24)
+        except EmptySilhouetteError:
+            sil = frames[0].silhouette
+        frames.append(FrameObservations(uv + rng.normal(0.0, 2.0, uv.shape),
+                                        np.ones(skeleton.n_joints),
+                                        sil + rng.normal(0.0, 1.0, sil.shape)))
+    weights = EnergyWeights(lambda_2d=1.0, lambda_t=2.0, lambda_s=0.5)
+    problem = PoseProblem(skeleton, [View(camera, frames)], weights, body=body,
+                          sil_camera=camera, sil_frames=frames, n_sil=n_sil)
+    return problem, problem.pack(seq.theta, seq.root_rot, seq.root_trans)
+
+
+def brute_nearest(a, b):
+    return np.array([int(np.argmin(np.sum((b - p) ** 2, axis=1))) for p in a])
+
+
+def test_lost_silhouette_frame_rows_are_inf_and_jacobian_raises():
+    """A frame whose body is behind the camera gets inf silhouette rows; all
+    other rows equal the per-frame oracle path; no Jacobian exists there."""
+    rng = np.random.default_rng(60)
+    skeleton, body, camera, seq = aimed_bone_scene()
+    seq = SkeletalPose(np.concatenate([seq.theta, seq.theta[:1]]),
+                       np.concatenate([seq.root_rot, [[0.1, 0.2, 0.0]]]),
+                       np.concatenate([seq.root_trans, [[0.0, 0.0, -5.0]]]))
+    problem, x = aimed_problem(rng, seq)
+    r = problem.residuals(x)
+    head = PoseProblem(skeleton, problem.views, problem.weights).residuals(x)
+    assert np.array_equal(r[:head.size], head)
+    cur = head.size
+    poses = frame_poses(problem._light_state(x)["frames"])
+    for t, pose in enumerate(poses):
+        obs = problem.sil_obs[t]
+        rows = 2 * (obs.shape[0] + problem.n_sil)
+        if t == 2:
+            assert np.all(r[cur:cur + rows] == np.inf)
+        else:
+            pts, _ = silhouette_structure_per_frame(camera, skeleton, pose, body,
+                                                    problem.n_sil)
+            w_o = np.sqrt(problem.weights.lambda_s * 0.5 / (problem.T * obs.shape[0]))
+            w_m = np.sqrt(problem.weights.lambda_s * 0.5 / (problem.T * problem.n_sil))
+            expected = np.concatenate([
+                ((pts[brute_nearest(obs, pts)] - obs) * w_o).ravel(),
+                ((pts - obs[brute_nearest(pts, obs)]) * w_m).ravel()])
+            assert np.array_equal(r[cur:cur + rows], expected)
+        cur += rows
+    assert cur == r.size
+    with pytest.raises(InvalidInputError, match="silhouette lost"):
+        problem.jacobian(x)
+
+
+def assert_point_jacobians_match_oracle(problem, x):
+    st = problem._heavy_state(x)
+    dmodel = problem._silhouette_point_jacobians(st)
+    poses = frame_poses(st["light"]["frames"])
+    for k, t in enumerate(problem.sil_idx):
+        _, records = silhouette_structure_per_frame(
+            problem.sil_camera, problem.skeleton, poses[t], problem.body, problem.n_sil)
+        ref = silhouette_point_jacobians_per_frame(problem, t, st, {"records": records})
+        assert np.array_equal(dmodel[k], ref)
+
+
+def test_batched_silhouette_point_jacobians_equal_per_frame_oracle(toy_skeleton):
+    rng = np.random.default_rng(61)
+    problem, x = aimed_problem(rng, aimed_bone_scene()[3])
+    assert_point_jacobians_match_oracle(problem, x)
+    for seed in range(62, 66):
+        rng = np.random.default_rng(seed)
+        skeleton = make_random_skeleton(rng) if seed % 2 else toy_skeleton
+        problem, seq, *_ = build_problem(rng, skeleton, t=int(rng.integers(1, 5)))
+        x = problem.pack(np.stack([p.theta for p in seq]),
+                         np.stack([p.root_rot for p in seq]),
+                         np.stack([p.root_trans for p in seq]))
+        assert_point_jacobians_match_oracle(problem, x + rng.normal(0.0, 0.05, x.shape))
+
+
+def test_silhouette_point_jacobians_match_fd_on_every_piece_kind():
+    """Moving the pose with the sampling records frozen moves each point as
+    the analytic point Jacobian says, on all five piece kinds."""
+    rng = np.random.default_rng(67)
+    skeleton, body, camera, seq = aimed_bone_scene()
+    problem, x = aimed_problem(rng, seq)
+    st = problem._heavy_state(x)
+    outline = st["light"]["sil"]["outline"]
+    kinds = outline.kind.ravel()
+    assert set(kinds) == set(range(len(PIECE_KINDS)))
+    dmodel = problem._silhouette_point_jacobians(st)
+    frames = st["light"]["frames"]
+    params = np.concatenate([frames.theta, frames.root_rot, frames.root_trans], axis=1)
+    d, pf = problem.D, problem.Pf
+
+    def points_at(p):
+        p = p.reshape(-1, pf)
+        pos = fk_frames(skeleton, SkeletalPose(p[:, :d], p[:, d:d + 3], p[:, d + 3:]))[0]
+        stadiums = bone_stadiums(camera, skeleton, pos[problem.sil_idx], body)
+        return piece_points(stadiums, outline.stadium.ravel(), kinds,
+                            outline.frac.ravel())
+
+    assert np.array_equal(points_at(params.ravel()), outline.points.reshape(-1, 2))
+    numeric = central_diff(lambda p: points_at(p).ravel(), params.ravel(), 1e-6)
+    numeric = numeric.reshape(kinds.size, 2, -1)
+    n = problem.n_sil
+    for k, t in enumerate(problem.sil_idx):
+        cols = slice(t * pf, (t + 1) * pf)
+        rows = slice(k * n, (k + 1) * n)
+        for kind in range(len(PIECE_KINDS)):
+            pick = kinds[rows] == kind
+            if pick.any():
+                assert grad_check(dmodel[k][pick], numeric[rows][pick][..., cols]) < 1e-4

@@ -9,7 +9,13 @@ from scipy.spatial.transform import Rotation
 from mocorr import quat
 from mocorr.errors import InvalidInputError
 
-from oracles import central_diff, grad_check, quat_from_scipy, scipy_quat
+from oracles import (
+    central_diff,
+    grad_check,
+    quat_from_scipy,
+    rotvec_matrix_jacobian_per_frame,
+    scipy_quat,
+)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 rotvecs = st.tuples(finite, finite, finite).map(np.array).filter(
@@ -177,6 +183,23 @@ def test_rotvec_matrix_jacobian_matches_fd():
                            v, 1e-6)
         analytic = np.stack([jac[k].ravel() for k in range(3)], axis=1)
         assert grad_check(analytic, num, rtol=1e-5) < 1e-5
+
+
+def test_batched_rotvec_matrix_jacobian_equals_per_frame_oracle():
+    """A leading frame axis gives each frame bit for bit its single-vector
+    value, frames below the small-angle threshold included."""
+    rng = np.random.default_rng(14)
+    vs = rng.uniform(-2.0, 2.0, (40, 3))
+    vs[::5] *= 1e-8  # |v|^2 < 1e-14: first-order fallback
+    vs[7] = 0.0
+    vs[11] = [6e-8, 0.0, 0.0]  # just above the threshold
+    jac = quat.rotvec_matrix_jacobian(vs)
+    assert jac.shape == (40, 3, 3, 3)
+    ref = np.stack([rotvec_matrix_jacobian_per_frame(v) for v in vs])
+    assert np.array_equal(jac, ref)
+    for v, r in zip(vs[:6], ref):
+        assert np.array_equal(quat.rotvec_matrix_jacobian(v), r)
+    assert np.array_equal(quat.rotvec_matrix_jacobian(vs[::5]), ref[::5])
 
 
 def test_skew_cross_product():
