@@ -1,19 +1,25 @@
 """Generic damped least-squares (Levenberg-Marquardt) solver.
 
 Minimizes sum(r(x)**2) for a user-supplied residual function. The Jacobian
-may be a callable returning a dense array or a scipy.sparse matrix; when
-omitted, central finite differences are used. Steps solve
+callable returns either a dense array or a block Jacobian (an object with
+`normal_equations(r)`, such as `problem.BlockJacobian`); when omitted,
+central finite differences are used. Steps solve
 (J^T J + damping * I) dx = -J^T r and are accepted only when the cost
-decreases, so the reported cost history is monotone by construction. J^T J
-is formed once per Jacobian; a rejected step only raises the damping and
-solves again.
+decreases, so the reported cost history is monotone by construction.
+
+J^T J and J^T r are formed once per Jacobian: dense ones as `jac.T @ jac`,
+solved with `np.linalg.solve`; block ones in symmetric banded storage,
+solved with a banded Cholesky (`scipy.linalg.solveh_banded`). A rejected
+step only raises the damping and solves again. A damped system that cannot
+be solved (singular, or for the banded Cholesky not numerically positive
+definite) or that gives a non-finite step counts as rejected too, so the
+damping rises until it can.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solveh_banded
 
 from ..errors import InvalidInputError, NumericFailureError
 
@@ -63,18 +69,17 @@ def numeric_jacobian(residuals, x, step_scale=1e-6):
     return jac
 
 
-def _solve_normal_equations(jtj, grad, damping):
-    n = grad.size
-    if sp.issparse(jtj):
-        lhs = (jtj + damping * sp.identity(n, format="csr")).tocsc()
-        try:
-            step = spla.spsolve(lhs, -grad)
-        except RuntimeError:
-            return None
-        return step if np.all(np.isfinite(step)) else None
-    lhs = jtj + damping * np.eye(n)
+def _solve_normal_equations(jtj, grad, damping, banded):
+    """The step solving (J^T J + damping * I) dx = -grad, or None when that
+    system cannot be solved or the step is not finite. `jtj` is dense, or
+    when `banded` the upper band of J^T J with its diagonal as the last row."""
     try:
-        step = np.linalg.solve(lhs, -grad)
+        if banded:
+            lhs = jtj.copy()
+            lhs[-1] += damping
+            step = solveh_banded(lhs, -grad, overwrite_ab=True, check_finite=False)
+        else:
+            step = np.linalg.solve(jtj + damping * np.eye(grad.size), -grad)
     except np.linalg.LinAlgError:
         return None
     return step if np.all(np.isfinite(step)) else None
@@ -83,8 +88,8 @@ def _solve_normal_equations(jtj, grad, damping):
 def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
     """Minimize sum(residuals(x)**2) from x0; returns an LMResult.
 
-    jacobian(x) must return d(residuals)/dx as a dense or sparse matrix;
-    None selects the finite-difference fallback.
+    jacobian(x) must return d(residuals)/dx as a dense array or a block
+    Jacobian; None selects the finite-difference fallback.
     """
     opts = options if options is not None else LMOptions()
     x = np.array(x0, dtype=float).ravel()
@@ -102,18 +107,20 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
 
     for _ in range(opts.max_iterations):
         jac = jacobian(x)
-        grad = jac.T @ r
-        grad = np.asarray(grad).ravel()
+        banded = hasattr(jac, "normal_equations")
+        if banded:
+            jtj, grad = jac.normal_equations(r)
+        else:
+            jtj, grad = jac.T @ jac, jac.T @ r
         if not np.all(np.isfinite(grad)):
             raise NumericFailureError("gradient is not finite")
         if np.max(np.abs(grad), initial=0.0) <= opts.gradient_tol:
             status = "gradient"
             break
 
-        jtj = jac.T @ jac
         accepted = False
         while damping < _DAMPING_CEILING:
-            step = _solve_normal_equations(jtj, grad, damping)
+            step = _solve_normal_equations(jtj, grad, damping, banded)
             if step is None:
                 damping *= opts.damping_up
                 continue

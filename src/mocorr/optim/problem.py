@@ -7,9 +7,18 @@ residuals) equals the weighted energy exactly.
 The full pose problem optimizes [u, root_rot, root_trans] per frame, with
 joint angles reparameterized as theta = lo + (hi - lo) * sigmoid(u) so every
 iterate stays strictly inside its limits. The translation problem keeps the
-angles fixed and optimizes root translations only. Frames couple only
-through the temporal term, which makes J^T J block-tridiagonal; Jacobians
-are therefore returned as sparse matrices.
+angles fixed and optimizes root translations only.
+
+Frames couple only through the temporal term, so both problems return their
+Jacobian as a `BlockJacobian`: dense row blocks, each starting at one
+frame's P columns (P = D + 6 for the pose problem, 3 for the translation
+problem) and spanning that frame (reprojection, network anchor, silhouette)
+or that frame and the next (temporal). J^T J is then block-tridiagonal, and
+`BlockJacobian.normal_equations` forms it in symmetric banded storage, with
+J^T r, straight from the blocks, for the solver's banded Cholesky. Where
+that factorization fails (the damped system is not numerically positive
+definite, as the rank-deficient monocular problem can be at low damping),
+the solver treats the step as rejected and raises the damping.
 
 The silhouette term is differentiated with the sampling structure frozen:
 nearest-neighbour pairings, the allocation of samples to outline pieces, and
@@ -19,10 +28,10 @@ the result matches finite differences of the true energy wherever those
 discrete choices are locally constant.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..camera import (
     ARC_A,
@@ -78,29 +87,82 @@ class View:
     weight: float = 1.0
 
 
-class _SparseBuilder:
-    def __init__(self, n_rows, n_cols):
-        self.shape = (n_rows, n_cols)
-        self.data = []
-        self.rows = []
-        self.cols = []
+@functools.lru_cache(maxsize=8)
+def _band_layout(n_frames, p):
+    """Where the frame blocks of a block-tridiagonal J^T J go in its upper
+    band (bandwidth u = 2p - 1, shape (u + 1, n_frames * p)), as flat indices:
+    the upper triangle of each diagonal block (source and destination), then
+    every entry of each above-diagonal block in order (destination)."""
+    n = n_frames * p
+    a, b = np.triu_indices(p)
+    t = np.arange(n_frames)[:, None]
+    diag_src = (t * p * p + a * p + b).ravel()
+    diag_dst = ((2 * p - 1 + a - b) * n + t * p + b).ravel()
+    a, b = np.divmod(np.arange(p * p), p)
+    t = np.arange(n_frames - 1)[:, None]
+    off_dst = ((p - 1 + a - b) * n + (t + 1) * p + b).ravel()
+    for index in (diag_src, diag_dst, off_dst):
+        index.setflags(write=False)
+    return diag_src, diag_dst, off_dst
 
-    def add_block(self, row0, col0, block):
-        r, c = block.shape
-        self.rows.append(np.repeat(np.arange(row0, row0 + r), c))
-        self.cols.append(np.tile(np.arange(col0, col0 + c), r))
-        self.data.append(block.ravel())
 
-    def build(self):
-        if not self.data:
-            return sp.csr_matrix(self.shape)
-        return sp.csr_matrix(
-            (
-                np.concatenate(self.data),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=self.shape,
-        )
+class BlockJacobian:
+    """A Jacobian of shape (n_rows, n_frames * p) held as dense row blocks.
+
+    Blocks are added in stacks (k, m, w): block i covers the m rows from
+    row0 + i * m and the columns of frame frames[i] (w = p) or of frames[i]
+    and frames[i] + 1 (w = 2p). The start frames of one stack are distinct.
+    Everything outside the blocks is zero.
+    """
+
+    def __init__(self, n_rows, n_frames, p):
+        self.shape = (n_rows, n_frames * p)
+        self.n_frames = n_frames
+        self.p = p
+        self._stacks = []
+
+    def add(self, row0, frames, blocks):
+        """Add one block (m, w) at a frame, or a stack (k, m, w) at k frames;
+        returns the row after the last one added."""
+        frames = np.atleast_1d(frames)
+        blocks = blocks.reshape((frames.size,) + blocks.shape[-2:])
+        self._stacks.append((row0, frames, blocks))
+        return row0 + blocks.shape[0] * blocks.shape[1]
+
+    def normal_equations(self, r):
+        """J^T J in upper banded storage (2p, n_frames * p), as
+        scipy.linalg.solveh_banded takes it, and J^T r."""
+        t, p = self.n_frames, self.p
+        diag = np.zeros((t, p, p))
+        off = np.zeros((max(t - 1, 0), p, p))
+        grad = np.zeros((t, p))
+        for row0, frames, blocks in self._stacks:
+            k, m, w = blocks.shape
+            bt = blocks.transpose(0, 2, 1)
+            btb = bt @ blocks
+            btr = (bt @ r[row0:row0 + k * m].reshape(k, m, 1))[..., 0]
+            diag[frames] += btb[:, :p, :p]
+            grad[frames] += btr[:, :p]
+            if w == 2 * p:
+                diag[frames + 1] += btb[:, p:, p:]
+                off[frames] += btb[:, :p, p:]
+                grad[frames + 1] += btr[:, p:]
+        diag_src, diag_dst, off_dst = _band_layout(t, p)
+        band = np.zeros((2 * p, t * p))
+        band.ravel()[diag_dst] = diag.ravel()[diag_src]
+        band.ravel()[off_dst] = off.ravel()
+        return band, grad.ravel()
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        for row0, frames, blocks in self._stacks:
+            k, m, w = blocks.shape
+            for i, f in enumerate(frames):
+                out[row0 + i * m:row0 + (i + 1) * m, f * self.p:f * self.p + w] = blocks[i]
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.toarray().astype(dtype or float, copy=False)
 
 
 def _nearest(a, b):
@@ -283,17 +345,13 @@ class PoseProblem:
         self._heavy = (key, state)
         return state
 
-    def _chain_u(self, block, dtheta_t):
-        """Convert d/d[theta, rv, tr] columns into d/d[u, rv, tr] columns."""
-        block = block.copy()
-        block[:, :self.D] *= dtheta_t
-        return block
-
     def jacobian(self, x):
         st = self._heavy_state(x)
         light = st["light"]
         w = self.weights
-        builder = _SparseBuilder(self.n_rows, self.T * self.Pf)
+        D, P = self.D, self.Pf
+        dtheta = st["dtheta"]
+        jac = BlockJacobian(self.n_rows, self.T, P)
         cur = 0
         for v, view in enumerate(self.views):
             for t in range(self.T):
@@ -302,27 +360,22 @@ class PoseProblem:
                     continue
                 scale = np.sqrt(w.lambda_2d * view.weight / (self.T * incl.size))
                 duv_dw, _, _ = projection_jacobian(view.camera, light["pos"][t][incl])
-                block = (scale * (duv_dw @ st["jpos"][t][incl])).reshape(-1, self.Pf)
-                builder.add_block(cur, t * self.Pf, self._chain_u(block, st["dtheta"][t]))
-                cur += 2 * incl.size
+                block = (scale * (duv_dw @ st["jpos"][t][incl])).reshape(-1, P)
+                block[:, :D] *= dtheta[t]
+                cur = jac.add(cur, t, block)
+        # d/du of theta is dtheta; of the root parts, 1
+        chain = np.concatenate([dtheta, np.ones((self.T, 6))], axis=1)
+        diag = np.arange(P)
         if self.use_3d:
-            for t in range(self.T):
-                block = np.zeros((self.D + 3, self.Pf))
-                block[:self.D, :self.D] = np.diag(st["dtheta"][t])
-                block[self.D:, self.D:self.D + 3] = np.eye(3)
-                builder.add_block(cur, t * self.Pf, block)
-                cur += self.D + 3
+            block = np.zeros((self.T, D + 3, P))
+            block[:, diag[:D + 3], diag[:D + 3]] = chain[:, :D + 3]
+            cur = jac.add(cur, np.arange(self.T), block)
         if self.temporal:
             s = np.sqrt(w.lambda_t)
-            eye = np.eye(self.Pf)
-            for t in range(self.T - 1):
-                left = -s * eye.copy()
-                left[:self.D, :self.D] = -s * np.diag(st["dtheta"][t])
-                right = s * eye.copy()
-                right[:self.D, :self.D] = s * np.diag(st["dtheta"][t + 1])
-                builder.add_block(cur, t * self.Pf, left)
-                builder.add_block(cur, (t + 1) * self.Pf, right)
-                cur += self.Pf
+            block = np.zeros((self.T - 1, P, 2 * P))
+            block[:, diag, diag] = -s * chain[:-1]
+            block[:, diag, P + diag] = s * chain[1:]
+            cur = jac.add(cur, np.arange(self.T - 1), block)
         if self.use_sil:
             if light["sil"]["outline"].lost.any():
                 raise InvalidInputError("silhouette lost at a point needing a jacobian")
@@ -332,13 +385,11 @@ class PoseProblem:
                 nn_obs, _ = light["sil"]["nearest"][k]
                 w_o = np.sqrt(w.lambda_s * 0.5 / (self.T * obs.shape[0]))
                 w_m = np.sqrt(w.lambda_s * 0.5 / (self.T * self.n_sil))
-                block = (w_o * dmodel[k][nn_obs]).reshape(-1, self.Pf)
-                builder.add_block(cur, t * self.Pf, self._chain_u(block, st["dtheta"][t]))
-                cur += 2 * obs.shape[0]
-                block = (w_m * dmodel[k]).reshape(-1, self.Pf)
-                builder.add_block(cur, t * self.Pf, self._chain_u(block, st["dtheta"][t]))
-                cur += 2 * self.n_sil
-        return builder.build()
+                block = np.concatenate(
+                    [w_o * dmodel[k][nn_obs], w_m * dmodel[k]]).reshape(-1, P)
+                block[:, :D] *= dtheta[t]
+                cur = jac.add(cur, t, block)
+        return jac
 
     def _silhouette_point_jacobians(self, st):
         """d(model point)/d[theta, rv, tr] for every sampled outline point of
@@ -472,7 +523,7 @@ class TranslationProblem:
 
     def jacobian(self, x):
         tr = self.translations(x)
-        builder = _SparseBuilder(self.n_rows, 3 * self.T)
+        jac = BlockJacobian(self.n_rows, self.T, 3)
         cur = 0
         for t in range(self.T):
             incl = self.included[t]
@@ -480,13 +531,10 @@ class TranslationProblem:
                 continue
             scale = np.sqrt(self.weights.lambda_2d / (self.T * incl.size))
             duv, _, _ = projection_jacobian(self.camera, self.base[t][incl] + tr[t])
-            builder.add_block(cur, 3 * t, (scale * duv).reshape(-1, 3))
-            cur += 2 * incl.size
+            cur = jac.add(cur, t, (scale * duv).reshape(-1, 3))
         if self.T >= 2:
             s = np.sqrt(self.weights.lambda_t)
             eye = np.eye(3)
-            for t in range(self.T - 1):
-                builder.add_block(cur, 3 * t, -s * eye)
-                builder.add_block(cur, 3 * (t + 1), s * eye)
-                cur += 3
-        return builder.build()
+            block = np.concatenate([-s * eye, s * eye], axis=1)
+            jac.add(cur, np.arange(self.T - 1), np.broadcast_to(block, (self.T - 1, 3, 6)))
+        return jac

@@ -214,7 +214,6 @@ def build_report(stages, gt, skeleton, seed):
         "seed": seed,
         "n_frames": gt.n_frames,
         "n_joints": gt.n_joints,
-        "miou": "n/a",
         "stages": {name: stage_metrics(m, gt, skeleton) for name, m in stages.items()},
     }
     return report

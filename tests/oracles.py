@@ -6,14 +6,16 @@ homogeneous matrices, projections through a 3x4 matrix, distances through
 brute-force loops.
 
 The per-frame forward kinematics, root-rotation derivative, Levenberg-Marquardt
-loop and silhouette structure further down are different: they are the
-earlier, unoptimised versions of package code, kept as they were so the
-optimised versions can be required to reproduce them bit for bit.
+loop, silhouette structure and sparse Jacobian builders further down are
+different: they are the earlier, unoptimised versions of package code, kept
+as they were so the optimised versions can be required to reproduce them bit
+for bit, or to rounding where the summation order changed.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solveh_banded
 from scipy.spatial.transform import Rotation
 
 from mocorr import quat
@@ -219,8 +221,16 @@ def rotvec_matrix_jacobian_per_frame(v):
 _DAMPING_CEILING = 1e16
 
 
-def _solve_normal_equations_rebuilt(jac, grad, damping):
+def _solve_normal_equations_rebuilt(jac, r, grad, damping):
     n = grad.size
+    if hasattr(jac, "normal_equations"):
+        lhs, _ = jac.normal_equations(r)
+        lhs[-1] += damping
+        try:
+            step = solveh_banded(lhs, -grad, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        return step if np.all(np.isfinite(step)) else None
     if sp.issparse(jac):
         lhs = (jac.T @ jac + damping * sp.identity(n, format="csr")).tocsc()
         try:
@@ -237,7 +247,10 @@ def _solve_normal_equations_rebuilt(jac, grad, damping):
 
 
 def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
-    """Minimize sum(residuals(x)**2) from x0; returns an LMResult."""
+    """Minimize sum(residuals(x)**2) from x0; returns an LMResult.
+
+    The Jacobian may be dense, scipy.sparse (solved with SuperLU's spsolve)
+    or a block Jacobian (its normal equations formed again on every retry)."""
     opts = options if options is not None else LMOptions()
     x = np.array(x0, dtype=float).ravel()
     if jacobian is None:
@@ -254,7 +267,10 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
 
     for _ in range(opts.max_iterations):
         jac = jacobian(x)
-        grad = jac.T @ r
+        if hasattr(jac, "normal_equations"):
+            grad = jac.normal_equations(r)[1]
+        else:
+            grad = jac.T @ r
         grad = np.asarray(grad).ravel()
         if not np.all(np.isfinite(grad)):
             raise NumericFailureError("gradient is not finite")
@@ -264,7 +280,7 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
 
         accepted = False
         while damping < _DAMPING_CEILING:
-            step = _solve_normal_equations_rebuilt(jac, grad, damping)
+            step = _solve_normal_equations_rebuilt(jac, r, grad, damping)
             if step is None:
                 damping *= opts.damping_up
                 continue
@@ -539,3 +555,116 @@ def silhouette_point_jacobians_per_frame(problem, t, st, data):
             + r_s * n_perp[:, None] * dphi[None, :]
         )
     return dmodel
+
+
+# --- sparse Jacobian builders: COO blocks into a scipy.sparse CSR matrix ------
+
+
+class _SparseBuilder:
+    def __init__(self, n_rows, n_cols):
+        self.shape = (n_rows, n_cols)
+        self.data = []
+        self.rows = []
+        self.cols = []
+
+    def add_block(self, row0, col0, block):
+        r, c = block.shape
+        self.rows.append(np.repeat(np.arange(row0, row0 + r), c))
+        self.cols.append(np.tile(np.arange(col0, col0 + c), r))
+        self.data.append(block.ravel())
+
+    def build(self):
+        if not self.data:
+            return sp.csr_matrix(self.shape)
+        return sp.csr_matrix(
+            (
+                np.concatenate(self.data),
+                (np.concatenate(self.rows), np.concatenate(self.cols)),
+            ),
+            shape=self.shape,
+        )
+
+
+def _chain_u(problem, block, dtheta_t):
+    """Convert d/d[theta, rv, tr] columns into d/d[u, rv, tr] columns."""
+    block = block.copy()
+    block[:, :problem.D] *= dtheta_t
+    return block
+
+
+def pose_jacobian_sparse(problem, x):
+    """PoseProblem.jacobian(x) as a scipy.sparse CSR matrix."""
+    self = problem
+    st = self._heavy_state(x)
+    light = st["light"]
+    w = self.weights
+    builder = _SparseBuilder(self.n_rows, self.T * self.Pf)
+    cur = 0
+    for v, view in enumerate(self.views):
+        for t in range(self.T):
+            incl = self.included[v][t]
+            if incl.size == 0:
+                continue
+            scale = np.sqrt(w.lambda_2d * view.weight / (self.T * incl.size))
+            duv_dw, _, _ = projection_jacobian(view.camera, light["pos"][t][incl])
+            block = (scale * (duv_dw @ st["jpos"][t][incl])).reshape(-1, self.Pf)
+            builder.add_block(cur, t * self.Pf, _chain_u(self, block, st["dtheta"][t]))
+            cur += 2 * incl.size
+    if self.use_3d:
+        for t in range(self.T):
+            block = np.zeros((self.D + 3, self.Pf))
+            block[:self.D, :self.D] = np.diag(st["dtheta"][t])
+            block[self.D:, self.D:self.D + 3] = np.eye(3)
+            builder.add_block(cur, t * self.Pf, block)
+            cur += self.D + 3
+    if self.temporal:
+        s = np.sqrt(w.lambda_t)
+        eye = np.eye(self.Pf)
+        for t in range(self.T - 1):
+            left = -s * eye.copy()
+            left[:self.D, :self.D] = -s * np.diag(st["dtheta"][t])
+            right = s * eye.copy()
+            right[:self.D, :self.D] = s * np.diag(st["dtheta"][t + 1])
+            builder.add_block(cur, t * self.Pf, left)
+            builder.add_block(cur, (t + 1) * self.Pf, right)
+            cur += self.Pf
+    if self.use_sil:
+        if light["sil"]["outline"].lost.any():
+            raise InvalidInputError("silhouette lost at a point needing a jacobian")
+        dmodel = self._silhouette_point_jacobians(st)
+        for k, t in enumerate(self.sil_idx):
+            obs = self.sil_obs[t]
+            nn_obs, _ = light["sil"]["nearest"][k]
+            w_o = np.sqrt(w.lambda_s * 0.5 / (self.T * obs.shape[0]))
+            w_m = np.sqrt(w.lambda_s * 0.5 / (self.T * self.n_sil))
+            block = (w_o * dmodel[k][nn_obs]).reshape(-1, self.Pf)
+            builder.add_block(cur, t * self.Pf, _chain_u(self, block, st["dtheta"][t]))
+            cur += 2 * obs.shape[0]
+            block = (w_m * dmodel[k]).reshape(-1, self.Pf)
+            builder.add_block(cur, t * self.Pf, _chain_u(self, block, st["dtheta"][t]))
+            cur += 2 * self.n_sil
+    return builder.build()
+
+
+def translation_jacobian_sparse(problem, x):
+    """TranslationProblem.jacobian(x) as a scipy.sparse CSR matrix."""
+    self = problem
+    tr = self.translations(x)
+    builder = _SparseBuilder(self.n_rows, 3 * self.T)
+    cur = 0
+    for t in range(self.T):
+        incl = self.included[t]
+        if incl.size == 0:
+            continue
+        scale = np.sqrt(self.weights.lambda_2d / (self.T * incl.size))
+        duv, _, _ = projection_jacobian(self.camera, self.base[t][incl] + tr[t])
+        builder.add_block(cur, 3 * t, (scale * duv).reshape(-1, 3))
+        cur += 2 * incl.size
+    if self.T >= 2:
+        s = np.sqrt(self.weights.lambda_t)
+        eye = np.eye(3)
+        for t in range(self.T - 1):
+            builder.add_block(cur, 3 * t, -s * eye)
+            builder.add_block(cur, 3 * (t + 1), s * eye)
+            cur += 3
+    return builder.build()

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from mocorr.camera import look_at, project_points
 from mocorr.errors import InvalidInputError, NumericFailureError
@@ -13,11 +12,11 @@ from mocorr.optim.lm import (
     levenberg_marquardt,
     numeric_jacobian,
 )
-from mocorr.optim.problem import PoseProblem, View
+from mocorr.optim.problem import BlockJacobian, PoseProblem, View
 from mocorr.skeleton import forward_kinematics
 
 from conftest import make_toy_skeleton, random_pose
-from oracles import levenberg_marquardt_rebuilt
+from oracles import levenberg_marquardt_rebuilt, pose_jacobian_sparse
 
 
 def rosenbrock_residuals(x):
@@ -58,14 +57,22 @@ def test_linear_least_squares_equals_direct_solve():
         assert np.max(np.abs(result.x - direct)) <= 1e-8
 
 
-def test_sparse_jacobian_matches_dense():
+def test_block_jacobian_matches_dense():
     rng = np.random.default_rng(31)
     a = rng.standard_normal((10, 4))
     b = rng.standard_normal(10)
+    # two frames of two columns: four rows on frame 0, six across both
+    a[:4, 2:] = 0.0
+
+    def blocks(x):
+        jac = BlockJacobian(10, 2, 2)
+        jac.add(0, 0, a[:4, :2])
+        jac.add(4, 0, a[4:])
+        return jac
+
     dense = levenberg_marquardt(lambda x: a @ x - b, np.zeros(4), lambda x: a)
-    sparse = levenberg_marquardt(lambda x: a @ x - b, np.zeros(4),
-                                 lambda x: sp.csr_matrix(a))
-    assert np.max(np.abs(dense.x - sparse.x)) < 1e-8
+    block = levenberg_marquardt(lambda x: a @ x - b, np.zeros(4), blocks)
+    assert np.max(np.abs(dense.x - block.x)) < 1e-8
 
 
 def test_monotone_cost_on_random_problems():
@@ -158,12 +165,12 @@ def _counted(fn, calls):
     return wrapped
 
 
-@pytest.mark.parametrize("jacobian_kind", ["sparse", "dense"])
+@pytest.mark.parametrize("jacobian_kind", ["blocks", "dense"])
 def test_jtj_once_per_iteration_matches_rebuilding_reference(jacobian_kind):
     """Forming J^T J once per Jacobian reproduces the loop that rebuilt it on
     every damping retry, bit for bit, on a solve that retries often."""
     problem, x0 = _small_pose_problem(np.random.default_rng(33))
-    if jacobian_kind == "sparse":
+    if jacobian_kind == "blocks":
         jacobian = problem.jacobian
     else:
         jacobian = lambda x: problem.jacobian(x).toarray()
@@ -178,3 +185,21 @@ def test_jtj_once_per_iteration_matches_rebuilding_reference(jacobian_kind):
     assert result.cost_history == reference.cost_history
     assert result.iterations == reference.iterations
     assert result.status == reference.status
+
+
+@pytest.mark.parametrize("n_frames", [1, 3])
+def test_banded_solve_tracks_sparse_spsolve_reference(n_frames):
+    """The block Jacobian with its banded Cholesky follows the solve that
+    built a scipy.sparse J^T J and factored it with spsolve, to rounding."""
+    problem, x0 = _small_pose_problem(np.random.default_rng(34), n_frames)
+    options = LMOptions(max_iterations=30)
+    reference = levenberg_marquardt_rebuilt(
+        problem.residuals, x0, lambda x: pose_jacobian_sparse(problem, x), options)
+    result = levenberg_marquardt(problem.residuals, x0, problem.jacobian, options)
+    assert result.iterations == reference.iterations
+    assert result.status == reference.status
+    assert np.allclose(result.cost_history, reference.cost_history, rtol=1e-9, atol=0.0)
+    # compare angles, not u: a saturated sigmoid leaves u free to drift
+    for ours, ref in zip(problem.poses(result.x), problem.poses(reference.x)):
+        for part in ("theta", "root_rot", "root_trans"):
+            assert np.max(np.abs(getattr(ours, part) - getattr(ref, part))) < 1e-8

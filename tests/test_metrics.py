@@ -6,7 +6,7 @@ import pytest
 from conftest import make_random_skeleton, make_toy_skeleton, random_pose
 from mocorr.errors import InvalidInputError
 from mocorr.metrics import frame_mpjpe, joint_positions, mpjpe, pck
-from mocorr.motion import build_motion_map
+from mocorr.motion import build_motion_map, extract_poses
 from mocorr.skeleton import (
     default_skeleton,
     forward_kinematics,
@@ -113,6 +113,8 @@ def test_joint_positions_shape():
     motion = random_motion(skeleton, 4, seed=9)
     pos = joint_positions(motion, skeleton)
     assert pos.shape == (4, skeleton.n_joints, 3)
+    per_frame = [forward_kinematics(skeleton, p) for p in extract_poses(motion, skeleton)]
+    assert np.array_equal(pos, np.stack(per_frame))
 
 
 def test_validation_errors():

@@ -29,8 +29,19 @@ from mocorr.optim.kinematics import (
     pose_params,
     projection_jacobian,
 )
-from mocorr.optim.lm import levenberg_marquardt, LMOptions, numeric_jacobian
-from mocorr.optim.problem import BoundedAngles, PoseProblem, TranslationProblem, View
+from mocorr.optim.lm import (
+    LMOptions,
+    _solve_normal_equations,
+    levenberg_marquardt,
+    numeric_jacobian,
+)
+from mocorr.optim.problem import (
+    BlockJacobian,
+    BoundedAngles,
+    PoseProblem,
+    TranslationProblem,
+    View,
+)
 from mocorr.skeleton import (
     Joint,
     SkeletalPose,
@@ -46,9 +57,11 @@ from oracles import (
     fk_frames_per_frame,
     fk_jacobian_per_frame,
     grad_check,
+    pose_jacobian_sparse,
     project_matrix,
     silhouette_point_jacobians_per_frame,
     silhouette_structure_per_frame,
+    translation_jacobian_sparse,
 )
 
 
@@ -502,3 +515,92 @@ def test_silhouette_point_jacobians_match_fd_on_every_piece_kind():
             pick = kinds[rows] == kind
             if pick.any():
                 assert grad_check(dmodel[k][pick], numeric[rows][pick][..., cols]) < 1e-4
+
+
+# --- block Jacobian and banded normal equations --------------------------------
+
+
+def band_to_dense(band):
+    """The symmetric matrix whose upper band (solveh_banded layout) is `band`."""
+    u, n = band.shape[0] - 1, band.shape[1]
+    full = np.zeros((n, n))
+    for k in range(u + 1):
+        offset = u - k
+        i = np.arange(n - offset)
+        full[i, i + offset] = band[k, offset:]
+        full[i + offset, i] = band[k, offset:]
+    return full
+
+
+def block_problems(toy_skeleton):
+    """Pose problems with all four terms (T = 1..4, incl. a random skeleton)
+    and translation problems (T = 1 and 4), each with a point to evaluate."""
+    out = []
+    for seed, t in ((70, 3), (71, 1), (72, 4), (73, 2)):
+        rng = np.random.default_rng(seed)
+        skeleton = make_random_skeleton(rng) if seed == 72 else toy_skeleton
+        problem, seq, *_ = build_problem(rng, skeleton, t=t)
+        x = problem.pack(np.stack([p.theta for p in seq]),
+                         np.stack([p.root_rot for p in seq]),
+                         np.stack([p.root_trans for p in seq]))
+        out.append((problem, x + rng.normal(0.0, 0.05, x.shape), pose_jacobian_sparse))
+    for seed, t in ((74, 4), (75, 1)):
+        rng = np.random.default_rng(seed)
+        camera = make_camera(0.5)
+        seq = [random_pose(rng, toy_skeleton, margin=0.25, trans_scale=0.15)
+               for _ in range(t)]
+        problem = TranslationProblem(toy_skeleton, camera,
+                                     observed_frames(rng, toy_skeleton, camera, seq),
+                                     EnergyWeights(lambda_2d=1.0, lambda_t=2.0), seq)
+        x = problem.pack(np.stack([p.root_trans for p in seq]) + rng.normal(0, 0.05, (t, 3)))
+        out.append((problem, x, translation_jacobian_sparse))
+    return out
+
+
+def test_block_jacobian_equals_sparse_oracle(toy_skeleton):
+    for problem, x, oracle in block_problems(toy_skeleton):
+        jac = problem.jacobian(x)
+        assert isinstance(jac, BlockJacobian)
+        ref = oracle(problem, x)
+        assert jac.shape == ref.shape
+        assert np.array_equal(jac.toarray(), ref.toarray())
+        assert np.array_equal(np.asarray(jac), ref.toarray())
+        assert np.count_nonzero(jac) == np.count_nonzero(ref.toarray())
+
+
+def test_normal_equations_match_sparse_oracle(toy_skeleton):
+    terms = set()
+    for problem, x, oracle in block_problems(toy_skeleton):
+        if isinstance(problem, PoseProblem):
+            terms.add((problem.use_3d, problem.temporal, problem.use_sil, problem.T))
+        r = problem.residuals(x)
+        band, grad = problem.jacobian(x).normal_equations(r)
+        ref = oracle(problem, x)
+        jtj, jtr = (ref.T @ ref).toarray(), ref.T @ r
+        p = band.shape[1] // problem.T
+        assert band.shape == (2 * p, problem.T * p)
+        assert np.max(np.abs(band_to_dense(band) - jtj)) <= 1e-12 * np.max(np.abs(jtj))
+        assert np.max(np.abs(grad - jtr)) <= 1e-12 * np.max(np.abs(jtr))
+    assert (True, True, True, 4) in terms and (True, False, True, 1) in terms
+
+
+def test_banded_damped_solve_matches_dense_solve(toy_skeleton):
+    for problem, x, _ in block_problems(toy_skeleton):
+        jac = problem.jacobian(x)
+        band, grad = jac.normal_equations(problem.residuals(x))
+        dense = band_to_dense(band)
+        for damping in (1e-3, 1.0, 1e3):
+            step = _solve_normal_equations(band, grad, damping, True)
+            ref = np.linalg.solve(dense + damping * np.eye(grad.size), -grad)
+            assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_banded_solve_returns_none_when_not_positive_definite():
+    jac = BlockJacobian(4, 2, 2)
+    jac.add(0, 0, np.array([[1.0, 2.0, 0.0, 1.0], [0.5, -1.0, 1.0, 0.0]]))
+    jac.add(2, [0, 1], np.array([[[1.0, 0.0]], [[0.0, 3.0]]]))
+    band, grad = jac.normal_equations(np.ones(4))
+    assert _solve_normal_equations(band, grad, 1e-3, True) is not None
+    band[-1, 1] = -5.0
+    assert _solve_normal_equations(band, grad, 1e-3, True) is None
+    assert _solve_normal_equations(band, grad, 1e3, True) is not None
