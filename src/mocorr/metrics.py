@@ -20,16 +20,29 @@ def joint_positions(motion, skeleton):
     return fk_frames(skeleton, frames)[0]
 
 
+def _positions(motion, skeleton):
+    """A motion's FK positions; an array is taken as positions already
+    computed by `joint_positions`."""
+    if isinstance(motion, np.ndarray):
+        return motion
+    return joint_positions(motion, skeleton)
+
+
 def _paired_errors(pred, gt, skeleton):
-    if pred.n_frames != gt.n_frames or pred.n_joints != gt.n_joints:
+    pp = _positions(pred, skeleton)
+    pg = _positions(gt, skeleton)
+    if pp.shape != pg.shape:
         raise InvalidInputError("motions must share frame and joint counts")
-    pp = joint_positions(pred, skeleton)
-    pg = joint_positions(gt, skeleton)
     return np.linalg.norm(pp - pg, axis=2), pg
 
 
 def mpjpe(pred, gt, skeleton):
-    """Mean per-joint position error in millimeters."""
+    """Mean per-joint position error in millimeters.
+
+    `pred` and `gt`, here and in `frame_mpjpe` and `pck`, are motion maps or
+    their `joint_positions`; passing positions saves repeating the FK when
+    one motion is scored several times.
+    """
     errors, _ = _paired_errors(pred, gt, skeleton)
     return float(errors.mean() * 1000.0)
 

@@ -9,6 +9,7 @@ time series shaped (batch, time, channels).
 import numpy as np
 
 from ..errors import InvalidInputError
+from ..numerics import sigmoid
 
 
 class Layer:
@@ -168,15 +169,6 @@ class Affine(Layer):
         return dy @ self.params["weight"]
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 class GRU(Layer):
     """Single-layer gated recurrent unit returning the full hidden sequence.
 
@@ -185,6 +177,12 @@ class GRU(Layer):
         z = sigmoid(Wi_z x + bi_z + Wh_z h + bh_z)
         n = tanh(Wi_n x + bi_n + r * (Wh_n h + bh_n))
         h' = (1 - z) * n + z * h
+
+    Only the W_h h products depend on the previous step, so everything that
+    reads the input is hoisted out of the time loop: forward projects every
+    frame's x through W_i in one matmul, and backward keeps the per-step
+    gate gradients and forms the W_i and W_h gradients, the bias gradients
+    and dx with one matmul or sum each after the loop.
     """
 
     def __init__(self, in_dim, hidden, rng):
@@ -198,49 +196,56 @@ class GRU(Layer):
 
     def forward(self, x, train=False):
         b, t, _ = x.shape
-        h = np.zeros((b, self.hidden))
-        steps = []
-        out = np.empty((b, t, self.hidden))
-        wi, bi = self.params["w_input"], self.params["b_input"]
-        wh, bh = self.params["w_hidden"], self.params["b_hidden"]
         hs = self.hidden
+        # a contiguous copy of W_h^T: numpy's gemm reads it faster than the
+        # transposed view, with the same result
+        wh_t = np.ascontiguousarray(self.params["w_hidden"].T)
+        bh = self.params["b_hidden"]
+        gi = (x.reshape(b * t, self.in_dim) @ self.params["w_input"].T
+              + self.params["b_input"]).reshape(b, t, 3 * hs)
+        h_prev = np.empty((b, t, hs))
+        rz = np.empty((b, t, 2 * hs))
+        n = np.empty((b, t, hs))
+        ghn = np.empty((b, t, hs))
+        out = np.empty((b, t, hs))
+        h = np.zeros((b, hs))
         for k in range(t):
-            xk = x[:, k, :]
-            gi = xk @ wi.T + bi
-            gh = h @ wh.T + bh
-            r = _sigmoid(gi[:, :hs] + gh[:, :hs])
-            z = _sigmoid(gi[:, hs:2 * hs] + gh[:, hs:2 * hs])
-            n = np.tanh(gi[:, 2 * hs:] + r * gh[:, 2 * hs:])
-            h_new = (1.0 - z) * n + z * h
-            steps.append((xk, h, r, z, n, gh[:, 2 * hs:]))
-            h = h_new
-            out[:, k, :] = h
-        self._cache = steps
+            gh = h @ wh_t + bh
+            h_prev[:, k] = h
+            rz[:, k] = sigmoid(gi[:, k, :2 * hs] + gh[:, :2 * hs])
+            r, z = rz[:, k, :hs], rz[:, k, hs:]
+            n[:, k] = np.tanh(gi[:, k, 2 * hs:] + r * gh[:, 2 * hs:])
+            ghn[:, k] = gh[:, 2 * hs:]
+            h = (1.0 - z) * n[:, k] + z * h
+            out[:, k] = h
+        self._cache = (x, h_prev, rz, n, ghn)
         return out
 
     def backward(self, dout):
-        steps = self._cache
-        b = dout.shape[0]
-        hs = self.hidden
-        wi, wh = self.params["w_input"], self.params["w_hidden"]
+        x, h_prev, rz, n, ghn = self._cache
+        b, t, hs = h_prev.shape
+        wh = self.params["w_hidden"]
+        dgi = np.empty((b, t, 3 * hs))
+        dgh = np.empty((b, t, 3 * hs))
         dh = np.zeros((b, hs))
-        dx = np.empty((b, len(steps), self.in_dim))
-        for k in range(len(steps) - 1, -1, -1):
-            xk, h_prev, r, z, n, ghn = steps[k]
+        for k in range(t - 1, -1, -1):
+            r, z, nk = rz[:, k, :hs], rz[:, k, hs:], n[:, k]
             dtotal = dout[:, k, :] + dh
-            dz = dtotal * (h_prev - n)
+            dz = dtotal * (h_prev[:, k] - nk)
             dn = dtotal * (1.0 - z)
             dh = dtotal * z
-            dgn = dn * (1.0 - n * n)
-            dr = dgn * ghn
-            da_r = dr * r * (1.0 - r)
-            da_z = dz * z * (1.0 - z)
-            dgi = np.concatenate([da_r, da_z, dgn], axis=1)
-            dgh = np.concatenate([da_r, da_z, dgn * r], axis=1)
-            self.grads["w_input"] += dgi.T @ xk
-            self.grads["b_input"] += dgi.sum(axis=0)
-            self.grads["w_hidden"] += dgh.T @ h_prev
-            self.grads["b_hidden"] += dgh.sum(axis=0)
-            dx[:, k, :] = dgi @ wi
-            dh += dgh @ wh
-        return dx
+            dgn = dn * (1.0 - nk * nk)
+            dr = dgn * ghn[:, k]
+            dgi[:, k, :hs] = dr * r * (1.0 - r)
+            dgi[:, k, hs:2 * hs] = dz * z * (1.0 - z)
+            dgi[:, k, 2 * hs:] = dgn
+            dgh_k = np.concatenate([dgi[:, k, :2 * hs], dgn * r], axis=1)
+            dgh[:, k] = dgh_k
+            dh += dgh_k @ wh
+        dgi = dgi.reshape(b * t, 3 * hs)
+        dgh = dgh.reshape(b * t, 3 * hs)
+        self.grads["w_input"] += dgi.T @ x.reshape(b * t, self.in_dim)
+        self.grads["b_input"] += dgi.sum(axis=0)
+        self.grads["w_hidden"] += dgh.T @ h_prev.reshape(b * t, hs)
+        self.grads["b_hidden"] += dgh.sum(axis=0)
+        return (dgi @ self.params["w_input"]).reshape(b, t, self.in_dim)

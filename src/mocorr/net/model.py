@@ -13,8 +13,9 @@ import numpy as np
 
 from ..errors import InvalidInputError, ParseError, SequenceTooShortError
 from ..jsonio import load_document, require_array, require_field, save_document
+from ..numerics import sigmoid
 from ..skeleton import REGIONS
-from .layers import Affine, BatchNorm, Conv1d, Dropout, ELU, GRU, _sigmoid
+from .layers import Affine, BatchNorm, Conv1d, Dropout, ELU, GRU
 
 CHECKPOINT_FORMAT = "hybridnet/1"
 CHANNELS_PER_JOINT = 5
@@ -125,7 +126,7 @@ class Discriminator:
             raise InvalidInputError(
                 f"discriminator expects {4 * self.n_joints} channels, got {ch}")
         h = self.gru.forward(q)
-        score = _sigmoid(self.head.forward(h[:, -1, :])[:, 0])
+        score = sigmoid(self.head.forward(h[:, -1, :])[:, 0])
         self._cache = (score, t)
         return score
 

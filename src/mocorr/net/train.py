@@ -2,8 +2,12 @@
 
 Each batch takes one generator step on L_sv + L_adv and, when adversarial
 training is enabled, one discriminator step on L_D against random windows
-drawn from the unpaired reference motions. All sequences are pre-cut to a
-shared window length so batches stack without padding.
+drawn from the unpaired reference motions. The discriminator step reuses the
+fake scores, and the forward cache behind them, from the generator step's
+discriminator pass: the discriminator's parameters have not changed in
+between, so a second forward pass over the same fake batch would repeat it
+bit for bit. All sequences are pre-cut to a shared window length so batches
+stack without padding.
 """
 
 from dataclasses import dataclass
@@ -57,6 +61,17 @@ class TrainConfig:
 
 
 class Adam:
+    """Adam over the parameters of `layers`, updated in place.
+
+    Each step walks every array in chunks of `CHUNK` elements, updating each
+    chunk with `out=` ufuncs into two scratch buffers, so it allocates
+    nothing per step and the chunk's operands stay in cache across the
+    ufunc passes. Every element goes through the textbook expression in
+    its usual order, lr * (m1 / c1) / (sqrt(m2 / c2) + eps).
+    """
+
+    CHUNK = 16384
+
     def __init__(self, layers, lr, beta1, beta2, eps):
         self.layers = layers
         self.lr = lr
@@ -68,6 +83,7 @@ class Adam:
                         for _, layer in layers]
         self.moment2 = [{k: np.zeros_like(v) for k, v in layer.params.items()}
                         for _, layer in layers]
+        self._scratch = (np.empty(self.CHUNK), np.empty(self.CHUNK))
 
     def step(self, lr_scale=1.0):
         self.t += 1
@@ -77,12 +93,23 @@ class Adam:
         lr = self.lr * lr_scale
         for (_, layer), m1, m2 in zip(self.layers, self.moment1, self.moment2):
             for k, p in layer.params.items():
-                g = layer.grads[k]
-                m1[k] *= b1
-                m1[k] += (1.0 - b1) * g
-                m2[k] *= b2
-                m2[k] += (1.0 - b2) * g * g
-                p -= lr * (m1[k] / correction1) / (np.sqrt(m2[k] / correction2) + self.eps)
+                # parameters, gradients and moments are all created
+                # contiguous, so these reshapes are views
+                flat = [a.reshape(-1) for a in (p, layer.grads[k], m1[k], m2[k])]
+                for lo in range(0, p.size, self.CHUNK):
+                    p_c, g, m1_c, m2_c = (a[lo:lo + self.CHUNK] for a in flat)
+                    s1, s2 = (a[:g.size] for a in self._scratch)
+                    m1_c *= b1
+                    m1_c += np.multiply(g, 1.0 - b1, out=s1)
+                    m2_c *= b2
+                    np.multiply(g, 1.0 - b2, out=s1)
+                    m2_c += np.multiply(s1, g, out=s1)
+                    np.divide(m1_c, correction1, out=s1)
+                    s1 *= lr
+                    np.divide(m2_c, correction2, out=s2)
+                    np.sqrt(s2, out=s2)
+                    s2 += self.eps
+                    p_c -= np.divide(s1, s2, out=s1)
 
 
 def _cut(seq, length, stride):
@@ -123,6 +150,22 @@ def make_windows(dataset, unpaired, cfg):
     for motion in unpaired:
         references.extend(_cut(motion.quats, w, cfg.stride))
     return inputs, targets, references
+
+
+def discriminator_grads(disc, d_fake, real):
+    """Accumulate dL_D/dparams into the zeroed `disc.grads`; returns L_D.
+
+    The fake half reuses `d_fake` and the cache of the discriminator's last
+    forward pass, which must have scored the fake batch with the current
+    parameters: the generator step's pass does, since only the generator's
+    parameters change after it. The two halves of L_D are independent, so
+    the real batch is backpropagated right after its own forward pass.
+    """
+    disc.zero_grad()
+    disc.backward(2.0 * d_fake / d_fake.size)
+    d_real = disc.forward(real)
+    disc.backward(2.0 * (d_real - 1.0) / d_real.size)
+    return loss_disc_grad(d_real, d_fake)[0]
 
 
 def train(dataset, unpaired, skeleton, cfg):
@@ -179,14 +222,7 @@ def train(dataset, unpaired, skeleton, cfg):
             if cfg.adversarial:
                 pick = rng_unpaired.integers(0, len(references), size=len(idx))
                 real = np.stack([references[i] for i in pick])
-                disc.zero_grad()
-                # the two halves of L_D are independent, so backpropagate each
-                # score batch right after its own forward pass
-                d_fake = disc.forward(pred)
-                disc.backward(2.0 * d_fake / d_fake.size)
-                d_real = disc.forward(real)
-                disc.backward(2.0 * (d_real - 1.0) / d_real.size)
-                disc_value, _, _ = loss_disc_grad(d_real, d_fake)
+                disc_value = discriminator_grads(disc, d_fake, real)
                 adam_disc.step(lr_scale)
             values = (sv_value, adv_value, disc_value)
             if not all(np.isfinite(v) for v in values):

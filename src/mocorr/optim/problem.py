@@ -44,17 +44,9 @@ from ..camera import (
     stadium_geometry,
 )
 from ..errors import InvalidInputError
+from ..numerics import sigmoid
 from ..skeleton import SkeletalPose, fk_frames
 from .kinematics import fk_jacobian, projection_jacobian
-
-
-def _sigmoid(u):
-    out = np.empty_like(u, dtype=float)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 class BoundedAngles:
@@ -66,10 +58,10 @@ class BoundedAngles:
         self.active = self.span > 0.0
 
     def theta(self, u):
-        return self.lo + self.span * _sigmoid(u)
+        return self.lo + self.span * sigmoid(u)
 
     def dtheta_du(self, u):
-        s = _sigmoid(u)
+        s = sigmoid(u)
         return self.span * s * (1.0 - s)
 
     def u_from_theta(self, theta, margin=1e-4):

@@ -14,7 +14,7 @@ import numpy as np
 from .camera import default_body, save_camera
 from .errors import ConfigError, InvalidInputError
 from .jsonio import load_document, save_document
-from .metrics import frame_mpjpe, mpjpe, pck
+from .metrics import frame_mpjpe, joint_positions, mpjpe, pck
 from .motion import MotionMap, save_motion, save_observations
 from .net.model import generator_forward, load_checkpoint, save_checkpoint
 from .net.train import TrainConfig, train
@@ -199,22 +199,27 @@ def write_scene(scene, out_dir):
         save_observations(os.path.join(out_dir, sparse_obs_file(v)), obs)
 
 
-def stage_metrics(motion, gt, skeleton):
+def stage_metrics(pred, gt, skeleton):
+    """One stage's report section; `pred` and `gt` are motion maps or their
+    joint positions, as the metrics take them."""
     return {
-        "mpjpe_mm": mpjpe(motion, gt, skeleton),
-        "pck_0.5": pck(motion, gt, skeleton, 0.5),
-        "pck_0.3": pck(motion, gt, skeleton, 0.3),
-        "frame_mpjpe_mm": [float(v) for v in frame_mpjpe(motion, gt, skeleton)],
+        "mpjpe_mm": mpjpe(pred, gt, skeleton),
+        "pck_0.5": pck(pred, gt, skeleton, 0.5),
+        "pck_0.3": pck(pred, gt, skeleton, 0.3),
+        "frame_mpjpe_mm": [float(v) for v in frame_mpjpe(pred, gt, skeleton)],
     }
 
 
 def build_report(stages, gt, skeleton, seed):
+    # forward kinematics once per motion; every metric then reads positions
+    gt_positions = joint_positions(gt, skeleton)
     report = {
         "format": REPORT_FORMAT,
         "seed": seed,
         "n_frames": gt.n_frames,
         "n_joints": gt.n_joints,
-        "stages": {name: stage_metrics(m, gt, skeleton) for name, m in stages.items()},
+        "stages": {name: stage_metrics(joint_positions(m, skeleton), gt_positions, skeleton)
+                   for name, m in stages.items()},
     }
     return report
 

@@ -6,8 +6,8 @@ homogeneous matrices, projections through a 3x4 matrix, distances through
 brute-force loops.
 
 The per-frame forward kinematics, root-rotation derivative, Levenberg-Marquardt
-loop, silhouette structure and sparse Jacobian builders further down are
-different: they are the earlier, unoptimised versions of package code, kept
+loop, silhouette structure, sparse Jacobian builders, per-step GRU, masked
+sigmoid and dict-based Adam further down are different: they are the earlier, unoptimised versions of package code, kept
 as they were so the optimised versions can be required to reproduce them bit
 for bit, or to rounding where the summation order changed.
 """
@@ -25,6 +25,7 @@ from mocorr.errors import (
     InvalidInputError,
     NumericFailureError,
 )
+from mocorr.net.layers import GRU
 from mocorr.optim.kinematics import projection_jacobian
 from mocorr.optim.lm import LMOptions, LMResult, numeric_jacobian
 from mocorr.skeleton import AXES, fk_frames
@@ -668,3 +669,99 @@ def translation_jacobian_sparse(problem, x):
             builder.add_block(cur, 3 * (t + 1), s * eye)
             cur += 3
     return builder.build()
+
+
+def sigmoid_masked(x):
+    """The logistic function as a boolean-mask split on the sign of x."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class GRUStepwise(GRU):
+    """GRU whose forward and backward do all their work one time step at a
+    time: the input projection inside the loop, the weight gradients summed
+    step by step."""
+
+    def forward(self, x, train=False):
+        b, t, _ = x.shape
+        h = np.zeros((b, self.hidden))
+        steps = []
+        out = np.empty((b, t, self.hidden))
+        wi, bi = self.params["w_input"], self.params["b_input"]
+        wh, bh = self.params["w_hidden"], self.params["b_hidden"]
+        hs = self.hidden
+        for k in range(t):
+            xk = x[:, k, :]
+            gi = xk @ wi.T + bi
+            gh = h @ wh.T + bh
+            r = sigmoid_masked(gi[:, :hs] + gh[:, :hs])
+            z = sigmoid_masked(gi[:, hs:2 * hs] + gh[:, hs:2 * hs])
+            n = np.tanh(gi[:, 2 * hs:] + r * gh[:, 2 * hs:])
+            h_new = (1.0 - z) * n + z * h
+            steps.append((xk, h, r, z, n, gh[:, 2 * hs:]))
+            h = h_new
+            out[:, k, :] = h
+        self._cache = steps
+        return out
+
+    def backward(self, dout):
+        steps = self._cache
+        b = dout.shape[0]
+        hs = self.hidden
+        wi, wh = self.params["w_input"], self.params["w_hidden"]
+        dh = np.zeros((b, hs))
+        dx = np.empty((b, len(steps), self.in_dim))
+        for k in range(len(steps) - 1, -1, -1):
+            xk, h_prev, r, z, n, ghn = steps[k]
+            dtotal = dout[:, k, :] + dh
+            dz = dtotal * (h_prev - n)
+            dn = dtotal * (1.0 - z)
+            dh = dtotal * z
+            dgn = dn * (1.0 - n * n)
+            dr = dgn * ghn
+            da_r = dr * r * (1.0 - r)
+            da_z = dz * z * (1.0 - z)
+            dgi = np.concatenate([da_r, da_z, dgn], axis=1)
+            dgh = np.concatenate([da_r, da_z, dgn * r], axis=1)
+            self.grads["w_input"] += dgi.T @ xk
+            self.grads["b_input"] += dgi.sum(axis=0)
+            self.grads["w_hidden"] += dgh.T @ h_prev
+            self.grads["b_hidden"] += dgh.sum(axis=0)
+            dx[:, k, :] = dgi @ wi
+            dh += dgh @ wh
+        return dx
+
+
+class AdamDicts:
+    """Adam with per-layer moment dicts and a fresh temporary per operation."""
+
+    def __init__(self, layers, lr, beta1, beta2, eps):
+        self.layers = layers
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.moment1 = [{k: np.zeros_like(v) for k, v in layer.params.items()}
+                        for _, layer in layers]
+        self.moment2 = [{k: np.zeros_like(v) for k, v in layer.params.items()}
+                        for _, layer in layers]
+
+    def step(self, lr_scale=1.0):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        correction1 = 1.0 - b1 ** self.t
+        correction2 = 1.0 - b2 ** self.t
+        lr = self.lr * lr_scale
+        for (_, layer), m1, m2 in zip(self.layers, self.moment1, self.moment2):
+            for k, p in layer.params.items():
+                g = layer.grads[k]
+                m1[k] *= b1
+                m1[k] += (1.0 - b1) * g
+                m2[k] *= b2
+                m2[k] += (1.0 - b2) * g * g
+                p -= lr * (m1[k] / correction1) / (np.sqrt(m2[k] / correction2) + self.eps)

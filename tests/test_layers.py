@@ -12,7 +12,6 @@ from mocorr.net.layers import (
     Dropout,
     ELU,
     GRU,
-    _sigmoid,
     _uniform_init,
 )
 from mocorr.net.model import (
@@ -24,8 +23,9 @@ from mocorr.net.model import (
     motion_channels,
 )
 from mocorr.motion import build_motion_map
+from mocorr.numerics import sigmoid
 from mocorr.skeleton import SkeletalPose
-from oracles import grad_check
+from oracles import GRUStepwise, grad_check, sigmoid_masked
 
 
 def param_names(layer):
@@ -143,11 +143,21 @@ def test_uniform_init_bound():
 def test_sigmoid_stability():
     x = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
     with np.errstate(over="raise", invalid="raise"):
-        y = _sigmoid(x)
+        y = sigmoid(x)
     assert y[2] == 0.5
     assert np.all(np.diff(y) >= 0.0)
-    assert np.allclose(y + _sigmoid(-x), 1.0, atol=1e-15)
+    assert np.allclose(y + sigmoid(-x), 1.0, atol=1e-15)
     assert 0.0 <= y[0] < 1e-12 and 1.0 - 1e-12 < y[4] <= 1.0
+
+
+def test_sigmoid_matches_masked_oracle_bitwise():
+    rng = np.random.default_rng(30)
+    edges = [0.0, -0.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+    x = np.concatenate([rng.normal(scale=8.0, size=100_000), edges])
+    # compare the bits, so that NaN payloads and signed zeros count too
+    assert np.array_equal(sigmoid(x).view(np.int64), sigmoid_masked(x).view(np.int64))
+    block = rng.normal(size=(8, 512))
+    assert np.array_equal(sigmoid(block), sigmoid_masked(block))
 
 
 def test_conv1d_value_matches_direct_convolution():
@@ -297,6 +307,37 @@ def test_gru_gradients_full_bptt():
     x = rng.normal(size=(2, 4, 3))
     w = rng.normal(size=(2, 4, 5))
     check_layer_grads(gru, x, w, tol=1e-5)
+
+
+# (in_dim, hidden) of the generator's and the discriminator's GRU at the
+# default widths on the 15-joint skeleton
+MODEL_GRU_SHAPES = [(128 + 16 * 5, 256), (4 * 15, 128)]
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("batch", [8, 1])
+@pytest.mark.parametrize("in_dim,hidden", MODEL_GRU_SHAPES)
+def test_gru_matches_stepwise_oracle(in_dim, hidden, batch):
+    # the hoisted input projection does the per-step arithmetic in one
+    # matmul, so the output is bit for bit the same; numpy hands a one-row
+    # product to gemv and a taller one to gemm, which round differently, so
+    # a batch of one agrees only to rounding. The weight gradients are summed
+    # over all steps at once, which only reorders the sum.
+    gru = GRU(in_dim, hidden, np.random.default_rng(31))
+    oracle = GRUStepwise(in_dim, hidden, np.random.default_rng(31))
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(batch, 24, in_dim))
+    dout = rng.normal(size=(batch, 24, hidden))
+    y, y_ref = gru.forward(x), oracle.forward(x)
+    if batch > 1:
+        assert np.array_equal(y, y_ref)
+    assert rel_err(y, y_ref) <= 1e-12
+    assert rel_err(gru.backward(dout), oracle.backward(dout)) <= 1e-12
+    for name in gru.grads:
+        assert rel_err(gru.grads[name], oracle.grads[name]) <= 1e-12
 
 
 def small_generator(dropout=0.0, kernel=3, seed=20):

@@ -10,6 +10,8 @@ import pytest
 from conftest import make_toy_skeleton
 from mocorr.errors import ConfigError, ParseError
 from mocorr.jsonio import load_document, save_document
+from mocorr.metrics import frame_mpjpe, mpjpe, pck
+from mocorr.motion import MotionMap
 from mocorr.net.model import (
     Discriminator,
     Generator,
@@ -25,6 +27,7 @@ from mocorr.pipeline import (
     REPORT_FORMAT,
     PipelineConfig,
     apply_seed,
+    build_report,
     default_pipeline_config,
     hybrid_motion,
     load_pipeline_config,
@@ -197,6 +200,26 @@ def test_hybrid_motion_translation_paths():
                                 init.translations, None, options)
     assert np.array_equal(placed.translations, expect)
     assert np.array_equal(placed.quats, carried.quats)
+
+
+def test_build_report_matches_per_call_metrics():
+    # the report runs forward kinematics once per motion; each metric
+    # called on the motion maps themselves must give the same numbers
+    scene = synth_generate(SceneConfig(T=6, V=2, seed=9))
+    gt, skeleton = scene.gt_motion, scene.skeleton
+    rng = np.random.default_rng(10)
+    stages = {}
+    for name, scale in (("init", 0.2), ("hybrid", 0.05)):
+        quats = unit_quat_rows(gt.quats + rng.normal(scale=scale, size=gt.quats.shape))
+        stages[name] = MotionMap(quats, gt.conf, gt.translations + scale)
+    report = build_report(stages, gt, skeleton, seed=9)
+    for name, motion in stages.items():
+        assert report["stages"][name] == {
+            "mpjpe_mm": mpjpe(motion, gt, skeleton),
+            "pck_0.5": pck(motion, gt, skeleton, 0.5),
+            "pck_0.3": pck(motion, gt, skeleton, 0.3),
+            "frame_mpjpe_mm": [float(v) for v in frame_mpjpe(motion, gt, skeleton)],
+        }
 
 
 def test_run_pipeline_artifacts_and_checkpoint_restart(tmp_path):

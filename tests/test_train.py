@@ -6,8 +6,11 @@ import pytest
 from conftest import make_toy_skeleton
 from mocorr.errors import InvalidInputError, SequenceTooShortError
 from mocorr.motion import MotionMap, build_motion_map
-from mocorr.net.train import TrainConfig, make_windows, train
+from mocorr.net.losses import loss_adv_grad, loss_disc
+from mocorr.net.model import Discriminator, Generator
+from mocorr.net.train import Adam, TrainConfig, discriminator_grads, make_windows, train
 from mocorr.skeleton import SkeletalPose
+from oracles import AdamDicts
 
 SMALL_NET = dict(conv_width=16, local_width=4, hidden=16, disc_hidden=8,
                  kernel=7, dropout=0.0)
@@ -47,8 +50,8 @@ def toy_dataset(skeleton, n_seqs=8, t=32, seed=100):
     return pairs, unpaired
 
 
-def params_blob(model):
-    return np.concatenate([layer.params[n].ravel()
+def params_blob(model, kind="params"):
+    return np.concatenate([getattr(layer, kind)[n].ravel()
                            for _, layer in model.layers()
                            for n in sorted(layer.params)])
 
@@ -68,6 +71,78 @@ def test_same_seed_reproduces_parameters_bitwise():
                             adversarial=True, **SMALL_NET)
     gen_c, _, _ = train(pairs, unpaired, skeleton, cfg_other)
     assert not np.array_equal(params_blob(gen_a), params_blob(gen_c))
+
+
+def motion_arrays(motions):
+    return [(m.quats.copy(), m.conf.copy(), m.translations.copy()) for m in motions]
+
+
+def test_train_leaves_its_inputs_unchanged():
+    skeleton = make_toy_skeleton()
+    pairs, unpaired = toy_dataset(skeleton, n_seqs=2, t=16)
+    motions = [m for pair in pairs for m in pair] + unpaired
+    before = motion_arrays(motions)
+    cfg = TrainConfig(epochs=2, batch=4, window=12, stride=4, seed=7, **SMALL_NET)
+    train(pairs, unpaired, skeleton, cfg)
+    for saved, motion in zip(before, motions):
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(saved, (motion.quats, motion.conf, motion.translations)))
+
+
+def test_two_trainings_in_one_process_agree_bitwise_at_default_widths():
+    # nothing a training run leaves behind (workspaces, caches, writes into
+    # its inputs) may change the next run in the same process
+    skeleton = make_toy_skeleton()
+    pairs, unpaired = toy_dataset(skeleton, n_seqs=2, t=16)
+    cfg = TrainConfig(epochs=2, batch=4, window=12, stride=4, seed=8)
+    gen_a, disc_a, hist_a = train(pairs, unpaired, skeleton, cfg)
+    gen_b, disc_b, hist_b = train(pairs, unpaired, skeleton, cfg)
+    assert np.array_equal(params_blob(gen_a), params_blob(gen_b))
+    assert np.array_equal(params_blob(disc_a), params_blob(disc_b))
+    assert hist_a == hist_b
+
+
+def test_discriminator_step_matches_a_fresh_pass_bitwise():
+    rng = np.random.default_rng(40)
+    disc = Discriminator(15, rng, hidden=128)
+    pred = rng.normal(size=(8, 16, 60))
+    real = rng.normal(size=(8, 16, 60))
+    # the generator step's pass, whose scores and cache the step reuses
+    d_fake = disc.forward(pred)
+    disc.zero_grad()
+    disc.backward(loss_adv_grad(d_fake)[1])
+    value = discriminator_grads(disc, d_fake, real)
+    reused = params_blob(disc, "grads")
+
+    disc.zero_grad()
+    d_fake_fresh = disc.forward(pred)
+    disc.backward(2.0 * d_fake_fresh / d_fake_fresh.size)
+    d_real = disc.forward(real)
+    disc.backward(2.0 * (d_real - 1.0) / d_real.size)
+    assert np.array_equal(reused, params_blob(disc, "grads"))
+    assert value == loss_disc(d_real, d_fake_fresh)
+
+
+def test_adam_matches_dict_oracle_bitwise():
+    # default widths, so that several arrays span more than one chunk and
+    # some end in a partial one
+    skeleton = make_toy_skeleton()
+    gen = Generator(skeleton, np.random.default_rng(41))
+    ref = Generator(skeleton, np.random.default_rng(41))
+    assert any(p.size > Adam.CHUNK and p.size % Adam.CHUNK
+               for _, layer in gen.layers() for p in layer.params.values())
+    adam = Adam(gen.layers(), 1e-3, 0.9, 0.999, 1e-8)
+    oracle = AdamDicts(ref.layers(), 1e-3, 0.9, 0.999, 1e-8)
+    rng = np.random.default_rng(42)
+    for step in range(6):
+        for (_, layer), (_, ref_layer) in zip(gen.layers(), ref.layers()):
+            for name, g in layer.grads.items():
+                g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=g.shape)
+                ref_layer.grads[name][...] = g
+        lr_scale = 0.1 if step >= 4 else 1.0
+        adam.step(lr_scale)
+        oracle.step(lr_scale)
+        assert np.array_equal(params_blob(gen), params_blob(ref))
 
 
 def test_supervised_training_halves_the_data_loss():
