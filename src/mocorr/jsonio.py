@@ -3,21 +3,28 @@
 Every on-disk artifact is a JSON object with a "format" field naming its
 schema ("skeleton/1", "motion/1", ...). Floats go through the stdlib encoder,
 which emits shortest round-trip representations (>= 15 significant digits),
-so save followed by load is bit-exact for finite values.
+so save followed by load is bit-exact for finite values. Large float arrays
+(the checkpoint's layer arrays) are stored instead as one string each: the
+base64 text (RFC 4648) of their little-endian float64 bytes ("<f8"), which is
+bit-exact too, -0.0 included (`encode_array` / `decode_array`).
 
 Writes land in "<path>.partial" first and are renamed into place; a crash
 mid-write leaves the .partial file behind and never a truncated final file.
 NaN and infinity are not JSON: a document holding one is refused, its
-.partial file removed and the target left as it was. The writer walks the
-nested objects itself and encodes each other value, or a slice of a long
-list, with json.dumps, which takes the C encoder (json.dump always takes the
-slower pure-Python one). The output is byte for byte
-json.dumps(doc, sort_keys=True, allow_nan=False), but only a small piece of
-it is held as text at a time.
+.partial file removed and the target left as it was; on load the tokens
+NaN, Infinity and -Infinity, which Python's json module would accept, are
+refused too. The writer walks the nested objects itself and encodes each
+other value, or a slice of a long list, with json.dumps, which takes the C
+encoder (json.dump always takes the slower pure-Python one). The output is
+byte for byte json.dumps(doc, sort_keys=True, allow_nan=False), but only a
+small piece of it is held as text at a time.
 """
 
+import base64
 import json
 import os
+
+import numpy as np
 
 from .errors import NumericFailureError, ParseError, UnsupportedVersionError
 
@@ -63,11 +70,17 @@ def save_document(path, doc):
 
 
 def load_document(path, expected_format):
+    """Load a JSON object whose "format" is `expected_format`, or one of them
+    when a tuple of formats is given."""
     path = os.fspath(path)
+
+    def refuse_constant(token):
+        raise ParseError(f"{path}: non-finite value {token} is not allowed")
+
     try:
         with open(path) as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_constant=refuse_constant)
             except json.JSONDecodeError as exc:
                 raise ParseError(
                     f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -77,10 +90,10 @@ def load_document(path, expected_format):
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be a JSON object")
     fmt = doc.get("format")
-    if fmt != expected_format:
-        raise UnsupportedVersionError(
-            f"{path}: expected format {expected_format!r}, found {fmt!r}"
-        )
+    accepted = expected_format if isinstance(expected_format, tuple) else (expected_format,)
+    if fmt not in accepted:
+        expected = " or ".join(repr(f) for f in accepted)
+        raise UnsupportedVersionError(f"{path}: expected format {expected}, found {fmt!r}")
     return doc
 
 
@@ -91,16 +104,49 @@ def require_field(doc, path, key):
 
 
 def require_array(doc, path, key, shape):
-    """Fetch a numeric field and coerce it to a float array of the given shape."""
-    import numpy as np
+    """Fetch a numeric field and coerce it to a float array of the given shape.
 
+    Strings and booleans are refused, not coerced."""
     raw = require_field(doc, path, key)
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(raw)
+    except ValueError as exc:
         raise ParseError(f"{path}: field {key!r} is not numeric") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ParseError(f"{path}: field {key!r} is not numeric")
+    arr = arr.astype(float, copy=False)
     if arr.shape != tuple(shape):
         raise ParseError(
             f"{path}: field {key!r} has shape {arr.shape}, expected {tuple(shape)}"
         )
+    return arr
+
+
+def encode_array(arr, path):
+    """The base64 text of a float array's little-endian float64 bytes.
+
+    Raises NumericFailureError naming `path` on a non-finite value, so a
+    caller that encodes before saving leaves the target untouched."""
+    arr = np.asarray(arr, dtype="<f8")
+    if not np.isfinite(arr).all():
+        raise NumericFailureError(f"{path}: refusing to save a non-finite value")
+    return base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+def decode_array(doc, path, key, shape):
+    """Fetch a field written by `encode_array` as a float array of the given shape."""
+    raw = require_field(doc, path, key)
+    if not isinstance(raw, str):
+        raise ParseError(f"{path}: field {key!r} is not a base64 string")
+    try:
+        data = base64.b64decode(raw, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ParseError(f"{path}: field {key!r} is not valid base64") from exc
+    size = int(np.prod(shape, dtype=np.int64))
+    if len(data) != 8 * size:
+        raise ParseError(
+            f"{path}: field {key!r} holds {len(data)} bytes, expected {8 * size}")
+    arr = np.frombuffer(data, dtype="<f8").astype(float).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{path}: field {key!r} holds a non-finite value")
     return arr

@@ -12,12 +12,15 @@ adversarial training.
 import numpy as np
 
 from ..errors import InvalidInputError, ParseError, SequenceTooShortError
-from ..jsonio import load_document, require_array, require_field, save_document
+from ..jsonio import (decode_array, encode_array, load_document, require_array,
+                      require_field, save_document)
 from ..numerics import sigmoid
 from ..skeleton import REGIONS
 from .layers import Affine, BatchNorm, Conv1d, Dropout, ELU, GRU
 
-CHECKPOINT_FORMAT = "hybridnet/1"
+CHECKPOINT_FORMAT = "hybridnet/2"
+# hybridnet/1 stored each layer array as a list of JSON floats; it still loads
+_ARRAY_DECODERS = {CHECKPOINT_FORMAT: decode_array, "hybridnet/1": require_array}
 CHANNELS_PER_JOINT = 5
 
 
@@ -164,23 +167,25 @@ def discriminator_forward(disc, quats):
     return float(disc.forward(quats[None, :, :])[0])
 
 
-def _layer_state(layer):
-    state = {name: layer.params[name].ravel().tolist() for name in sorted(layer.params)}
-    for name in sorted(layer.buffers):
-        state[name] = layer.buffers[name].ravel().tolist()
-    return state
+def _layer_state(layer, path):
+    arrays = {**layer.params, **layer.buffers}
+    return {name: encode_array(arrays[name].ravel(), path) for name in sorted(arrays)}
 
 
-def _load_layer_state(layer, state, context):
+def _load_layer_state(layer, state, context, decode):
+    if not isinstance(state, dict):
+        raise ParseError(f"{context}: layer state must be an object")
     for name in sorted(layer.params):
-        flat = require_array(state, context, name, (layer.params[name].size,))
+        flat = decode(state, context, name, (layer.params[name].size,))
         layer.params[name][...] = flat.reshape(layer.params[name].shape)
     for name in sorted(layer.buffers):
-        flat = require_array(state, context, name, (layer.buffers[name].size,))
+        flat = decode(state, context, name, (layer.buffers[name].size,))
         layer.buffers[name][...] = flat.reshape(layer.buffers[name].shape)
 
 
 def save_checkpoint(path, gen, disc):
+    """Write a hybridnet/2 checkpoint: each layer array is base64 "<f8" text.
+    A non-finite parameter raises NumericFailureError before the file opens."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "n_joints": gen.n_joints,
@@ -190,14 +195,16 @@ def save_checkpoint(path, gen, disc):
         "kernel": gen.kernel,
         "dropout": gen.dropout_rate,
         "disc_hidden": disc.hidden,
-        "generator": {name: _layer_state(layer) for name, layer in gen.layers()},
-        "discriminator": {name: _layer_state(layer) for name, layer in disc.layers()},
+        "generator": {name: _layer_state(layer, path) for name, layer in gen.layers()},
+        "discriminator": {name: _layer_state(layer, path) for name, layer in disc.layers()},
     }
     save_document(path, doc)
 
 
 def load_checkpoint(path, skeleton):
-    doc = load_document(path, CHECKPOINT_FORMAT)
+    """Read a hybridnet/2 or hybridnet/1 checkpoint."""
+    doc = load_document(path, tuple(_ARRAY_DECODERS))
+    decode = _ARRAY_DECODERS[doc["format"]]
     n_joints = int(require_field(doc, path, "n_joints"))
     if n_joints != skeleton.n_joints:
         raise ParseError(
@@ -219,9 +226,9 @@ def load_checkpoint(path, skeleton):
     for name, layer in gen.layers():
         if name not in gen_state:
             raise ParseError(f"checkpoint is missing generator layer {name!r}")
-        _load_layer_state(layer, gen_state[name], f"generator.{name}")
+        _load_layer_state(layer, gen_state[name], f"generator.{name}", decode)
     for name, layer in disc.layers():
         if name not in disc_state:
             raise ParseError(f"checkpoint is missing discriminator layer {name!r}")
-        _load_layer_state(layer, disc_state[name], f"discriminator.{name}")
+        _load_layer_state(layer, disc_state[name], f"discriminator.{name}", decode)
     return gen, disc

@@ -7,9 +7,11 @@ brute-force loops.
 
 The per-frame forward kinematics, root-rotation derivative, Levenberg-Marquardt
 loop, silhouette structure, sparse Jacobian builders, per-step GRU, masked
-sigmoid and dict-based Adam further down are different: they are the earlier, unoptimised versions of package code, kept
+sigmoid, dict-based Adam and hybridnet/1 checkpoint writer further down are
+different: they are the earlier, unoptimised versions of package code, kept
 as they were so the optimised versions can be required to reproduce them bit
-for bit, or to rounding where the summation order changed.
+for bit, or to rounding where the summation order changed. The checkpoint
+writer makes the hybridnet/1 files that the loader must still read.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from mocorr.errors import (
     InvalidInputError,
     NumericFailureError,
 )
+from mocorr.jsonio import save_document
 from mocorr.net.layers import GRU
 from mocorr.optim.kinematics import projection_jacobian
 from mocorr.optim.lm import LMOptions, LMResult, numeric_jacobian
@@ -765,3 +768,27 @@ class AdamDicts:
                 m2[k] *= b2
                 m2[k] += (1.0 - b2) * g * g
                 p -= lr * (m1[k] / correction1) / (np.sqrt(m2[k] / correction2) + self.eps)
+
+
+def _layer_state(layer):
+    state = {name: layer.params[name].ravel().tolist() for name in sorted(layer.params)}
+    for name in sorted(layer.buffers):
+        state[name] = layer.buffers[name].ravel().tolist()
+    return state
+
+
+def save_checkpoint_v1(path, gen, disc):
+    """The hybridnet/1 writer: every layer array as a list of JSON floats."""
+    doc = {
+        "format": "hybridnet/1",
+        "n_joints": gen.n_joints,
+        "conv_width": gen.conv_width,
+        "local_width": gen.local_width,
+        "hidden": gen.hidden,
+        "kernel": gen.kernel,
+        "dropout": gen.dropout_rate,
+        "disc_hidden": disc.hidden,
+        "generator": {name: _layer_state(layer) for name, layer in gen.layers()},
+        "discriminator": {name: _layer_state(layer) for name, layer in disc.layers()},
+    }
+    save_document(path, doc)

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from mocorr.errors import NumericFailureError, ParseError, UnsupportedVersionError
-from mocorr.jsonio import load_document, require_array, require_field, save_document
+from mocorr.jsonio import (
+    decode_array,
+    encode_array,
+    load_document,
+    require_array,
+    require_field,
+    save_document,
+)
 
 
 def test_save_leaves_no_partial(tmp_path):
@@ -103,6 +110,22 @@ def test_load_errors(tmp_path):
         load_document(missing_fmt, "x/1")
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_refuses_non_finite_constants(tmp_path, token):
+    path = tmp_path / "doc.json"
+    path.write_text('{"format": "x/1", "values": [1.0, %s]}' % token)
+    with pytest.raises(ParseError, match=f"doc.json.*{token}"):
+        load_document(path, "x/1")
+
+
+def test_load_accepts_any_of_several_formats(tmp_path):
+    path = tmp_path / "doc.json"
+    save_document(path, {"format": "x/1"})
+    assert load_document(path, ("x/2", "x/1"))["format"] == "x/1"
+    with pytest.raises(UnsupportedVersionError, match="'x/2' or 'x/3'"):
+        load_document(path, ("x/2", "x/3"))
+
+
 def test_require_field():
     doc = {"a": 1}
     assert require_field(doc, "p.json", "a") == 1
@@ -111,13 +134,33 @@ def test_require_field():
 
 
 def test_require_array():
-    doc = {"m": [[1, 2], [3, 4]], "s": 2.5, "bad": ["x", "y"]}
+    doc = {"m": [[1, 2], [3, 4]], "s": 2.5, "bad": ["x", "y"],
+           "text": ["1.5", True], "flags": [True, False], "word": "2.5",
+           "ragged": [[1.0], [1.0, 2.0]], "null": None}
     arr = require_array(doc, "p.json", "m", (2, 2))
     assert arr.dtype == float and np.array_equal(arr, [[1, 2], [3, 4]])
     assert float(require_array(doc, "p.json", "s", ())) == 2.5
     with pytest.raises(ParseError, match="shape"):
         require_array(doc, "p.json", "m", (3, 2))
-    with pytest.raises(ParseError, match="numeric"):
-        require_array(doc, "p.json", "bad", (2,))
+    for key in ("bad", "text", "flags", "word", "ragged", "null"):
+        with pytest.raises(ParseError, match="numeric"):
+            require_array(doc, "p.json", key, (2,))
     with pytest.raises(ParseError, match="missing"):
         require_array(doc, "p.json", "absent", (1,))
+
+
+def test_encode_decode_array_round_trip_bitwise(tmp_path):
+    # the text is base64 of the little-endian float64 bytes
+    assert encode_array([1.0, -0.0], "p.json") == "AAAAAAAA8D8AAAAAAAAAgA=="
+    values = np.array([[0.1, -0.0, 5e-324], [1.0 / 3.0, -2.5e300, np.pi]])
+    path = tmp_path / "doc.json"
+    save_document(path, {"format": "x/1", "a": encode_array(values, path)})
+    loaded = decode_array(load_document(path, "x/1"), path, "a", (2, 3))
+    assert loaded.tobytes() == values.tobytes()
+    loaded[0, 0] = 7.0  # writable, not a view of the decoded bytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_array_refuses_non_finite_values(bad):
+    with pytest.raises(NumericFailureError, match="p.json"):
+        encode_array([1.0, bad], "p.json")

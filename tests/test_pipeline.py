@@ -1,5 +1,6 @@
 """Pipeline orchestration: config files, checkpoints, the full run."""
 
+import base64
 import dataclasses
 import json
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_skeleton
-from mocorr.errors import ConfigError, ParseError
+from mocorr.errors import ConfigError, NumericFailureError, ParseError
 from mocorr.jsonio import load_document, save_document
 from mocorr.metrics import frame_mpjpe, mpjpe, pck
 from mocorr.motion import MotionMap
@@ -38,6 +39,7 @@ from mocorr.pipeline import (
     unit_quat_rows,
 )
 from mocorr.synth import SceneConfig, synth_generate
+from oracles import save_checkpoint_v1
 
 
 def tiny_config(seed=5):
@@ -175,6 +177,66 @@ def test_checkpoint_errors(tmp_path):
     broken.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
         load_checkpoint(broken, skeleton)
+
+
+@pytest.mark.parametrize("case", ["list", "bad_character", "line_break", "short",
+                                  "long", "non_finite", "layer_not_object"])
+def test_checkpoint_array_errors_are_parse_errors(tmp_path, case):
+    skeleton, gen, disc = small_models()
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, gen, disc)
+    doc = json.loads(path.read_text())
+    bias = gen.dec3.params["bias"]
+    raw = base64.b64decode(doc["generator"]["dec3"]["bias"], validate=True)
+    assert raw == bias.astype("<f8").tobytes()
+    layer = doc["generator"]["dec3"]
+    if case == "list":
+        layer["bias"] = bias.tolist()
+    elif case == "bad_character":
+        layer["bias"] = "*" + layer["bias"][1:]
+    elif case == "line_break":
+        layer["bias"] = layer["bias"][:4] + "\n" + layer["bias"][4:]
+    elif case == "short":
+        layer["bias"] = base64.b64encode(raw[:-8]).decode()
+    elif case == "long":
+        layer["bias"] = base64.b64encode(raw + bytes(8)).decode()
+    elif case == "non_finite":
+        layer["bias"] = base64.b64encode(np.full(bias.size, np.inf, dtype="<f8").tobytes()).decode()
+    else:
+        doc["generator"]["dec3"] = 3.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="dec3"):
+        load_checkpoint(path, skeleton)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_refuses_non_finite_parameters(tmp_path, bad):
+    skeleton, gen, disc = small_models()
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, gen, disc)
+    before = path.read_bytes()
+    disc.head.params["weight"][0, 0] = bad
+    with pytest.raises(NumericFailureError, match="checkpoint.json"):
+        save_checkpoint(path, gen, disc)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
+
+
+def test_checkpoint_v1_still_loads_bitwise(tmp_path):
+    skeleton, gen, disc = small_models()
+    rng = np.random.default_rng(4)
+    gen.bn2.buffers["running_var"][...] = rng.uniform(0.5, 2.0, size=8)
+    gen.dec1.params["bias"][:3] = [-0.0, 5e-324, 1.0 / 3.0]
+    path = tmp_path / "checkpoint_v1.json"
+    save_checkpoint_v1(path, gen, disc)
+    assert json.loads(path.read_text())["format"] == "hybridnet/1"
+    gen2, disc2 = load_checkpoint(path, skeleton)
+    for net, net2 in ((gen, gen2), (disc, disc2)):
+        for (_, a), (_, b) in zip(net.layers(), net2.layers()):
+            for name in a.params:
+                assert a.params[name].tobytes() == b.params[name].tobytes()
+            for name in a.buffers:
+                assert a.buffers[name].tobytes() == b.buffers[name].tobytes()
 
 
 def test_hybrid_motion_translation_paths():
