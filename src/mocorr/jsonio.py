@@ -103,18 +103,35 @@ def require_field(doc, path, key):
     return doc[key]
 
 
-def require_array(doc, path, key, shape):
-    """Fetch a numeric field and coerce it to a float array of the given shape.
+def _holds_bool(value):
+    """Whether a JSON value is or holds true or false anywhere."""
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    # map(type, ...) runs in C, so a long list of numbers is cheap to scan
+    kinds = set(map(type, value))
+    return bool in kinds or (list in kinds and any(map(_holds_bool, value)))
 
-    Strings and booleans are refused, not coerced."""
-    raw = require_field(doc, path, key)
+
+def numeric_array(raw, what):
+    """A JSON number or nested list of numbers as a float array.
+
+    Strings, booleans (also mixed in among numbers, which numpy would
+    promote), nulls and ragged lists raise ParseError naming `what`."""
+    if _holds_bool(raw):
+        raise ParseError(f"{what} is not numeric")
     try:
         arr = np.asarray(raw)
     except ValueError as exc:
-        raise ParseError(f"{path}: field {key!r} is not numeric") from exc
+        raise ParseError(f"{what} is not numeric") from exc
     if arr.dtype.kind not in "iuf":
-        raise ParseError(f"{path}: field {key!r} is not numeric")
-    arr = arr.astype(float, copy=False)
+        raise ParseError(f"{what} is not numeric")
+    return arr.astype(float, copy=False)
+
+
+def require_array(doc, path, key, shape):
+    """Fetch a numeric field (see `numeric_array`) as a float array of the
+    given shape."""
+    arr = numeric_array(require_field(doc, path, key), f"{path}: field {key!r}")
     if arr.shape != tuple(shape):
         raise ParseError(
             f"{path}: field {key!r} has shape {arr.shape}, expected {tuple(shape)}"

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quat
-from .errors import InvalidInputError
-from .jsonio import load_document, require_array, require_field, save_document
+from .errors import InvalidInputError, ParseError
+from .jsonio import (load_document, numeric_array, require_array, require_field,
+                     save_document)
 from .skeleton import QuatPose, pose_to_quat, quat_to_pose
 
 MOTION_FORMAT = "motion/1"
@@ -193,21 +194,18 @@ def load_observations(path):
     n_j = int(require_field(doc, path, "n_joints"))
     raw = require_field(doc, path, "frames")
     if len(raw) != t:
-        from .errors import ParseError
-
         raise ParseError(f"{path}: header says T={t} but {len(raw)} frames present")
     frames = []
     for k, item in enumerate(raw):
+        where = f"{path}: frames[{k}]"
         try:
             frames.append(
                 FrameObservations(
-                    np.asarray(item["keypoints"], dtype=float).reshape(n_j, 2),
-                    np.asarray(item["conf"], dtype=float).reshape(n_j),
-                    np.asarray(item["silhouette"], dtype=float).reshape(-1, 2),
+                    numeric_array(item["keypoints"], f"{where} keypoints").reshape(n_j, 2),
+                    numeric_array(item["conf"], f"{where} conf").reshape(n_j),
+                    numeric_array(item["silhouette"], f"{where} silhouette").reshape(-1, 2),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            from .errors import ParseError
-
-            raise ParseError(f"{path}: frames[{k}] is malformed ({exc})") from exc
+            raise ParseError(f"{where} is malformed ({exc})") from exc
     return frames

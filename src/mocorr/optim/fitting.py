@@ -90,10 +90,11 @@ def sparse_view_fit(multi_obs, cameras, skeleton, options=None, weights=None):
     n_views = len(cameras)
     views = [View(cam, frames, 1.0 / n_views)
              for cam, frames in zip(cameras, multi_obs)]
-    problem = PoseProblem(skeleton, views, weights, temporal=True)
-    if not any(idx.size for per_view in problem.included for idx in per_view):
+    if not any(np.any(f.conf >= weights.conf_threshold)
+               for frames in multi_obs for f in frames):
         raise UnfittableError(
             "no keypoint clears the confidence gate in any frame of any view")
+    problem = PoseProblem(skeleton, views, weights, temporal=True)
 
     mid = 0.5 * (skeleton.theta_min + skeleton.theta_max)
     theta0 = np.tile(mid, (n_frames, 1))

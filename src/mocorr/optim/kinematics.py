@@ -8,16 +8,11 @@ import numpy as np
 
 from .. import quat
 from ..camera import Z_EPS
-from ..skeleton import AXES, SkeletalPose, as_sequence, fk_frames
+from ..skeleton import AXES, as_sequence, fk_frames
 
 
 def pose_params(pose):
     return np.concatenate([pose.theta, pose.root_rot, pose.root_trans])
-
-
-def params_to_pose(skeleton, p):
-    d = skeleton.total_dof
-    return SkeletalPose(p[:d], p[d:d + 3], p[d + 3:d + 6])
 
 
 def fk_jacobian(skeleton, pose):

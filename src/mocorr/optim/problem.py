@@ -1,18 +1,32 @@
 """Residual and Jacobian builders for sequence refinement.
 
-These classes express the energy terms as stacked nonlinear least squares.
-Residuals carry square-rooted weights so the solver's cost (sum of squared
-residuals) equals the weighted energy exactly.
+Both LM problems are lists of residual terms over per-frame parameter blocks:
 
-The full pose problem optimizes [u, root_rot, root_trans] per frame, with
-joint angles reparameterized as theta = lo + (hi - lo) * sigmoid(u) so every
-iterate stays strictly inside its limits. The translation problem keeps the
-angles fixed and optimizes root translations only.
+- `Reprojection` (E_2D, one per view): confidence-gated pixel errors.
+- `Anchor` (E_3D): the leading parameters against per-frame targets.
+- `Temporal` (E_T): the change of every parameter between frames.
+- `Silhouette` (E_S): nearest-neighbour distances between outlines.
+
+Residuals carry square-rooted weights, so the solver's cost (sum of squared
+residuals) equals the weighted energy exactly. Each term fixes its row count
+when it is built and evaluates every frame in one call. The confidence gate
+is a fixed (T, n) weight array: a joint below the gate keeps its two rows,
+always zero, so one projection call per view covers all frames. Observed
+outlines of different lengths are padded to the longest the same way.
+
+The full pose problem optimizes [u, root_rot, root_trans] per frame
+(P = D + 6), with joint angles reparameterized as theta = lo + (hi - lo) *
+sigmoid(u) so every iterate stays strictly inside its limits. Its terms see
+the natural parameters [theta, root_rot, root_trans], the FK joint positions
+and their Jacobian; the problem then scales the angle columns by dtheta/du.
+The translation problem keeps the angles and root rotations fixed and
+optimizes root translations only (P = 3): positions are a rigid offset of
+the zero-translation FK and their Jacobian is the identity, so it is the
+same reprojection and temporal terms over other parameters.
 
 Frames couple only through the temporal term, so both problems return their
 Jacobian as a `BlockJacobian`: dense row blocks, each starting at one
-frame's P columns (P = D + 6 for the pose problem, 3 for the translation
-problem) and spanning that frame (reprojection, network anchor, silhouette)
+frame's P columns and spanning that frame (reprojection, anchor, silhouette)
 or that frame and the next (temporal). J^T J is then block-tridiagonal, and
 `BlockJacobian.normal_equations` forms it in symmetric banded storage, with
 J^T r, straight from the blocks, for the solver's banded Cholesky. Where
@@ -46,6 +60,7 @@ from ..camera import (
 from ..errors import InvalidInputError
 from ..numerics import sigmoid
 from ..skeleton import SkeletalPose, fk_frames
+from .energies import net_pose_targets
 from .kinematics import fk_jacobian, projection_jacobian
 
 
@@ -145,6 +160,16 @@ class BlockJacobian:
         band.ravel()[off_dst] = off.ravel()
         return band, grad.ravel()
 
+    def scale_columns(self, scale):
+        """Multiply the columns of frame f by scale[f] (n_frames, p): the
+        chain rule for parameters that are elementwise functions of x."""
+        for i, (row0, frames, blocks) in enumerate(self._stacks):
+            cols = scale[frames]
+            if blocks.shape[2] == 2 * self.p:
+                cols = np.concatenate([cols, scale[frames + 1]], axis=1)
+            self._stacks[i] = (row0, frames, blocks * cols[:, None, :])
+        return self
+
     def toarray(self):
         out = np.zeros(self.shape)
         for row0, frames, blocks in self._stacks:
@@ -157,235 +182,143 @@ class BlockJacobian:
         return self.toarray().astype(dtype or float, copy=False)
 
 
-def _nearest(a, b):
-    """Index into b of the nearest row for every row of a."""
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
+# --- terms -------------------------------------------------------------------
+#
+# A term reads a state dict of the parameters x: "pos", joint positions
+# (T, n, 3); "params", the natural parameters (T, P); and, for jacobian,
+# "jpos", d(pos)/d(params) (T, n, 3, P). residuals returns its `rows` values
+# for all frames; jacobian adds its blocks from row0 and returns the row
+# after them.
 
 
-class PoseProblem:
-    """Full-pose sequence refinement: E_3D + E_2D + E_T + E_S as residuals."""
+class Reprojection:
+    """E_2D of one view: weighted pixel errors (T, n, 2) of every joint.
 
-    def __init__(self, skeleton, views, weights, *, net_quats=None, body=None,
-                 sil_camera=None, sil_frames=None, n_sil=96, temporal=True):
-        if not views and net_quats is None:
-            raise InvalidInputError("pose problem needs at least one term")
-        self.skeleton = skeleton
-        self.views = views
-        self.weights = weights
-        self.bounds = BoundedAngles(skeleton)
-        self.T = len(views[0].frames) if views else np.asarray(net_quats).shape[0]
-        for v in views:
-            if len(v.frames) != self.T:
-                raise InvalidInputError("all views must cover the same frames")
-        self.D = skeleton.total_dof
-        self.Pf = self.D + 6
-        self.temporal = temporal and self.T >= 2
+    A joint below the confidence gate has weight 0; the others in frame t
+    share sqrt(lambda_2d * view.weight / (T * count_t)). A joint at or
+    behind the camera gets zero rows, residual and Jacobian alike.
+    """
 
-        self.use_3d = net_quats is not None
-        if self.use_3d:
-            from .energies import net_pose_targets
+    def __init__(self, view, weights, n_frames):
+        gate = np.stack([f.conf for f in view.frames]) >= weights.conf_threshold
+        count = np.maximum(gate.sum(axis=1, keepdims=True), 1)
+        share = weights.lambda_2d * view.weight / (n_frames * count)
+        self.weight = np.where(gate, np.sqrt(share), 0.0)
+        self.camera = view.camera
+        self.targets = np.stack([f.keypoints for f in view.frames])
+        self.rows = 2 * self.weight.size
 
-            zeros = np.zeros((self.T, 3))
-            self.net_theta, self.net_rv = net_pose_targets(skeleton, net_quats, zeros)
+    def residuals(self, state):
+        uv, _, valid = project_points(self.camera, state["pos"])
+        diff = (uv - self.targets) * self.weight[..., None]
+        diff[~valid] = 0.0
+        return diff.ravel()
 
-        # confidence gating is fixed up front, so block sizes never change
-        self.included = []
-        for v in views:
-            self.included.append(
-                [np.flatnonzero(f.conf >= weights.conf_threshold) for f in v.frames]
-            )
+    def jacobian(self, state, jac, row0):
+        duv, _, _ = projection_jacobian(self.camera, state["pos"])
+        blocks = self.weight[..., None, None] * (duv @ state["jpos"])
+        n_frames = blocks.shape[0]
+        return jac.add(row0, np.arange(n_frames), blocks.reshape(n_frames, -1, jac.p))
 
-        self.use_sil = (
-            weights.lambda_s > 0.0
-            and sil_camera is not None
-            and body is not None
-            and sil_frames is not None
-            and any(np.asarray(f.silhouette).size for f in sil_frames)
-        )
-        self.sil_camera = sil_camera
-        self.body = body
-        self.n_sil = n_sil
-        if self.use_sil:
-            self.sil_obs = [np.asarray(f.silhouette, dtype=float).reshape(-1, 2)
-                            for f in sil_frames]
-        else:
-            self.sil_obs = [np.zeros((0, 2))] * self.T
-        # frames with an observed outline; only these get silhouette rows
-        self.sil_idx = np.flatnonzero([o.shape[0] > 0 for o in self.sil_obs])
 
-        self._light = (None, None)
-        self._heavy = (None, None)
-        self.n_rows = self._count_rows()
+class Anchor:
+    """E_3D: the leading k parameters of every frame minus targets (T, k)."""
 
-    def _count_rows(self):
-        rows = 0
-        for v_incl in self.included:
-            rows += sum(2 * idx.size for idx in v_incl)
-        if self.use_3d:
-            rows += self.T * (self.D + 3)
-        if self.temporal:
-            rows += (self.T - 1) * self.Pf
-        if self.use_sil:
-            for t in self.sil_idx:
-                rows += 2 * (self.sil_obs[t].shape[0] + self.n_sil)
-        return rows
+    def __init__(self, targets, p):
+        self.targets = targets
+        self.rows = targets.size
+        n_frames, k = targets.shape
+        self.block = np.zeros((n_frames, k, p))
+        self.block[:, np.arange(k), np.arange(k)] = 1.0
 
-    # --- packing -----------------------------------------------------------
+    def residuals(self, state):
+        return (state["params"][:, :self.targets.shape[1]] - self.targets).ravel()
 
-    def pack(self, theta, root_rot, root_trans):
-        x = np.empty(self.T * self.Pf)
-        for t in range(self.T):
-            base = t * self.Pf
-            x[base:base + self.D] = self.bounds.u_from_theta(theta[t])
-            x[base + self.D:base + self.D + 3] = root_rot[t]
-            x[base + self.D + 3:base + self.Pf] = root_trans[t]
-        return x
+    def jacobian(self, state, jac, row0):
+        return jac.add(row0, np.arange(self.block.shape[0]), self.block)
 
-    def split(self, x):
-        xt = x.reshape(self.T, self.Pf)
-        return xt[:, :self.D], xt[:, self.D:self.D + 3], xt[:, self.D + 3:]
 
-    def poses(self, x):
-        u, rv, tr = self.split(x)
-        return [
-            SkeletalPose(self.bounds.theta(u[t]), rv[t], tr[t]) for t in range(self.T)
-        ]
+class Temporal:
+    """E_T: sqrt(lambda_t) times the change of every parameter from each
+    frame to the next, (T - 1, P) rows."""
 
-    # --- shared per-x state -------------------------------------------------
+    def __init__(self, lambda_t, n_frames, p):
+        self.scale = np.sqrt(lambda_t)
+        self.rows = (n_frames - 1) * p
+        diag = np.arange(p)
+        self.block = np.zeros((n_frames - 1, p, 2 * p))
+        self.block[:, diag, diag] = -self.scale
+        self.block[:, diag, p + diag] = self.scale
 
-    def _light_state(self, x):
-        key = x.tobytes()
-        if self._light[0] == key:
-            return self._light[1]
-        u, rv, tr = self.split(x)
-        frames = SkeletalPose(self.bounds.theta(u), rv, tr)
-        pos = fk_frames(self.skeleton, frames)[0]
-        sil = None
-        if self.use_sil:
-            outline = silhouette_structure(
-                self.sil_camera, self.skeleton, pos[self.sil_idx], self.body, self.n_sil)
-            nearest = []
-            for k, t in enumerate(self.sil_idx):
-                pts = outline.points[k]
-                nearest.append(None if outline.lost[k] else (
-                    _nearest(self.sil_obs[t], pts), _nearest(pts, self.sil_obs[t])))
-            sil = {"outline": outline, "nearest": nearest}
-        state = {"frames": frames, "pos": pos, "u": u, "sil": sil}
-        self._light = (key, state)
-        return state
+    def residuals(self, state):
+        return (self.scale * np.diff(state["params"], axis=0)).ravel()
 
-    # --- residuals ----------------------------------------------------------
+    def jacobian(self, state, jac, row0):
+        return jac.add(row0, np.arange(self.block.shape[0]), self.block)
 
-    def residuals(self, x):
-        st = self._light_state(x)
-        w = self.weights
-        out = np.zeros(self.n_rows)
-        cur = 0
-        for v, view in enumerate(self.views):
-            for t in range(self.T):
-                incl = self.included[v][t]
-                if incl.size == 0:
-                    continue
-                scale = np.sqrt(w.lambda_2d * view.weight / (self.T * incl.size))
-                uv, _, valid = project_points(view.camera, st["pos"][t][incl])
-                diff = (uv - view.frames[t].keypoints[incl]) * scale
-                diff[~valid] = 0.0
-                out[cur:cur + 2 * incl.size] = diff.ravel()
-                cur += 2 * incl.size
-        frames = st["frames"]
-        if self.use_3d:
-            block = np.concatenate(
-                [frames.theta - self.net_theta, frames.root_rot - self.net_rv], axis=1)
-            out[cur:cur + block.size] = block.ravel()
-            cur += block.size
-        if self.temporal:
-            s = np.sqrt(w.lambda_t)
-            params = np.concatenate([frames.theta, frames.root_rot, frames.root_trans], axis=1)
-            block = s * np.diff(params, axis=0)
-            out[cur:cur + block.size] = block.ravel()
-            cur += block.size
-        if self.use_sil:
-            outline = st["sil"]["outline"]
-            for k, t in enumerate(self.sil_idx):
-                obs = self.sil_obs[t]
-                if outline.lost[k]:
-                    block = 2 * (obs.shape[0] + self.n_sil)
-                    out[cur:cur + block] = np.inf
-                    cur += block
-                    continue
-                nn_obs, nn_model = st["sil"]["nearest"][k]
-                w_o = np.sqrt(w.lambda_s * 0.5 / (self.T * obs.shape[0]))
-                w_m = np.sqrt(w.lambda_s * 0.5 / (self.T * self.n_sil))
-                pts = outline.points[k]
-                out[cur:cur + 2 * obs.shape[0]] = ((pts[nn_obs] - obs) * w_o).ravel()
-                cur += 2 * obs.shape[0]
-                out[cur:cur + 2 * self.n_sil] = ((pts - obs[nn_model]) * w_m).ravel()
-                cur += 2 * self.n_sil
-        return out
 
-    # --- jacobian -----------------------------------------------------------
+class Silhouette:
+    """E_S over the frames with an observed outline: each observed point to
+    its nearest model point, then each of the n model points to its nearest
+    observed point, each side weighted by sqrt(lambda_s / 2 / (T * count)).
 
-    def _heavy_state(self, x):
-        key = x.tobytes()
-        if self._heavy[0] == key:
-            return self._heavy[1]
-        light = self._light_state(x)
-        dtheta = self.bounds.dtheta_du(light["u"])
-        jpos = fk_jacobian(self.skeleton, light["frames"])[2]
-        state = {"light": light, "dtheta": dtheta, "jpos": jpos}
-        self._heavy = (key, state)
-        return state
+    Observed outlines shorter than the longest are padded with zero-weight
+    rows that no model point pairs with. Every row of a frame whose model
+    outline is lost is inf, and such a frame has no Jacobian.
+    """
 
-    def jacobian(self, x):
-        st = self._heavy_state(x)
-        light = st["light"]
-        w = self.weights
-        D, P = self.D, self.Pf
-        dtheta = st["dtheta"]
-        jac = BlockJacobian(self.n_rows, self.T, P)
-        cur = 0
-        for v, view in enumerate(self.views):
-            for t in range(self.T):
-                incl = self.included[v][t]
-                if incl.size == 0:
-                    continue
-                scale = np.sqrt(w.lambda_2d * view.weight / (self.T * incl.size))
-                duv_dw, _, _ = projection_jacobian(view.camera, light["pos"][t][incl])
-                block = (scale * (duv_dw @ st["jpos"][t][incl])).reshape(-1, P)
-                block[:, :D] *= dtheta[t]
-                cur = jac.add(cur, t, block)
-        # d/du of theta is dtheta; of the root parts, 1
-        chain = np.concatenate([dtheta, np.ones((self.T, 6))], axis=1)
-        diag = np.arange(P)
-        if self.use_3d:
-            block = np.zeros((self.T, D + 3, P))
-            block[:, diag[:D + 3], diag[:D + 3]] = chain[:, :D + 3]
-            cur = jac.add(cur, np.arange(self.T), block)
-        if self.temporal:
-            s = np.sqrt(w.lambda_t)
-            block = np.zeros((self.T - 1, P, 2 * P))
-            block[:, diag, diag] = -s * chain[:-1]
-            block[:, diag, P + diag] = s * chain[1:]
-            cur = jac.add(cur, np.arange(self.T - 1), block)
-        if self.use_sil:
-            if light["sil"]["outline"].lost.any():
-                raise InvalidInputError("silhouette lost at a point needing a jacobian")
-            dmodel = self._silhouette_point_jacobians(st)
-            for k, t in enumerate(self.sil_idx):
-                obs = self.sil_obs[t]
-                nn_obs, _ = light["sil"]["nearest"][k]
-                w_o = np.sqrt(w.lambda_s * 0.5 / (self.T * obs.shape[0]))
-                w_m = np.sqrt(w.lambda_s * 0.5 / (self.T * self.n_sil))
-                block = np.concatenate(
-                    [w_o * dmodel[k][nn_obs], w_m * dmodel[k]]).reshape(-1, P)
-                block[:, :D] *= dtheta[t]
-                cur = jac.add(cur, t, block)
-        return jac
+    def __init__(self, camera, skeleton, body, observed, weights, n_frames, n):
+        self.camera, self.skeleton, self.body, self.n = camera, skeleton, body, n
+        lengths = np.array([o.shape[0] for o in observed])
+        self.frames = np.flatnonzero(lengths)
+        lengths = lengths[self.frames][:, None]
+        self.pad = np.arange(lengths.max()) >= lengths
+        self.obs = np.zeros(self.pad.shape + (2,))
+        self.obs[~self.pad] = np.concatenate([observed[t] for t in self.frames])
+        share = weights.lambda_s * 0.5 / (n_frames * lengths)
+        self.w_obs = np.where(self.pad, 0.0, np.sqrt(share))
+        self.w_model = np.sqrt(weights.lambda_s * 0.5 / (n_frames * n))
+        self.rows = 2 * self.pad.shape[0] * (self.pad.shape[1] + n)
 
-    def _silhouette_point_jacobians(self, st):
+    def _structure(self, state):
+        """The model outline and both nearest-neighbour pairings, kept in the
+        state so the Jacobian at the same x reuses them."""
+        if "silhouette" not in state:
+            outline = silhouette_structure(self.camera, self.skeleton,
+                                           state["pos"][self.frames], self.body, self.n)
+            # per coordinate rather than np.sum over a last axis of 2, which
+            # adds the same two squares but runs several times slower
+            obs, pts = self.obs[:, :, None, :], outline.points[:, None, :, :]
+            d2 = (obs[..., 0] - pts[..., 0]) ** 2 + (obs[..., 1] - pts[..., 1]) ** 2
+            nn_obs = np.argmin(d2, axis=2)
+            nn_model = np.argmin(np.where(self.pad[:, :, None], np.inf, d2), axis=1)
+            state["silhouette"] = (outline, nn_obs, nn_model)
+        return state["silhouette"]
+
+    def residuals(self, state):
+        outline, nn_obs, nn_model = self._structure(state)
+        pts = outline.points
+        k = np.arange(self.frames.size)[:, None]
+        to_model = (pts[k, nn_obs] - self.obs) * self.w_obs[..., None]
+        to_obs = (pts - self.obs[k, nn_model]) * self.w_model
+        out = np.concatenate([to_model.reshape(k.size, -1), to_obs.reshape(k.size, -1)],
+                             axis=1)
+        out[outline.lost] = np.inf
+        return out.ravel()
+
+    def jacobian(self, state, jac, row0):
+        outline, nn_obs, _ = self._structure(state)
+        if outline.lost.any():
+            raise InvalidInputError("silhouette lost at a point needing a jacobian")
+        dmodel = self.point_jacobians(state)
+        k = np.arange(self.frames.size)[:, None]
+        blocks = np.concatenate([self.w_obs[..., None, None] * dmodel[k, nn_obs],
+                                 self.w_model * dmodel], axis=1)
+        return jac.add(row0, self.frames, blocks.reshape(k.size, -1, jac.p))
+
+    def point_jacobians(self, state):
         """d(model point)/d[theta, rv, tr] for every sampled outline point of
-        every frame with an observed outline: (len(sil_idx), n_sil, 2, Pf).
+        every frame with an observed outline: (len(frames), n, 2, P).
 
         Works per stadium: endpoint pixel positions and radii get their
         derivatives from the kinematic chain, then each sample moves as
@@ -393,16 +326,16 @@ class PoseProblem:
         keep the operand shapes of a single stadium and sample, so every
         value matches that computation bit for bit.
         """
-        cam = self.sil_camera
-        outline = st["light"]["sil"]["outline"]
+        cam = self.camera
+        outline = self._structure(state)[0]
         stad = outline.stadiums
         # derivative bundles for the stadiums the samples reference
         used, rec = np.unique(outline.stadium, return_inverse=True)
         rec = rec.ravel()
-        frame = self.sil_idx[stad.frame[used]][:, None]
+        frame = self.frames[stad.frame[used]][:, None]
         ends = np.array(self.skeleton.bones, dtype=int)[stad.bone[used]]
-        duv, z, _ = projection_jacobian(cam, st["light"]["pos"][frame, ends])
-        jpos = st["jpos"][frame, ends]
+        duv, z, _ = projection_jacobian(cam, state["pos"][frame, ends])
+        jpos = state["jpos"][frame, ends]
         dend = duv @ jpos
         coef = -cam.fx * self.body.radii[stad.bone[used]][:, None] / (z * z)
         dradius = coef[..., None] * (cam.rotation[2] @ jpos)
@@ -414,7 +347,7 @@ class PoseProblem:
 
         kind = outline.kind.ravel()
         frac = outline.frac.ravel()
-        dmodel = np.empty((kind.size, 2, self.Pf))
+        dmodel = np.empty((kind.size, 2, jpos.shape[-1]))
 
         # one end circle swallows the other: the sample turns with the big circle
         c = kind == CIRCLE
@@ -459,33 +392,111 @@ class PoseProblem:
             + n[:, :, None] * dr_s[:, None, :]
             + (r_s[:, None] * n_perp)[:, :, None] * dphi[:, None, :]
         )
-        return dmodel.reshape(outline.kind.shape + (2, self.Pf))
+        return dmodel.reshape(outline.kind.shape + dmodel.shape[1:])
+
+
+def _residuals(terms, state):
+    return np.concatenate([term.residuals(state) for term in terms])
+
+
+def _jacobian(terms, state, jac):
+    row = 0
+    for term in terms:
+        row = term.jacobian(state, jac, row)
+    return jac
+
+
+# --- problems ------------------------------------------------------------------
+
+
+class PoseProblem:
+    """Full-pose sequence refinement: E_2D + E_3D + E_T + E_S as residuals."""
+
+    def __init__(self, skeleton, views, weights, *, net_quats=None, body=None,
+                 sil_camera=None, sil_frames=None, n_sil=96, temporal=True):
+        if not views and net_quats is None:
+            raise InvalidInputError("pose problem needs at least one term")
+        self.skeleton = skeleton
+        self.views = views
+        self.weights = weights
+        self.bounds = BoundedAngles(skeleton)
+        self.T = len(views[0].frames) if views else np.asarray(net_quats).shape[0]
+        if any(len(v.frames) != self.T for v in views):
+            raise InvalidInputError("all views must cover the same frames")
+        self.D = skeleton.total_dof
+        self.Pf = self.D + 6
+
+        self.terms = [Reprojection(v, weights, self.T) for v in views]
+        if net_quats is not None:
+            theta, root_rot = net_pose_targets(skeleton, net_quats, np.zeros((self.T, 3)))
+            self.terms.append(Anchor(np.concatenate([theta, root_rot], axis=1), self.Pf))
+        if temporal and self.T >= 2:
+            self.terms.append(Temporal(weights.lambda_t, self.T, self.Pf))
+        if (weights.lambda_s > 0.0 and sil_camera is not None and body is not None
+                and sil_frames is not None
+                and any(np.asarray(f.silhouette).size for f in sil_frames)):
+            observed = [np.asarray(f.silhouette, dtype=float).reshape(-1, 2)
+                        for f in sil_frames]
+            self.terms.append(Silhouette(sil_camera, skeleton, body, observed, weights,
+                                         self.T, n_sil))
+        self.n_rows = sum(term.rows for term in self.terms)
+        self._cache = (None, None)
+
+    def pack(self, theta, root_rot, root_trans):
+        u = self.bounds.u_from_theta(np.asarray(theta, dtype=float))
+        return np.concatenate([u, root_rot, root_trans], axis=1).ravel()
+
+    def unpack(self, x):
+        """Angles, root rotations and root translations of x, each (T, ·)."""
+        xt = x.reshape(self.T, self.Pf)
+        d = self.D
+        return self.bounds.theta(xt[:, :d]), xt[:, d:d + 3], xt[:, d + 3:]
+
+    def poses(self, x):
+        return [SkeletalPose(*frame) for frame in zip(*self.unpack(x))]
+
+    def _state(self, x):
+        """The terms' state at x, kept until x changes, so the Jacobian that
+        follows the residuals at the same x reuses FK and the silhouette."""
+        key = x.tobytes()
+        if self._cache[0] != key:
+            frames = SkeletalPose(*self.unpack(x))
+            state = {"frames": frames, "pos": fk_frames(self.skeleton, frames)[0],
+                     "params": np.concatenate(
+                         [frames.theta, frames.root_rot, frames.root_trans], axis=1)}
+            self._cache = (key, state)
+        return self._cache[1]
+
+    def residuals(self, x):
+        return _residuals(self.terms, self._state(x))
+
+    def jacobian(self, x):
+        state = self._state(x)
+        if "jpos" not in state:
+            state["jpos"] = fk_jacobian(self.skeleton, state["frames"])[2]
+        jac = _jacobian(self.terms, state, BlockJacobian(self.n_rows, self.T, self.Pf))
+        u = x.reshape(self.T, self.Pf)[:, :self.D]
+        return jac.scale_columns(
+            np.concatenate([self.bounds.dtheta_du(u), np.ones((self.T, 6))], axis=1))
 
 
 class TranslationProblem:
-    """Stage-one refinement: root translations under E_2D + lambda_t * E_T.
+    """Stage-one refinement: root translations under E_2D + lambda_t * E_T,
+    with every frame's angles and root rotation held at theta, root_rot."""
 
-    Joint angles stay fixed, so world positions are a rigid offset of the
-    zero-translation FK and the Jacobian needs no kinematic chain.
-    """
-
-    def __init__(self, skeleton, camera, frames, weights, fixed_poses):
-        self.camera = camera
-        self.weights = weights
+    def __init__(self, skeleton, camera, frames, weights, theta, root_rot):
         self.T = len(frames)
-        if len(fixed_poses) != self.T:
+        if len(theta) != self.T or len(root_rot) != self.T:
             raise InvalidInputError("need one fixed pose per frame")
-        self.included = [
-            np.flatnonzero(f.conf >= weights.conf_threshold) for f in frames
-        ]
-        self.targets = [f.keypoints for f in frames]
-        zeroed = SkeletalPose(np.stack([p.theta for p in fixed_poses]),
-                              np.stack([p.root_rot for p in fixed_poses]),
-                              np.zeros((self.T, 3)))
+        zeroed = SkeletalPose(np.asarray(theta, dtype=float),
+                              np.asarray(root_rot, dtype=float), np.zeros((self.T, 3)))
         self.base = fk_frames(skeleton, zeroed)[0]
-        self.n_rows = sum(2 * i.size for i in self.included) + (
-            3 * (self.T - 1) if self.T >= 2 else 0
-        )
+        self.views = [View(camera, frames)]
+        self.weights = weights
+        self.terms = [Reprojection(self.views[0], weights, self.T)]
+        if self.T >= 2:
+            self.terms.append(Temporal(weights.lambda_t, self.T, 3))
+        self.n_rows = sum(term.rows for term in self.terms)
 
     def pack(self, translations):
         return np.asarray(translations, dtype=float).ravel().copy()
@@ -493,40 +504,14 @@ class TranslationProblem:
     def translations(self, x):
         return x.reshape(self.T, 3)
 
-    def residuals(self, x):
+    def _state(self, x):
         tr = self.translations(x)
-        out = np.zeros(self.n_rows)
-        cur = 0
-        for t in range(self.T):
-            incl = self.included[t]
-            if incl.size == 0:
-                continue
-            scale = np.sqrt(self.weights.lambda_2d / (self.T * incl.size))
-            uv, _, valid = project_points(self.camera, self.base[t][incl] + tr[t])
-            diff = (uv - self.targets[t][incl]) * scale
-            diff[~valid] = 0.0
-            out[cur:cur + 2 * incl.size] = diff.ravel()
-            cur += 2 * incl.size
-        if self.T >= 2:
-            s = np.sqrt(self.weights.lambda_t)
-            d = s * np.diff(tr, axis=0)
-            out[cur:cur + 3 * (self.T - 1)] = d.ravel()
-        return out
+        return {"pos": self.base + tr[:, None], "params": tr}
+
+    def residuals(self, x):
+        return _residuals(self.terms, self._state(x))
 
     def jacobian(self, x):
-        tr = self.translations(x)
-        jac = BlockJacobian(self.n_rows, self.T, 3)
-        cur = 0
-        for t in range(self.T):
-            incl = self.included[t]
-            if incl.size == 0:
-                continue
-            scale = np.sqrt(self.weights.lambda_2d / (self.T * incl.size))
-            duv, _, _ = projection_jacobian(self.camera, self.base[t][incl] + tr[t])
-            cur = jac.add(cur, t, (scale * duv).reshape(-1, 3))
-        if self.T >= 2:
-            s = np.sqrt(self.weights.lambda_t)
-            eye = np.eye(3)
-            block = np.concatenate([-s * eye, s * eye], axis=1)
-            jac.add(cur, np.arange(self.T - 1), np.broadcast_to(block, (self.T - 1, 3, 6)))
-        return jac
+        state = self._state(x)
+        state["jpos"] = np.broadcast_to(np.eye(3), state["pos"].shape + (3,))
+        return _jacobian(self.terms, state, BlockJacobian(self.n_rows, self.T, 3))

@@ -11,14 +11,13 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..motion import build_motion_map
-from ..skeleton import SkeletalPose
 from .energies import EnergyWeights, net_pose_targets
 from .lm import LMOptions, levenberg_marquardt
 from .problem import PoseProblem, TranslationProblem, View
 
 
-def _solve_translations(skeleton, camera, obs, weights, options, poses, trans0):
-    problem = TranslationProblem(skeleton, camera, obs, weights, poses)
+def _solve_translations(skeleton, camera, obs, weights, options, theta, root_rot, trans0):
+    problem = TranslationProblem(skeleton, camera, obs, weights, theta, root_rot)
     result = levenberg_marquardt(problem.residuals, problem.pack(trans0),
                                  problem.jacobian, options)
     return problem.translations(result.x)
@@ -37,8 +36,7 @@ def place_translations(net_quats, obs, camera, skeleton, init_translations,
     weights = EnergyWeights() if weights is None else weights
     options = LMOptions() if options is None else options
     theta, root_rot = net_pose_targets(skeleton, net_quats, np.zeros((n_frames, 3)))
-    poses = [SkeletalPose(theta[t], root_rot[t], np.zeros(3)) for t in range(n_frames)]
-    return _solve_translations(skeleton, camera, obs, weights, options, poses,
+    return _solve_translations(skeleton, camera, obs, weights, options, theta, root_rot,
                                np.asarray(init_translations, dtype=float))
 
 
@@ -64,10 +62,9 @@ def refine(init, net_quats, obs, camera, skeleton, body=None, weights=None,
 
     theta, root_rot = net_pose_targets(skeleton, net_quats, np.zeros((n_frames, 3)))
     trans = init.translations.copy()
-    poses = [SkeletalPose(theta[t], root_rot[t], trans[t]) for t in range(n_frames)]
     for _ in range(flipflop_rounds):
         trans = _solve_translations(skeleton, camera, obs, weights, options,
-                                    poses, trans)
+                                    theta, root_rot, trans)
 
         stage2 = PoseProblem(
             skeleton, [View(camera, obs, 1.0)], weights,
@@ -75,8 +72,5 @@ def refine(init, net_quats, obs, camera, skeleton, body=None, weights=None,
             sil_frames=obs, n_sil=n_sil, temporal=True)
         x0 = stage2.pack(theta, root_rot, trans)
         result = levenberg_marquardt(stage2.residuals, x0, stage2.jacobian, options)
-        poses = stage2.poses(result.x)
-        theta = np.stack([p.theta for p in poses])
-        root_rot = np.stack([p.root_rot for p in poses])
-        trans = np.stack([p.root_trans for p in poses])
-    return build_motion_map(poses, skeleton, init.conf.copy())
+        theta, root_rot, trans = stage2.unpack(result.x)
+    return build_motion_map(stage2.poses(result.x), skeleton, init.conf.copy())

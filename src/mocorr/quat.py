@@ -54,13 +54,6 @@ def mul(a, b):
     )
 
 
-def conjugate(q):
-    q = np.asarray(q, dtype=float)
-    out = q.copy()
-    out[..., 1:] *= -1.0
-    return out
-
-
 def from_rotvec(v):
     """Unit quaternion for an axis-angle vector (angle * axis)."""
     v = np.asarray(v, dtype=float)
@@ -162,18 +155,11 @@ def rot_z(a):
 
 
 _AXIS_ROT = {"X": rot_x, "Y": rot_y, "Z": rot_z}
-_AXIS_INDEX = {"X": 0, "Y": 1, "Z": 2}
 
 
 def axis_rotation(axis, angle):
     """Rotation about a named axis 'X', 'Y' or 'Z': (3, 3), or (..., 3, 3) for an array of angles."""
     return _AXIS_ROT[axis](angle)
-
-
-def axis_unit(axis):
-    e = np.zeros(3)
-    e[_AXIS_INDEX[axis]] = 1.0
-    return e
 
 
 def euler_xyz_from_matrix(m):

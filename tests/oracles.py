@@ -21,7 +21,7 @@ from scipy.linalg import solveh_banded
 from scipy.spatial.transform import Rotation
 
 from mocorr import quat
-from mocorr.camera import project_points
+from mocorr.camera import project_points, silhouette_structure
 from mocorr.errors import (
     EmptySilhouetteError,
     InvalidInputError,
@@ -29,9 +29,30 @@ from mocorr.errors import (
 )
 from mocorr.jsonio import save_document
 from mocorr.net.layers import GRU
-from mocorr.optim.kinematics import projection_jacobian
+from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
 from mocorr.optim.lm import LMOptions, LMResult, numeric_jacobian
-from mocorr.skeleton import AXES, fk_frames
+from mocorr.skeleton import AXES, SkeletalPose, fk_frames
+
+
+def conjugate(q):
+    """The conjugate of quaternions (..., 4) in (w, x, y, z) order."""
+    q = np.asarray(q, dtype=float)
+    out = q.copy()
+    out[..., 1:] *= -1.0
+    return out
+
+
+def axis_unit(axis):
+    """The unit vector of a named axis 'X', 'Y' or 'Z'."""
+    e = np.zeros(3)
+    e[AXES.index(axis)] = 1.0
+    return e
+
+
+def params_to_pose(skeleton, p):
+    """The pose of one stacked parameter vector [theta, root_rot, root_trans]."""
+    d = skeleton.total_dof
+    return SkeletalPose(p[:d], p[d:d + 3], p[d + 3:d + 6])
 
 
 def scipy_quat(q_wxyz):
@@ -185,7 +206,7 @@ def fk_jacobian_per_frame(skeleton, pose):
         moved = skeleton.descendants[j]
         lever = pos[moved] - pos[j]
         for m, ax in enumerate(joint.dof):
-            omega = parent_rot @ before @ quat.axis_unit(ax)
+            omega = parent_rot @ before @ axis_unit(ax)
             jac[moved, :, col + m] = np.cross(omega, lever)
             before = before @ _axis_rotation_per_frame(ax, angles[m])
     return pos, rot, jac
@@ -480,18 +501,19 @@ def silhouette_structure_per_frame(camera, skeleton, pose, body, n):
     return points[pick], [records[i] for i in pick]
 
 
-def silhouette_point_jacobians_per_frame(problem, t, st, data):
-    """d(model point)/d[theta, rv, tr] for every sampled outline point.
+def silhouette_point_jacobians_per_frame(term, state, t, records):
+    """d(model point)/d[theta, rv, tr] for every sampled outline point of
+    frame t, from that frame's sampling records.
 
     Works per stadium: endpoint pixel positions and radii get their
     derivatives from the kinematic chain, then each sample moves as
     m = a + s*v + r(s)*n(phi) with its piece parameters frozen.
     """
-    cam = problem.sil_camera
-    jpos = st["jpos"][t]
-    pos = st["light"]["pos"][t]
-    records = data["records"]
-    dmodel = np.zeros((problem.n_sil, 2, problem.Pf))
+    cam = term.camera
+    jpos = state["jpos"][t]
+    pos = state["pos"][t]
+    p = jpos.shape[-1]
+    dmodel = np.zeros((term.n, 2, p))
 
     # derivative bundles per stadium actually referenced
     bundles = {}
@@ -499,14 +521,14 @@ def silhouette_point_jacobians_per_frame(problem, t, st, data):
         key = st_dict["bone"]
         if key in bundles:
             continue
-        i, j = problem.skeleton.bones[key]
+        i, j = term.skeleton.bones[key]
         da, z_a, vis_a = projection_jacobian(cam, pos[i])
         db, z_b, vis_b = projection_jacobian(cam, pos[j])
         da = da @ jpos[i]
         db = db @ jpos[j]
         dz_a = cam.rotation[2] @ jpos[i]
         dz_b = cam.rotation[2] @ jpos[j]
-        radius = problem.body.radii[key]
+        radius = term.body.radii[key]
         dra = -cam.fx * radius / (z_a * z_a) * dz_a
         drb = -cam.fx * radius / (z_b * z_b) * dz_b
         bundles[key] = (st_dict, da, db, dra, drb)
@@ -531,7 +553,7 @@ def silhouette_point_jacobians_per_frame(problem, t, st, data):
         root = np.sqrt(max(1.0 - q * q, 0.0))
         dd = (v @ dv) / d
         dq = (dra - drb) / d - q / d * dd
-        dbeta = -dq / root if root > 1e-9 else np.zeros(problem.Pf)
+        dbeta = -dq / root if root > 1e-9 else np.zeros(p)
         beta = float(np.arccos(q))
         if kind == "arc_a":
             s, drel = 0.0, 1.0 - 2.0 * frac
@@ -589,6 +611,126 @@ class _SparseBuilder:
         )
 
 
+# --- ragged per-frame builders: the two LM problems before the term layer -----
+#
+# Each view and frame got rows only for the joints that clear the confidence
+# gate, and each frame with an observed outline rows for that outline's own
+# length. The functions below rebuild that layout from the problem's inputs;
+# `ragged_rows` says where its rows sit among the term layer's.
+
+
+def ragged_gate(problem):
+    """Per view, per frame: the joints that clear the confidence gate."""
+    threshold = problem.weights.conf_threshold
+    return [[np.flatnonzero(f.conf >= threshold) for f in view.frames]
+            for view in problem.views]
+
+
+def _term(problem, kind):
+    return next((t for t in problem.terms if type(t).__name__ == kind), None)
+
+
+def ragged_rows(problem):
+    """Boolean mask over the problem's rows: True on the rows the ragged
+    layout has, in the same order; False on the rows of gated-out joints and
+    of outline padding."""
+    keep = []
+    views = iter(problem.views)
+    for term in problem.terms:
+        kind = type(term).__name__
+        if kind == "Reprojection":
+            gate = [f.conf >= problem.weights.conf_threshold for f in next(views).frames]
+            keep.append(np.repeat(np.ravel(gate), 2))
+        elif kind == "Silhouette":
+            real = np.repeat(~term.pad, 2, axis=1)
+            keep.append(np.concatenate(
+                [real, np.ones((real.shape[0], 2 * term.n), dtype=bool)], axis=1).ravel())
+        else:
+            keep.append(np.ones(term.rows, dtype=bool))
+    return np.concatenate(keep)
+
+
+def _nearest(a, b):
+    """Index into b of the nearest row for every row of a."""
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    return np.argmin(d2, axis=1)
+
+
+def _pose_state(problem, x):
+    """Natural parameters, FK positions and Jacobian, dtheta/du and, with a
+    silhouette term, the outline and per-frame nearest neighbours at x."""
+    xt = x.reshape(problem.T, problem.Pf)
+    u = xt[:, :problem.D]
+    theta = problem.bounds.theta(u)
+    frames = SkeletalPose(theta, xt[:, problem.D:problem.D + 3], xt[:, problem.D + 3:])
+    _, _, jpos = fk_jacobian(problem.skeleton, frames)
+    st = {"frames": frames, "pos": fk_frames(problem.skeleton, frames)[0], "jpos": jpos,
+          "dtheta": problem.bounds.dtheta_du(u)}
+    sil = _term(problem, "Silhouette")
+    if sil is not None:
+        outline = silhouette_structure(sil.camera, sil.skeleton, st["pos"][sil.frames],
+                                       sil.body, sil.n)
+        observed = [sil.obs[k][~sil.pad[k]] for k in range(sil.frames.size)]
+        nearest = [None if outline.lost[k] else (_nearest(obs, outline.points[k]),
+                                                 _nearest(outline.points[k], obs))
+                   for k, obs in enumerate(observed)]
+        st.update(sil=sil, outline=outline, observed=observed, nearest=nearest)
+    return st
+
+
+def _reprojection_ragged(problem, pos, gate):
+    out = []
+    for v, view in enumerate(problem.views):
+        for t in range(problem.T):
+            incl = gate[v][t]
+            if incl.size == 0:
+                continue
+            scale = np.sqrt(problem.weights.lambda_2d * view.weight / (problem.T * incl.size))
+            uv, _, valid = project_points(view.camera, pos[t][incl])
+            diff = (uv - view.frames[t].keypoints[incl]) * scale
+            diff[~valid] = 0.0
+            out.append(diff.ravel())
+    return out
+
+
+def pose_residuals_ragged(problem, x):
+    """PoseProblem.residuals(x) with the ragged per-frame row layout."""
+    st = _pose_state(problem, x)
+    w = problem.weights
+    out = _reprojection_ragged(problem, st["pos"], ragged_gate(problem))
+    frames = st["frames"]
+    anchor = _term(problem, "Anchor")
+    if anchor is not None:
+        d = problem.D
+        out.append(np.concatenate([frames.theta - anchor.targets[:, :d],
+                                   frames.root_rot - anchor.targets[:, d:]], axis=1).ravel())
+    if _term(problem, "Temporal") is not None:
+        params = np.concatenate([frames.theta, frames.root_rot, frames.root_trans], axis=1)
+        out.append((np.sqrt(w.lambda_t) * np.diff(params, axis=0)).ravel())
+    if "sil" in st:
+        n = st["sil"].n
+        for k, obs in enumerate(st["observed"]):
+            if st["outline"].lost[k]:
+                out.append(np.full(2 * (obs.shape[0] + n), np.inf))
+                continue
+            nn_obs, nn_model = st["nearest"][k]
+            w_o = np.sqrt(w.lambda_s * 0.5 / (problem.T * obs.shape[0]))
+            w_m = np.sqrt(w.lambda_s * 0.5 / (problem.T * n))
+            pts = st["outline"].points[k]
+            out.append(((pts[nn_obs] - obs) * w_o).ravel())
+            out.append(((pts - obs[nn_model]) * w_m).ravel())
+    return np.concatenate(out)
+
+
+def translation_residuals_ragged(problem, x):
+    """TranslationProblem.residuals(x) with the ragged per-frame row layout."""
+    tr = problem.translations(x)
+    out = _reprojection_ragged(problem, problem.base + tr[:, None], ragged_gate(problem))
+    if problem.T >= 2:
+        out.append((np.sqrt(problem.weights.lambda_t) * np.diff(tr, axis=0)).ravel())
+    return np.concatenate(out)
+
+
 def _chain_u(problem, block, dtheta_t):
     """Convert d/d[theta, rv, tr] columns into d/d[u, rv, tr] columns."""
     block = block.copy()
@@ -597,31 +739,32 @@ def _chain_u(problem, block, dtheta_t):
 
 
 def pose_jacobian_sparse(problem, x):
-    """PoseProblem.jacobian(x) as a scipy.sparse CSR matrix."""
+    """PoseProblem.jacobian(x) as a scipy.sparse CSR matrix with the ragged
+    per-frame row layout."""
     self = problem
-    st = self._heavy_state(x)
-    light = st["light"]
+    st = _pose_state(problem, x)
+    gate = ragged_gate(problem)
     w = self.weights
-    builder = _SparseBuilder(self.n_rows, self.T * self.Pf)
+    builder = _SparseBuilder(int(ragged_rows(problem).sum()), self.T * self.Pf)
     cur = 0
     for v, view in enumerate(self.views):
         for t in range(self.T):
-            incl = self.included[v][t]
+            incl = gate[v][t]
             if incl.size == 0:
                 continue
             scale = np.sqrt(w.lambda_2d * view.weight / (self.T * incl.size))
-            duv_dw, _, _ = projection_jacobian(view.camera, light["pos"][t][incl])
+            duv_dw, _, _ = projection_jacobian(view.camera, st["pos"][t][incl])
             block = (scale * (duv_dw @ st["jpos"][t][incl])).reshape(-1, self.Pf)
             builder.add_block(cur, t * self.Pf, _chain_u(self, block, st["dtheta"][t]))
             cur += 2 * incl.size
-    if self.use_3d:
+    if _term(problem, "Anchor") is not None:
         for t in range(self.T):
             block = np.zeros((self.D + 3, self.Pf))
             block[:self.D, :self.D] = np.diag(st["dtheta"][t])
             block[self.D:, self.D:self.D + 3] = np.eye(3)
             builder.add_block(cur, t * self.Pf, block)
             cur += self.D + 3
-    if self.temporal:
+    if _term(problem, "Temporal") is not None:
         s = np.sqrt(w.lambda_t)
         eye = np.eye(self.Pf)
         for t in range(self.T - 1):
@@ -632,36 +775,39 @@ def pose_jacobian_sparse(problem, x):
             builder.add_block(cur, t * self.Pf, left)
             builder.add_block(cur, (t + 1) * self.Pf, right)
             cur += self.Pf
-    if self.use_sil:
-        if light["sil"]["outline"].lost.any():
+    if "sil" in st:
+        sil = st["sil"]
+        if st["outline"].lost.any():
             raise InvalidInputError("silhouette lost at a point needing a jacobian")
-        dmodel = self._silhouette_point_jacobians(st)
-        for k, t in enumerate(self.sil_idx):
-            obs = self.sil_obs[t]
-            nn_obs, _ = light["sil"]["nearest"][k]
+        dmodel = sil.point_jacobians(st)
+        for k, t in enumerate(sil.frames):
+            obs = st["observed"][k]
+            nn_obs, _ = st["nearest"][k]
             w_o = np.sqrt(w.lambda_s * 0.5 / (self.T * obs.shape[0]))
-            w_m = np.sqrt(w.lambda_s * 0.5 / (self.T * self.n_sil))
+            w_m = np.sqrt(w.lambda_s * 0.5 / (self.T * sil.n))
             block = (w_o * dmodel[k][nn_obs]).reshape(-1, self.Pf)
             builder.add_block(cur, t * self.Pf, _chain_u(self, block, st["dtheta"][t]))
             cur += 2 * obs.shape[0]
             block = (w_m * dmodel[k]).reshape(-1, self.Pf)
             builder.add_block(cur, t * self.Pf, _chain_u(self, block, st["dtheta"][t]))
-            cur += 2 * self.n_sil
+            cur += 2 * sil.n
     return builder.build()
 
 
 def translation_jacobian_sparse(problem, x):
-    """TranslationProblem.jacobian(x) as a scipy.sparse CSR matrix."""
+    """TranslationProblem.jacobian(x) as a scipy.sparse CSR matrix with the
+    ragged per-frame row layout."""
     self = problem
     tr = self.translations(x)
-    builder = _SparseBuilder(self.n_rows, 3 * self.T)
+    gate = ragged_gate(problem)[0]
+    builder = _SparseBuilder(int(ragged_rows(problem).sum()), 3 * self.T)
     cur = 0
     for t in range(self.T):
-        incl = self.included[t]
+        incl = gate[t]
         if incl.size == 0:
             continue
         scale = np.sqrt(self.weights.lambda_2d / (self.T * incl.size))
-        duv, _, _ = projection_jacobian(self.camera, self.base[t][incl] + tr[t])
+        duv, _, _ = projection_jacobian(self.views[0].camera, self.base[t][incl] + tr[t])
         builder.add_block(cur, 3 * t, (scale * duv).reshape(-1, 3))
         cur += 2 * incl.size
     if self.T >= 2:

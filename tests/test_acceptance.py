@@ -167,7 +167,9 @@ def test_criterion_2_gradient_suite():
             for _ in range(4)]
     frames = observed_frames(rng2, skeleton, camera, seq2)
     tp = TranslationProblem(skeleton, camera, frames,
-                            EnergyWeights(lambda_2d=1.0, lambda_t=2.0), seq2)
+                            EnergyWeights(lambda_2d=1.0, lambda_t=2.0),
+                            np.stack([p.theta for p in seq2]),
+                            np.stack([p.root_rot for p in seq2]))
     xt = tp.pack(np.stack([p.root_trans for p in seq2])
                  + rng2.normal(0, 0.05, (4, 3)))
     worst["translation_problem"] = grad_check(

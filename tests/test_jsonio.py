@@ -136,13 +136,14 @@ def test_require_field():
 def test_require_array():
     doc = {"m": [[1, 2], [3, 4]], "s": 2.5, "bad": ["x", "y"],
            "text": ["1.5", True], "flags": [True, False], "word": "2.5",
-           "ragged": [[1.0], [1.0, 2.0]], "null": None}
+           "ragged": [[1.0], [1.0, 2.0]], "null": None,
+           "mixed": [1.5, True], "nested": [[1.0], [False]]}
     arr = require_array(doc, "p.json", "m", (2, 2))
     assert arr.dtype == float and np.array_equal(arr, [[1, 2], [3, 4]])
     assert float(require_array(doc, "p.json", "s", ())) == 2.5
     with pytest.raises(ParseError, match="shape"):
         require_array(doc, "p.json", "m", (3, 2))
-    for key in ("bad", "text", "flags", "word", "ragged", "null"):
+    for key in ("bad", "text", "flags", "word", "ragged", "null", "mixed", "nested"):
         with pytest.raises(ParseError, match="numeric"):
             require_array(doc, "p.json", key, (2,))
     with pytest.raises(ParseError, match="missing"):

@@ -204,6 +204,39 @@ def test_observations_malformed_frame(tmp_path, rng):
         load_observations(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("keypoints", [["1.5", True], [2.0, 3.0]]),
+    ("keypoints", [[1.5, True], [2.0, 3.0]]),
+    ("keypoints", [[1.5, 2.0], ["2.0", "3.0"]]),
+    ("conf", [1.0, False]),
+    ("conf", [True, True]),
+    ("silhouette", [[1.0, 2.0], [False, 3.0]]),
+    ("silhouette", "12"),
+])
+def test_observations_refuse_strings_and_booleans(tmp_path, rng, field, value):
+    import json
+
+    frames = [FrameObservations(rng.uniform(0, 10, (2, 2)), np.ones(2))
+              for _ in range(2)]
+    path = tmp_path / "obs.json"
+    save_observations(path, frames)
+    doc = json.loads(path.read_text())
+    doc["frames"][1][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=rf"obs\.json: frames\[1\] {field} is not numeric"):
+        load_observations(path)
+
+
+def test_observations_empty_silhouette_loads(tmp_path, rng):
+    frames = [FrameObservations(rng.uniform(0, 10, (2, 2)), np.ones(2))
+              for _ in range(2)]
+    path = tmp_path / "obs.json"
+    save_observations(path, frames)
+    assert '"silhouette": []' in path.read_text()
+    loaded = load_observations(path)
+    assert all(f.silhouette.shape == (0, 2) for f in loaded)
+
+
 def test_frame_observations_validation(rng):
     with pytest.raises(InvalidInputError):
         FrameObservations(rng.uniform(0, 10, (3, 2)), np.array([0.5, 1.2, 0.1]))

@@ -11,6 +11,7 @@ from mocorr.errors import InvalidInputError
 
 from oracles import (
     central_diff,
+    conjugate,
     grad_check,
     quat_from_scipy,
     rotvec_matrix_jacobian_per_frame,
@@ -76,7 +77,7 @@ def test_mul_identity_and_conjugate():
     for q in random_unit_quats(rng, 50):
         assert np.allclose(quat.mul(e, q), q)
         assert np.allclose(quat.mul(q, e), q)
-        assert np.allclose(quat.canonicalize(quat.mul(q, quat.conjugate(q))),
+        assert np.allclose(quat.canonicalize(quat.mul(q, conjugate(q))),
                            e, atol=1e-12)
 
 
