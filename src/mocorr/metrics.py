@@ -8,16 +8,12 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .motion import extract_poses
-from .skeleton import SkeletalPose, fk_frames, forward_kinematics, identity_pose
+from .skeleton import fk_frames, forward_kinematics, identity_pose
 
 
 def joint_positions(motion, skeleton):
     """FK positions for every frame, shaped (T, n_joints, 3), in meters."""
-    poses = extract_poses(motion, skeleton)
-    frames = SkeletalPose(np.stack([p.theta for p in poses]),
-                          np.stack([p.root_rot for p in poses]),
-                          np.stack([p.root_trans for p in poses]))
-    return fk_frames(skeleton, frames)[0]
+    return fk_frames(skeleton, extract_poses(motion, skeleton))[0]
 
 
 def _positions(motion, skeleton):

@@ -4,7 +4,9 @@ containers and the on-disk formats for both.
 A motion map stores T frames of N_J joint quaternions flattened to rows of
 width 4*N_J, a confidence value per joint-frame, and the root translation
 per frame. It is the common currency between the fitting, network, and
-refinement stages.
+refinement stages. `build_motion_map` takes a whole pose sequence (a
+`SkeletalPose` with a leading frame axis) and `extract_poses` returns one,
+each through a single batched pose <-> quaternion conversion.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +17,7 @@ from . import quat
 from .errors import InvalidInputError, ParseError
 from .jsonio import (load_document, numeric_array, require_array, require_field,
                      save_document)
-from .skeleton import QuatPose, pose_to_quat, quat_to_pose
+from .skeleton import QuatPose, as_sequence, pose_to_quat, quat_to_pose
 
 MOTION_FORMAT = "motion/1"
 OBSERVATIONS_FORMAT = "observations/1"
@@ -85,32 +87,29 @@ class FrameObservations:
             raise InvalidInputError("observation coordinates must be finite")
 
 
-def build_motion_map(poses, skeleton, conf):
-    """Stack poses into a motion map; conf is (T, n_joints)."""
+def build_motion_map(seq, skeleton, conf):
+    """The motion map of a pose sequence (frame-axis SkeletalPose); conf is
+    (T, n_joints)."""
     conf = np.asarray(conf, dtype=float)
-    if conf.shape != (len(poses), skeleton.n_joints):
+    seq = as_sequence(seq)
+    n_frames = seq.root_trans.shape[0]
+    if conf.shape != (n_frames, skeleton.n_joints):
         raise InvalidInputError(
-            f"conf shape {conf.shape} does not match {len(poses)} poses x "
+            f"conf shape {conf.shape} does not match {n_frames} poses x "
             f"{skeleton.n_joints} joints"
         )
-    rows = np.empty((len(poses), 4 * skeleton.n_joints))
-    trans = np.empty((len(poses), 3))
-    for t, pose in enumerate(poses):
-        rows[t] = pose_to_quat(skeleton, pose).quats.ravel()
-        trans[t] = pose.root_trans
-    return MotionMap(rows, conf, trans)
+    quats = pose_to_quat(skeleton, seq).quats
+    return MotionMap(quats.reshape(n_frames, -1), conf, seq.root_trans.copy())
 
 
 def extract_poses(motion, skeleton):
-    """Invert build_motion_map: one skeletal pose per frame (angles clamped)."""
+    """Invert build_motion_map: the pose sequence of every frame (angles clamped)."""
     if motion.n_joints != skeleton.n_joints:
         raise InvalidInputError(
             f"motion has {motion.n_joints} joints, skeleton has {skeleton.n_joints}"
         )
-    return [
-        quat_to_pose(skeleton, QuatPose(motion.frame_quats(t)), motion.translations[t])
-        for t in range(motion.n_frames)
-    ]
+    quats = QuatPose(motion.quats.reshape(motion.n_frames, motion.n_joints, 4))
+    return quat_to_pose(skeleton, quats, motion.translations)
 
 
 def time_warp(motion, warp):
@@ -133,9 +132,7 @@ def time_warp(motion, warp):
     n_j = motion.n_joints
     qa = motion.quats[lo].reshape(-1, n_j, 4)
     qb = motion.quats[lo + 1].reshape(-1, n_j, 4)
-    out_q = np.empty_like(qa)
-    for t in range(warp.size):
-        out_q[t] = quat.nlerp(qa[t], qb[t], frac[t])
+    out_q = quat.nlerp(qa, qb, frac[:, None, None])
     conf = motion.conf[lo] * (1.0 - frac[:, None]) + motion.conf[lo + 1] * frac[:, None]
     trans = (
         motion.translations[lo] * (1.0 - frac[:, None])

@@ -1,21 +1,21 @@
-"""Energy terms for motion refinement.
+"""Energy weights and targets for motion refinement.
 
-E_total = E_3D + lambda_2d * E_2D + lambda_t * E_T + lambda_s * E_S.
-
-E_3D and E_T measure distances in stacked pose-parameter space (angles in
-radians, root rotation as axis-angle, translation in meters, mixed as-is);
-E_2D is a confidence-gated mean reprojection error; E_S is a symmetric
-Chamfer distance between observed and model silhouette outlines.
+E_total = E_3D + lambda_2d * E_2D + lambda_t * E_T + lambda_s * E_S, each
+term a residual term of `problem.py`. E_3D and E_T measure distances in
+stacked pose-parameter space (angles in radians, root rotation as
+axis-angle, translation in meters, mixed as-is); E_3D pulls towards the
+network's poses M(Q_hat_t, t_t), which `net_pose_targets` decodes. E_2D, a
+confidence-gated mean reprojection error, is also kept here as a scalar.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..camera import project_points, silhouette_points
+from .. import quat
+from ..camera import project_points
 from ..errors import InvalidInputError
 from ..skeleton import QuatPose, forward_kinematics, quat_to_pose
-from .kinematics import pose_params
 
 
 @dataclass
@@ -37,49 +37,14 @@ def net_pose_targets(skeleton, net_quats, trans):
     """Angles and root rotations of M(Q_hat_t, t_t) for every frame.
 
     Returns (theta (T, total_dof), root_rot (T, 3)); angles come out clamped
-    to joint limits, exactly what the mapping to pose space produces.
+    to joint limits, exactly what the mapping to pose space produces. The
+    network's quaternions are normalized first; an all-zero one raises
+    InvalidInputError.
     """
     net_quats = np.asarray(net_quats, dtype=float)
-    t_frames = net_quats.shape[0]
-    n_j = net_quats.shape[1] // 4
-    theta = np.empty((t_frames, skeleton.total_dof))
-    root_rot = np.empty((t_frames, 3))
-    for t in range(t_frames):
-        q = net_quats[t].reshape(n_j, 4)
-        norms = np.linalg.norm(q, axis=1, keepdims=True)
-        pose = quat_to_pose(skeleton, QuatPose(q / norms), trans[t])
-        theta[t] = pose.theta
-        root_rot[t] = pose.root_rot
-    return theta, root_rot
-
-
-def _joint_weight_vector(skeleton, joint_weights):
-    """Expand per-joint weights onto the stacked pose-parameter layout."""
-    if joint_weights is None:
-        joint_weights = np.ones(skeleton.n_joints)
-    joint_weights = np.asarray(joint_weights, dtype=float)
-    if joint_weights.shape != (skeleton.n_joints,):
-        raise InvalidInputError("joint_weights must have one entry per joint")
-    w = np.empty(skeleton.total_dof + 6)
-    for j in range(skeleton.n_joints):
-        w[skeleton.theta_slice(j)] = joint_weights[j]
-    w[skeleton.total_dof:] = joint_weights[0]  # root rotation and translation
-    return w
-
-
-def energy_3d(seq, net_quats, trans, skeleton, joint_weights=None):
-    """Sum over frames of the squared pose-parameter gap to M(Q_hat_t, t_t)."""
-    trans = np.asarray(trans, dtype=float)
-    if len(seq) != np.asarray(net_quats).shape[0] or len(seq) != trans.shape[0]:
-        raise InvalidInputError("seq, net_quats and trans must have equal length")
-    theta_hat, rv_hat = net_pose_targets(skeleton, net_quats, trans)
-    w = _joint_weight_vector(skeleton, joint_weights)
-    total = 0.0
-    for t, pose in enumerate(seq):
-        target = np.concatenate([theta_hat[t], rv_hat[t], trans[t]])
-        diff = pose_params(pose) - target
-        total += float(w @ (diff * diff))
-    return total
+    q = quat.normalize(net_quats.reshape(net_quats.shape[0], -1, 4))
+    pose = quat_to_pose(skeleton, QuatPose(q), trans)
+    return pose.theta, pose.root_rot
 
 
 def energy_2d(seq, obs, camera, skeleton, threshold=0.8):
@@ -101,37 +66,4 @@ def energy_2d(seq, obs, camera, skeleton, threshold=0.8):
             continue
         diff = uv[use] - frame.keypoints[use]
         total += float(np.sum(diff * diff)) / included.size
-    return total / len(seq)
-
-
-def energy_temporal(net_quats, trans, skeleton):
-    """Sum of squared pose-parameter differences between adjacent frames of M."""
-    net_quats = np.asarray(net_quats, dtype=float)
-    trans = np.asarray(trans, dtype=float)
-    if net_quats.shape[0] < 2:
-        raise InvalidInputError("temporal energy needs at least two frames")
-    theta, root_rot = net_pose_targets(skeleton, net_quats, trans)
-    p = np.concatenate([theta, root_rot, trans], axis=1)
-    diff = np.diff(p, axis=0)
-    return float(np.sum(diff * diff))
-
-
-def _mean_min_sq(a, b):
-    """Mean over rows of a of the squared distance to the nearest row of b."""
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    return float(np.mean(np.min(d2, axis=1)))
-
-
-def energy_silhouette(seq, silhouettes, camera, skeleton, body, n_points=96):
-    """Mean over frames of the symmetric Chamfer distance (px^2) between
-    observed outline points and the projected capsule-body outline."""
-    if len(seq) != len(silhouettes):
-        raise InvalidInputError("seq and silhouettes must have equal length")
-    total = 0.0
-    for pose, observed in zip(seq, silhouettes):
-        observed = np.asarray(observed, dtype=float).reshape(-1, 2)
-        if observed.shape[0] == 0:
-            continue
-        model = silhouette_points(camera, skeleton, pose, body, n_points)
-        total += 0.5 * (_mean_min_sq(observed, model) + _mean_min_sq(model, observed))
     return total / len(seq)

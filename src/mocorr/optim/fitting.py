@@ -14,7 +14,7 @@ from ..motion import MotionMap, build_motion_map
 from .energies import EnergyWeights
 from .lm import LMOptions, levenberg_marquardt
 from .problem import PoseProblem, View
-from ..skeleton import forward_kinematics, identity_pose
+from ..skeleton import SkeletalPose, forward_kinematics, identity_pose
 
 
 def _candidate_sets(conf, torso, threshold):
@@ -102,9 +102,8 @@ def sparse_view_fit(multi_obs, cameras, skeleton, options=None, weights=None):
     trans0 = _root_depth_init(skeleton, cameras[0], multi_obs[0], weights.conf_threshold)
     x0 = problem.pack(theta0, rot0, trans0)
     result = levenberg_marquardt(problem.residuals, x0, problem.jacobian, options)
-    poses = problem.poses(result.x)
     conf = np.mean([[f.conf for f in frames] for frames in multi_obs], axis=0)
-    return build_motion_map(poses, skeleton, conf)
+    return build_motion_map(SkeletalPose(*problem.unpack(result.x)), skeleton, conf)
 
 
 def initial_fit(obs, camera, skeleton, options=None, weights=None) -> MotionMap:

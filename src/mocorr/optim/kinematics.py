@@ -11,10 +11,6 @@ from ..camera import Z_EPS
 from ..skeleton import AXES, as_sequence, fk_frames
 
 
-def pose_params(pose):
-    return np.concatenate([pose.theta, pose.root_rot, pose.root_trans])
-
-
 def fk_jacobian(skeleton, pose):
     """Joint positions, world rotations, and d(positions)/d(pose params).
 

@@ -452,9 +452,6 @@ class PoseProblem:
         d = self.D
         return self.bounds.theta(xt[:, :d]), xt[:, d:d + 3], xt[:, d + 3:]
 
-    def poses(self, x):
-        return [SkeletalPose(*frame) for frame in zip(*self.unpack(x))]
-
     def _state(self, x):
         """The terms' state at x, kept until x changes, so the Jacobian that
         follows the residuals at the same x reuses FK and the silhouette."""

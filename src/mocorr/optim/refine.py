@@ -11,6 +11,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..motion import build_motion_map
+from ..skeleton import SkeletalPose
 from .energies import EnergyWeights, net_pose_targets
 from .lm import LMOptions, levenberg_marquardt
 from .problem import PoseProblem, TranslationProblem, View
@@ -73,4 +74,4 @@ def refine(init, net_quats, obs, camera, skeleton, body=None, weights=None,
         x0 = stage2.pack(theta, root_rot, trans)
         result = levenberg_marquardt(stage2.residuals, x0, stage2.jacobian, options)
         theta, root_rot, trans = stage2.unpack(result.x)
-    return build_motion_map(stage2.poses(result.x), skeleton, init.conf.copy())
+    return build_motion_map(SkeletalPose(theta, root_rot, trans), skeleton, init.conf.copy())

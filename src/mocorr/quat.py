@@ -108,26 +108,31 @@ def to_matrix(q):
 
 
 def from_matrix(m):
-    """Unit quaternion of a rotation matrix (Shepperd's max-pivot method)."""
+    """Unit quaternions of rotation matrices (..., 3, 3) (Shepperd's max-pivot
+    method): a positive trace pivots on w, any other matrix on its largest
+    diagonal entry."""
     m = np.asarray(m, dtype=float)
-    t = np.trace(m)
-    if t > 0.0:
-        r = np.sqrt(1.0 + t)
-        s = 0.5 / r
-        q = np.array(
-            [0.5 * r, (m[2, 1] - m[1, 2]) * s, (m[0, 2] - m[2, 0]) * s, (m[1, 0] - m[0, 1]) * s]
-        )
-    else:
-        i = int(np.argmax(np.diag(m)))
+    flat = m.reshape(-1, 3, 3)
+    trace = np.trace(flat, axis1=1, axis2=2)
+    pivot = np.where(trace > 0.0, -1, np.argmax(np.diagonal(flat, axis1=1, axis2=2), axis=1))
+    q = np.empty((flat.shape[0], 4))
+    sel = pivot == -1
+    f = flat[sel]
+    r = np.sqrt(1.0 + trace[sel])
+    s = 0.5 / r
+    q[sel] = np.stack([0.5 * r, (f[:, 2, 1] - f[:, 1, 2]) * s, (f[:, 0, 2] - f[:, 2, 0]) * s,
+                       (f[:, 1, 0] - f[:, 0, 1]) * s], axis=1)
+    for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        r = np.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
+        sel = pivot == i
+        f = flat[sel]
+        r = np.sqrt(1.0 + f[:, i, i] - f[:, j, j] - f[:, k, k])
         s = 0.5 / r
-        q = np.empty(4)
-        q[0] = (m[k, j] - m[j, k]) * s
-        q[1 + i] = 0.5 * r
-        q[1 + j] = (m[j, i] + m[i, j]) * s
-        q[1 + k] = (m[k, i] + m[i, k]) * s
-    return canonicalize(normalize(q))
+        q[sel, 0] = (f[:, k, j] - f[:, j, k]) * s
+        q[sel, 1 + i] = 0.5 * r
+        q[sel, 1 + j] = (f[:, j, i] + f[:, i, j]) * s
+        q[sel, 1 + k] = (f[:, k, i] + f[:, i, k]) * s
+    return canonicalize(normalize(q)).reshape(m.shape[:-2] + (4,))
 
 
 def _plane_rotation(a, i, j):
@@ -163,26 +168,21 @@ def axis_rotation(axis, angle):
 
 
 def euler_xyz_from_matrix(m):
-    """Angles (a, b, c) with m = Rx(a) @ Ry(b) @ Rz(c).
+    """Angles (a, b, c) with m = Rx(a) @ Ry(b) @ Rz(c), each shaped like the
+    leading axes of m (..., 3, 3).
 
     Gimbal-locked matrices (|m02| = 1) return c = 0 and fold the free angle
     into a, which keeps the factorization deterministic.
     """
     m = np.asarray(m, dtype=float)
-    sb = float(np.clip(m[0, 2], -1.0, 1.0))
-    if abs(sb) < 1.0 - 1e-12:
-        b = np.arcsin(sb)
-        a = np.arctan2(-m[1, 2], m[2, 2])
-        c = np.arctan2(-m[0, 1], m[0, 0])
-    elif sb > 0.0:
-        b = np.pi / 2
-        a = np.arctan2(m[1, 0], m[1, 1])
-        c = 0.0
-    else:
-        b = -np.pi / 2
-        a = -np.arctan2(m[1, 0], m[1, 1])
-        c = 0.0
-    return float(a), float(b), float(c)
+    sb = np.clip(m[..., 0, 2], -1.0, 1.0)
+    free = np.abs(sb) < 1.0 - 1e-12
+    lock = np.where(sb > 0.0, 1.0, -1.0)
+    a = np.where(free, np.arctan2(-m[..., 1, 2], m[..., 2, 2]),
+                 lock * np.arctan2(m[..., 1, 0], m[..., 1, 1]))
+    b = np.where(free, np.arcsin(sb), lock * (np.pi / 2))
+    c = np.where(free, np.arctan2(-m[..., 0, 1], m[..., 0, 0]), 0.0)
+    return a, b, c
 
 
 def rotvec_matrix_jacobian(v):

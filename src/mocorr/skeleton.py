@@ -6,7 +6,9 @@ rotation axis, concatenated in joint order), a root axis-angle rotation, and
 a root translation in meters. The same type holds a whole sequence when each
 piece gains a leading frame axis: theta (T, D), root_rot and root_trans
 (T, 3). The quaternion form stores one unit quaternion per joint, with the
-root rotation in slot 0.
+root rotation in slot 0: (n, 4) for one pose, (T, n, 4) for a sequence.
+Forward kinematics and both conversions loop over joints only, each step
+covering every frame; a single pose runs as a sequence of one.
 
 Joint rotation axes are always listed in X, Y, Z order and the local
 rotation composes in that order, so converting a quaternion back to angles
@@ -155,18 +157,19 @@ class SkeletalPose:
 
 @dataclass
 class QuatPose:
-    """One unit quaternion (w, x, y, z) per joint, canonicalized to w >= 0."""
+    """One unit quaternion (w, x, y, z) per joint, canonicalized to w >= 0:
+    (n_joints, 4) for one pose, (T, n_joints, 4) for a sequence."""
 
     quats: np.ndarray
 
     def __post_init__(self):
         q = np.asarray(self.quats, dtype=float)
-        if q.ndim != 2 or q.shape[1] != 4:
-            raise InvalidInputError("quats must have shape (n_joints, 4)")
-        norms = np.linalg.norm(q, axis=1)
+        if q.ndim not in (2, 3) or q.shape[-1] != 4:
+            raise InvalidInputError("quats must have shape (n_joints, 4), or (T, n_joints, 4)")
+        norms = np.linalg.norm(q, axis=-1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise InvalidInputError("quaternions deviate from unit norm by more than 1e-6")
-        self.quats = quat.canonicalize(q / norms[:, None])
+        self.quats = quat.canonicalize(q / norms[..., None])
 
 
 def identity_pose(skeleton):
@@ -234,16 +237,17 @@ def forward_kinematics(skeleton, pose):
 
 
 def pose_to_quat(skeleton, pose):
+    """The quaternion form of a pose: (n, 4) for one pose, (T, n, 4) for a
+    sequence. Each step of the joint loop covers all frames."""
     _check_dims(skeleton, pose)
-    if pose.root_rot.ndim != 1:
-        raise InvalidInputError("pose_to_quat takes a single pose")
-    q = np.empty((skeleton.n_joints, 4))
+    seq = as_sequence(pose)
+    q = np.empty((seq.root_rot.shape[0], skeleton.n_joints, 4))
     for i, joint in enumerate(skeleton.joints):
         if joint.parent is None:
-            q[i] = quat.from_rotvec(pose.root_rot)
+            q[:, i] = quat.from_rotvec(seq.root_rot)
         else:
-            q[i] = quat.from_matrix(local_rotation(skeleton, i, pose))
-    return QuatPose(q)
+            q[:, i] = quat.from_matrix(local_rotation(skeleton, i, seq))
+    return QuatPose(q if seq is pose else q[0])
 
 
 def quat_to_pose(skeleton, qpose, root_trans):
@@ -252,20 +256,23 @@ def quat_to_pose(skeleton, qpose, root_trans):
     Each joint quaternion is factored as Rx(a) Ry(b) Rz(c); angles on the
     joint's declared axes are kept and clamped to limits, the rest of the
     rotation is dropped. Exact inverse of pose_to_quat on in-limit poses.
+    Quaternions (n, 4) with root_trans (3,) give one pose; (T, n, 4) with
+    (T, 3) give a sequence.
     """
     q = qpose.quats
-    if q.shape[0] != skeleton.n_joints:
+    if q.shape[-2] != skeleton.n_joints:
         raise InvalidInputError(
-            f"quat pose has {q.shape[0]} joints, skeleton has {skeleton.n_joints}"
+            f"quat pose has {q.shape[-2]} joints, skeleton has {skeleton.n_joints}"
         )
-    theta = np.zeros(skeleton.total_dof)
-    root_rot = quat.to_rotvec(q[0])
+    theta = np.zeros(q.shape[:-2] + (skeleton.total_dof,))
+    root_rot = quat.to_rotvec(q[..., 0, :])
     for i, joint in enumerate(skeleton.joints):
         if joint.parent is None or not joint.dof:
             continue
-        a, b, c = quat.euler_xyz_from_matrix(quat.to_matrix(q[i]))
+        a, b, c = quat.euler_xyz_from_matrix(quat.to_matrix(q[..., i, :]))
         by_axis = {"X": a, "Y": b, "Z": c}
-        theta[skeleton.theta_slice(i)] = [by_axis[ax] for ax in joint.dof]
+        theta[..., skeleton.theta_slice(i)] = np.stack([by_axis[ax] for ax in joint.dof],
+                                                       axis=-1)
     pose = SkeletalPose(theta, root_rot, np.asarray(root_trans, dtype=float))
     return clamp_joint_limits(pose, skeleton)
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .camera import default_body, look_at, project_points, silhouette_points
-from .errors import InvalidInputError
+from .camera import default_body, look_at, project_points, silhouette_structure
+from .errors import EmptySilhouetteError, InvalidInputError
 from .motion import FrameObservations, MotionMap, build_motion_map, time_warp
-from .skeleton import SkeletalPose, default_skeleton, forward_kinematics
+from .skeleton import SkeletalPose, default_skeleton, fk_frames
 
 # Silhouette outlines emulate a segmentation-mask boundary, not a sparse joint
 # detector: boundary samples are far more accurate than keypoints, so they get
@@ -102,7 +102,7 @@ def _smooth_unit(rng, n):
     return s / peak if peak > 1e-12 else s
 
 
-def _gt_poses(rng, skeleton, cfg):
+def _gt_sequence(rng, skeleton, cfg):
     theta = np.empty((cfg.T, skeleton.total_dof))
     centre = 0.5 * (skeleton.theta_min + skeleton.theta_max)
     half = 0.5 * (skeleton.theta_max - skeleton.theta_min)
@@ -116,15 +116,21 @@ def _gt_poses(rng, skeleton, cfg):
         [_band_limited(rng, cfg.T, cfg.root_amp[i], cfg.amplitude) for i in range(3)],
         axis=1,
     )
-    return [SkeletalPose(theta[t], root_rot[t], root_trans[t]) for t in range(cfg.T)]
+    return SkeletalPose(theta, root_rot, root_trans)
 
 
-def _observe(rng, camera, skeleton, poses, body, cfg, with_silhouette):
+def _observe(rng, camera, skeleton, pos, body, cfg, with_silhouette):
+    """One camera's observations of joint positions pos (T, n, 3), drawing
+    each frame's random numbers in turn."""
     sigma = cfg.noise_px
     n_j = skeleton.n_joints
+    uv_all, _, valid_all = project_points(camera, pos)
+    if with_silhouette:
+        outline = silhouette_structure(camera, skeleton, pos, body, cfg.sil_points)
+        if outline.lost.any():
+            raise EmptySilhouetteError("the projected body has no visible outline")
     frames = []
-    for pose in poses:
-        uv, _, valid = project_points(camera, forward_kinematics(skeleton, pose))
+    for t, (uv, valid) in enumerate(zip(uv_all, valid_all)):
         noise = sigma * rng.standard_normal((n_j, 2))
         eps = rng.uniform(0.0, 0.35, n_j)
         occluded = rng.random(n_j) < cfg.occlusion
@@ -143,7 +149,7 @@ def _observe(rng, camera, skeleton, poses, body, cfg, with_silhouette):
         keypoints[~valid] = 0.0
         sil = np.zeros((0, 2))
         if with_silhouette:
-            sil = silhouette_points(camera, skeleton, pose, body, cfg.sil_points)
+            sil = outline.points[t]
             sil = sil + SIL_NOISE_SCALE * sigma * rng.standard_normal(sil.shape)
         frames.append(FrameObservations(keypoints, conf, sil))
     return frames
@@ -177,8 +183,9 @@ def synth_generate(cfg, skeleton=None):
     rng_jitter = np.random.Generator(np.random.PCG64(children[2]))
     rng_mono = np.random.Generator(np.random.PCG64(children[3]))
 
-    poses = _gt_poses(rng_gt, skeleton, cfg)
-    gt_motion = build_motion_map(poses, skeleton, np.ones((cfg.T, skeleton.n_joints)))
+    gt = _gt_sequence(rng_gt, skeleton, cfg)
+    gt_motion = build_motion_map(gt, skeleton, np.ones((cfg.T, skeleton.n_joints)))
+    pos = fk_frames(skeleton, gt)[0]
 
     target = np.array(cfg.target)
 
@@ -197,11 +204,11 @@ def synth_generate(cfg, skeleton=None):
         ring_camera(2.0 * np.pi * v / cfg.V + np.pi / cfg.V) for v in range(cfg.V)
     ]
 
-    mono_obs = _observe(rng_mono, mono_camera, skeleton, poses, body, cfg, True)
+    mono_obs = _observe(rng_mono, mono_camera, skeleton, pos, body, cfg, True)
     sparse_obs = []
     for v in range(cfg.V):
         rng_v = np.random.Generator(np.random.PCG64(children[4 + v]))
-        sparse_obs.append(_observe(rng_v, sparse_cameras[v], skeleton, poses, body, cfg, False))
+        sparse_obs.append(_observe(rng_v, sparse_cameras[v], skeleton, pos, body, cfg, False))
 
     marker_ref = _marker_reference(rng_warp, rng_jitter, gt_motion, cfg)
     return SyntheticScene(

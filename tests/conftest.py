@@ -49,6 +49,19 @@ def random_pose(rng, skeleton, margin=0.05, trans_scale=0.3):
                         rng.uniform(-trans_scale, trans_scale, 3))
 
 
+def stack_poses(poses):
+    """One frame-axis SkeletalPose from a list of single poses."""
+    return SkeletalPose(np.stack([p.theta for p in poses]),
+                        np.stack([p.root_rot for p in poses]),
+                        np.stack([p.root_trans for p in poses]))
+
+
+def frames_of(seq):
+    """The single poses of a frame-axis SkeletalPose, as a list."""
+    return [SkeletalPose(seq.theta[t], seq.root_rot[t], seq.root_trans[t])
+            for t in range(seq.theta.shape[0])]
+
+
 def aimed_bone_scene():
     """Toy skeleton, thick capsule body, a camera on the -z axis looking at
     the origin, and a two-frame sequence. In frame 0 the root -> "a" bone

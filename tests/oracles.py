@@ -5,13 +5,16 @@ through scipy.spatial.transform, forward kinematics through explicit 4x4
 homogeneous matrices, projections through a 3x4 matrix, distances through
 brute-force loops.
 
-The per-frame forward kinematics, root-rotation derivative, Levenberg-Marquardt
-loop, silhouette structure, sparse Jacobian builders, per-step GRU, masked
-sigmoid, dict-based Adam and hybridnet/1 checkpoint writer further down are
+The per-frame pose <-> quaternion conversions, per-frame forward
+kinematics, root-rotation derivative, Levenberg-Marquardt loop, silhouette
+structure, sparse Jacobian builders, per-step GRU, masked sigmoid,
+dict-based Adam and hybridnet/1 checkpoint writer further down are
 different: they are the earlier, unoptimised versions of package code, kept
 as they were so the optimised versions can be required to reproduce them bit
 for bit, or to rounding where the summation order changed. The checkpoint
-writer makes the hybridnet/1 files that the loader must still read.
+writer makes the hybridnet/1 files that the loader must still read. The
+scalar energies E_3D, E_T and E_S, also former package code, are the energy
+definitions that the residual terms are checked against term by term.
 """
 
 import numpy as np
@@ -21,7 +24,7 @@ from scipy.linalg import solveh_banded
 from scipy.spatial.transform import Rotation
 
 from mocorr import quat
-from mocorr.camera import project_points, silhouette_structure
+from mocorr.camera import project_points, silhouette_points, silhouette_structure
 from mocorr.errors import (
     EmptySilhouetteError,
     InvalidInputError,
@@ -31,7 +34,16 @@ from mocorr.jsonio import save_document
 from mocorr.net.layers import GRU
 from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
 from mocorr.optim.lm import LMOptions, LMResult, numeric_jacobian
-from mocorr.skeleton import AXES, SkeletalPose, fk_frames
+from mocorr.optim.energies import net_pose_targets
+from mocorr.skeleton import (
+    AXES,
+    QuatPose,
+    SkeletalPose,
+    _check_dims,
+    clamp_joint_limits,
+    fk_frames,
+    local_rotation,
+)
 
 
 def conjugate(q):
@@ -140,6 +152,161 @@ def grad_check(analytic, numeric, rtol=1e-4, floor=1e-7):
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), floor / rtol)
     rel = np.abs(analytic - numeric) / denom
     return float(rel.max())
+
+
+# --- per-frame pose <-> quaternion conversions --------------------------------
+
+
+def from_matrix_per_matrix(m):
+    """Unit quaternion of a rotation matrix (Shepperd's max-pivot method)."""
+    m = np.asarray(m, dtype=float)
+    t = np.trace(m)
+    if t > 0.0:
+        r = np.sqrt(1.0 + t)
+        s = 0.5 / r
+        q = np.array(
+            [0.5 * r, (m[2, 1] - m[1, 2]) * s, (m[0, 2] - m[2, 0]) * s, (m[1, 0] - m[0, 1]) * s]
+        )
+    else:
+        i = int(np.argmax(np.diag(m)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        r = np.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
+        s = 0.5 / r
+        q = np.empty(4)
+        q[0] = (m[k, j] - m[j, k]) * s
+        q[1 + i] = 0.5 * r
+        q[1 + j] = (m[j, i] + m[i, j]) * s
+        q[1 + k] = (m[k, i] + m[i, k]) * s
+    return quat.canonicalize(quat.normalize(q))
+
+
+def euler_xyz_from_matrix_per_matrix(m):
+    """Angles (a, b, c) with m = Rx(a) @ Ry(b) @ Rz(c).
+
+    Gimbal-locked matrices (|m02| = 1) return c = 0 and fold the free angle
+    into a, which keeps the factorization deterministic.
+    """
+    m = np.asarray(m, dtype=float)
+    sb = float(np.clip(m[0, 2], -1.0, 1.0))
+    if abs(sb) < 1.0 - 1e-12:
+        b = np.arcsin(sb)
+        a = np.arctan2(-m[1, 2], m[2, 2])
+        c = np.arctan2(-m[0, 1], m[0, 0])
+    elif sb > 0.0:
+        b = np.pi / 2
+        a = np.arctan2(m[1, 0], m[1, 1])
+        c = 0.0
+    else:
+        b = -np.pi / 2
+        a = -np.arctan2(m[1, 0], m[1, 1])
+        c = 0.0
+    return float(a), float(b), float(c)
+
+
+def pose_to_quat_per_frame(skeleton, pose):
+    _check_dims(skeleton, pose)
+    if pose.root_rot.ndim != 1:
+        raise InvalidInputError("pose_to_quat takes a single pose")
+    q = np.empty((skeleton.n_joints, 4))
+    for i, joint in enumerate(skeleton.joints):
+        if joint.parent is None:
+            q[i] = quat.from_rotvec(pose.root_rot)
+        else:
+            q[i] = from_matrix_per_matrix(local_rotation(skeleton, i, pose))
+    return QuatPose(q)
+
+
+def quat_to_pose_per_frame(skeleton, qpose, root_trans):
+    """The mapping from quaternions back to angles: S = M(Q, t).
+
+    Each joint quaternion is factored as Rx(a) Ry(b) Rz(c); angles on the
+    joint's declared axes are kept and clamped to limits, the rest of the
+    rotation is dropped. Exact inverse of pose_to_quat on in-limit poses.
+    """
+    q = qpose.quats
+    if q.shape[0] != skeleton.n_joints:
+        raise InvalidInputError(
+            f"quat pose has {q.shape[0]} joints, skeleton has {skeleton.n_joints}"
+        )
+    theta = np.zeros(skeleton.total_dof)
+    root_rot = quat.to_rotvec(q[0])
+    for i, joint in enumerate(skeleton.joints):
+        if joint.parent is None or not joint.dof:
+            continue
+        a, b, c = euler_xyz_from_matrix_per_matrix(quat.to_matrix(q[i]))
+        by_axis = {"X": a, "Y": b, "Z": c}
+        theta[skeleton.theta_slice(i)] = [by_axis[ax] for ax in joint.dof]
+    pose = SkeletalPose(theta, root_rot, np.asarray(root_trans, dtype=float))
+    return clamp_joint_limits(pose, skeleton)
+
+
+# --- scalar energies ---------------------------------------------------------
+
+
+def pose_params(pose):
+    return np.concatenate([pose.theta, pose.root_rot, pose.root_trans])
+
+
+def _joint_weight_vector(skeleton, joint_weights):
+    """Expand per-joint weights onto the stacked pose-parameter layout."""
+    if joint_weights is None:
+        joint_weights = np.ones(skeleton.n_joints)
+    joint_weights = np.asarray(joint_weights, dtype=float)
+    if joint_weights.shape != (skeleton.n_joints,):
+        raise InvalidInputError("joint_weights must have one entry per joint")
+    w = np.empty(skeleton.total_dof + 6)
+    for j in range(skeleton.n_joints):
+        w[skeleton.theta_slice(j)] = joint_weights[j]
+    w[skeleton.total_dof:] = joint_weights[0]  # root rotation and translation
+    return w
+
+
+def energy_3d(seq, net_quats, trans, skeleton, joint_weights=None):
+    """Sum over frames of the squared pose-parameter gap to M(Q_hat_t, t_t)."""
+    trans = np.asarray(trans, dtype=float)
+    if len(seq) != np.asarray(net_quats).shape[0] or len(seq) != trans.shape[0]:
+        raise InvalidInputError("seq, net_quats and trans must have equal length")
+    theta_hat, rv_hat = net_pose_targets(skeleton, net_quats, trans)
+    w = _joint_weight_vector(skeleton, joint_weights)
+    total = 0.0
+    for t, pose in enumerate(seq):
+        target = np.concatenate([theta_hat[t], rv_hat[t], trans[t]])
+        diff = pose_params(pose) - target
+        total += float(w @ (diff * diff))
+    return total
+
+
+def energy_temporal(net_quats, trans, skeleton):
+    """Sum of squared pose-parameter differences between adjacent frames of M."""
+    net_quats = np.asarray(net_quats, dtype=float)
+    trans = np.asarray(trans, dtype=float)
+    if net_quats.shape[0] < 2:
+        raise InvalidInputError("temporal energy needs at least two frames")
+    theta, root_rot = net_pose_targets(skeleton, net_quats, trans)
+    p = np.concatenate([theta, root_rot, trans], axis=1)
+    diff = np.diff(p, axis=0)
+    return float(np.sum(diff * diff))
+
+
+def _mean_min_sq(a, b):
+    """Mean over rows of a of the squared distance to the nearest row of b."""
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    return float(np.mean(np.min(d2, axis=1)))
+
+
+def energy_silhouette(seq, silhouettes, camera, skeleton, body, n_points=96):
+    """Mean over frames of the symmetric Chamfer distance (px^2) between
+    observed outline points and the projected capsule-body outline."""
+    if len(seq) != len(silhouettes):
+        raise InvalidInputError("seq and silhouettes must have equal length")
+    total = 0.0
+    for pose, observed in zip(seq, silhouettes):
+        observed = np.asarray(observed, dtype=float).reshape(-1, 2)
+        if observed.shape[0] == 0:
+            continue
+        model = silhouette_points(camera, skeleton, pose, body, n_points)
+        total += 0.5 * (_mean_min_sq(observed, model) + _mean_min_sq(model, observed))
+    return total / len(seq)
 
 
 # --- per-frame forward kinematics -------------------------------------------

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_random_skeleton, make_toy_skeleton, random_pose
+from conftest import make_random_skeleton, make_toy_skeleton, random_pose, stack_poses
 from mocorr.camera import default_body, project
 from mocorr.cli import main as cli_main
 from mocorr.metrics import mpjpe
@@ -112,7 +112,7 @@ def test_criterion_2_gradient_suite():
              for t in range(12)]
     from mocorr.motion import build_motion_map
 
-    motion = build_motion_map(poses, skeleton, np.full((12, 5), 0.9))
+    motion = build_motion_map(stack_poses(poses), skeleton, np.full((12, 5), 0.9))
     xg = motion_channels(motion)[None, :, :]
     wg = rng.normal(size=(1, 12, 20))
     gen.zero_grad()

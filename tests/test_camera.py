@@ -28,7 +28,14 @@ from mocorr.errors import (
 )
 from mocorr.skeleton import SkeletalPose, as_sequence, fk_frames, identity_pose
 
-from conftest import aimed_bone_scene, make_random_skeleton, make_toy_skeleton, random_pose
+from conftest import (
+    aimed_bone_scene,
+    frames_of,
+    make_random_skeleton,
+    make_toy_skeleton,
+    random_pose,
+    stack_poses,
+)
 from oracles import project_matrix, silhouette_structure_per_frame
 
 
@@ -230,11 +237,6 @@ def test_default_body_matches_bone_count():
     assert np.all(body.radii > 0.0)
 
 
-def frames_of(seq):
-    return [SkeletalPose(seq.theta[t], seq.root_rot[t], seq.root_trans[t])
-            for t in range(seq.theta.shape[0])]
-
-
 def assert_outline_matches_oracle(camera, skeleton, seq, body, n):
     """The batched structure equals the per-frame oracle frame by frame:
     points, records (stadium, kind, frac) and the lost flag, bit for bit.
@@ -268,9 +270,7 @@ def test_batched_silhouette_structure_equals_per_frame_oracle(seed, n_frames, n)
     skeleton = make_random_skeleton(rng)
     body = default_body(skeleton)
     poses = [random_pose(rng, skeleton, trans_scale=0.2) for _ in range(n_frames)]
-    seq = SkeletalPose(np.stack([p.theta for p in poses]),
-                       np.stack([p.root_rot for p in poses]),
-                       np.stack([p.root_trans for p in poses]))
+    seq = stack_poses(poses)
     position = rng.uniform(-1.0, 1.0, 3) + np.array([0.0, 0.0, -rng.uniform(1.0, 3.5)])
     camera = look_at(position, np.zeros(3), 500.0, 480.0, 320.0, 240.0)
     assert_outline_matches_oracle(camera, skeleton, seq, body, n)

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from mocorr.cli import main
+from mocorr.motion import load_motion, save_motion
 from mocorr.net.train import TrainConfig
 from mocorr.optim.lm import LMOptions
 from mocorr.pipeline import PipelineConfig, apply_seed, save_pipeline_config
@@ -104,6 +105,20 @@ def test_fit_train_infer_refine_eval_chain(scene_dir, tmp_path, capsys):
     assert sorted(summary) == ["mpjpe_mm", "pck_0.3", "pck_0.5"]
     assert summary["mpjpe_mm"] >= 0.0
     assert os.path.exists(os.path.join(out, "eval_report.json"))
+
+
+def test_refine_zero_quaternion_exits_2(scene_dir, tmp_path, capsys):
+    motion = load_motion(path_in(scene_dir, "gt.motion.json"))
+    motion.quats[1, 8:12] = 0.0
+    net = str(tmp_path / "zero.motion.json")
+    save_motion(net, motion)
+    rc = main(["--config", scene_dir["config"], "--out", str(tmp_path), "refine",
+               "--init", path_in(scene_dir, "gt.motion.json"), "--net", net,
+               "--obs", path_in(scene_dir, "obs_mono.json"),
+               "--camera", path_in(scene_dir, "camera_mono.json"),
+               "--skeleton", path_in(scene_dir, "skeleton.json"), "--no-silhouette"])
+    assert rc == 2
+    assert "cannot normalize zero quaternion" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(scene_dir, tmp_path, capsys):

@@ -6,18 +6,17 @@ import pytest
 from mocorr.camera import default_body, look_at, silhouette_points
 from mocorr.errors import InvalidInputError
 from mocorr.motion import FrameObservations
-from mocorr.optim.energies import (
-    EnergyWeights,
-    energy_2d,
-    energy_3d,
-    energy_silhouette,
-    energy_temporal,
-    net_pose_targets,
-)
+from mocorr.optim.energies import EnergyWeights, energy_2d, net_pose_targets
 from mocorr.skeleton import SkeletalPose, forward_kinematics, pose_to_quat
 
 from conftest import make_toy_skeleton, random_pose
-from oracles import chamfer_sq, project_matrix
+from oracles import (
+    chamfer_sq,
+    energy_3d,
+    energy_silhouette,
+    energy_temporal,
+    project_matrix,
+)
 
 
 def make_camera():
@@ -79,6 +78,13 @@ def test_energy_3d_decode_clamps_to_limits(toy_skeleton):
     net = pose_to_quat(toy_skeleton, target).quats.ravel()[None, :]
     theta_hat, _ = net_pose_targets(toy_skeleton, net, np.zeros((1, 3)))
     assert theta_hat[0, t_axis][0] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_net_pose_targets_refuses_zero_quaternion(toy_skeleton, rng):
+    net, _ = targets_from_poses(toy_skeleton, [random_pose(rng, toy_skeleton) for _ in range(3)])
+    net[1, 4:8] = 0.0
+    with pytest.raises(InvalidInputError, match="cannot normalize zero quaternion"):
+        net_pose_targets(toy_skeleton, net, np.zeros((3, 3)))
 
 
 def test_energy_3d_length_mismatch(toy_skeleton, rng):

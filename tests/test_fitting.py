@@ -12,6 +12,7 @@ from mocorr.optim.lm import LMOptions
 from mocorr.skeleton import forward_kinematics
 from mocorr.synth import SceneConfig, synth_generate
 
+from conftest import frames_of
 from oracles import project_matrix
 
 FIT_OPTIONS = LMOptions(max_iterations=60)
@@ -71,7 +72,7 @@ def test_noiseless_mono_fit_reprojects_tightly():
     scene = synth_generate(scene_cfg(T=6, amplitude=0.15))
     fitted = initial_fit(scene.mono_obs, scene.mono_camera, scene.skeleton,
                          LMOptions(max_iterations=120))
-    poses = extract_poses(fitted, scene.skeleton)
+    poses = frames_of(extract_poses(fitted, scene.skeleton))
     worst = 0.0
     for pose, frame in zip(poses, scene.mono_obs):
         uv, _ = project_matrix(scene.mono_camera,
@@ -89,7 +90,7 @@ def test_more_views_never_increase_fitted_e2d():
     for v in (2, 3, 4):
         fitted = sparse_view_fit(scene.sparse_obs[:v], scene.sparse_cameras[:v],
                                  scene.skeleton, LMOptions(max_iterations=120))
-        poses = extract_poses(fitted, scene.skeleton)
+        poses = frames_of(extract_poses(fitted, scene.skeleton))
         e2d = np.mean([
             energy_2d(poses, frames, camera, scene.skeleton)
             for frames, camera in zip(scene.sparse_obs[:v],

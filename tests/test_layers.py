@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_toy_skeleton
+from conftest import make_toy_skeleton, stack_poses
 from mocorr.errors import InvalidInputError, SequenceTooShortError
 from mocorr.net.layers import (
     Affine,
@@ -355,7 +355,8 @@ def toy_motion(skeleton, t, seed):
         theta = lo + (hi - lo) * rng.uniform(0.1, 0.9, skeleton.total_dof)
         poses.append(SkeletalPose(theta, rng.uniform(-0.4, 0.4, 3),
                                   rng.uniform(-0.2, 0.2, 3)))
-    return build_motion_map(poses, skeleton, rng.uniform(0.5, 1.0, (t, skeleton.n_joints)))
+    return build_motion_map(stack_poses(poses), skeleton,
+                            rng.uniform(0.5, 1.0, (t, skeleton.n_joints)))
 
 
 def test_motion_channels_packing():

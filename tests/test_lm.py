@@ -13,7 +13,7 @@ from mocorr.optim.lm import (
     numeric_jacobian,
 )
 from mocorr.optim.problem import BlockJacobian, PoseProblem, View
-from mocorr.skeleton import forward_kinematics
+from mocorr.skeleton import SkeletalPose, forward_kinematics
 
 from conftest import make_toy_skeleton, random_pose
 from oracles import levenberg_marquardt_rebuilt, pose_jacobian_sparse
@@ -200,6 +200,6 @@ def test_banded_solve_tracks_sparse_spsolve_reference(n_frames):
     assert result.status == reference.status
     assert np.allclose(result.cost_history, reference.cost_history, rtol=1e-9, atol=0.0)
     # compare angles, not u: a saturated sigmoid leaves u free to drift
-    for ours, ref in zip(problem.poses(result.x), problem.poses(reference.x)):
-        for part in ("theta", "root_rot", "root_trans"):
-            assert np.max(np.abs(getattr(ours, part) - getattr(ref, part))) < 1e-8
+    ours, ref = (SkeletalPose(*problem.unpack(x)) for x in (result.x, reference.x))
+    for part in ("theta", "root_rot", "root_trans"):
+        assert np.max(np.abs(getattr(ours, part) - getattr(ref, part))) < 1e-8

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_skeleton, make_toy_skeleton, random_pose
+from conftest import (
+    frames_of,
+    make_random_skeleton,
+    make_toy_skeleton,
+    random_pose,
+    stack_poses,
+)
 from mocorr.errors import InvalidInputError
 from mocorr.metrics import frame_mpjpe, joint_positions, mpjpe, pck
 from mocorr.motion import build_motion_map, extract_poses
@@ -18,15 +24,15 @@ from oracles import fk_homogeneous
 def random_motion(skeleton, t, seed):
     rng = np.random.default_rng(seed)
     poses = [random_pose(rng, skeleton) for _ in range(t)]
-    return build_motion_map(poses, skeleton, np.ones((t, skeleton.n_joints)))
+    return build_motion_map(stack_poses(poses), skeleton, np.ones((t, skeleton.n_joints)))
 
 
 def mpjpe_oracle(pred, gt, skeleton):
     """Scalar mean over every frame and joint, positions via 4x4 chains."""
     from mocorr.motion import extract_poses
 
-    pp = extract_poses(pred, skeleton)
-    pg = extract_poses(gt, skeleton)
+    pp = frames_of(extract_poses(pred, skeleton))
+    pg = frames_of(extract_poses(gt, skeleton))
     total, count = 0.0, 0
     for a, b in zip(pp, pg):
         pa, _ = fk_homogeneous(skeleton, a)
@@ -89,8 +95,8 @@ def test_pck_counts_against_torso_reference():
                                 for j in torso]))]
     for alpha in (0.3, 0.5, 1.0):
         hits, count = 0, 0
-        for a, b in zip(extract_poses(pred, skeleton),
-                        extract_poses(gt, skeleton)):
+        for a, b in zip(frames_of(extract_poses(pred, skeleton)),
+                        frames_of(extract_poses(gt, skeleton))):
             pa, _ = fk_homogeneous(skeleton, a)
             pb, _ = fk_homogeneous(skeleton, b)
             ref = np.linalg.norm(pb[neck] - pb[0])
@@ -113,7 +119,8 @@ def test_joint_positions_shape():
     motion = random_motion(skeleton, 4, seed=9)
     pos = joint_positions(motion, skeleton)
     assert pos.shape == (4, skeleton.n_joints, 3)
-    per_frame = [forward_kinematics(skeleton, p) for p in extract_poses(motion, skeleton)]
+    per_frame = [forward_kinematics(skeleton, p)
+                 for p in frames_of(extract_poses(motion, skeleton))]
     assert np.array_equal(pos, np.stack(per_frame))
 
 

@@ -16,9 +16,19 @@ from mocorr.motion import (
     save_observations,
     time_warp,
 )
-from mocorr.skeleton import identity_pose
+from mocorr.optim.energies import net_pose_targets
+from mocorr.skeleton import (
+    QuatPose,
+    SkeletalPose,
+    as_sequence,
+    identity_pose,
+    pose_to_quat,
+    quat_to_pose,
+)
+from mocorr.synth import SceneConfig, synth_generate
 
-from conftest import make_toy_skeleton, random_pose
+from conftest import frames_of, make_toy_skeleton, random_pose, stack_poses
+from oracles import pose_to_quat_per_frame, quat_to_pose_per_frame
 
 
 def random_motion(rng, n_joints=3, t=6):
@@ -53,7 +63,7 @@ def test_motion_map_validation():
 def test_build_motion_map_identity(toy_skeleton):
     poses = [identity_pose(toy_skeleton) for _ in range(3)]
     conf = np.ones((3, toy_skeleton.n_joints))
-    motion = build_motion_map(poses, toy_skeleton, conf)
+    motion = build_motion_map(stack_poses(poses), toy_skeleton, conf)
     expected_row = np.tile([1.0, 0.0, 0.0, 0.0], toy_skeleton.n_joints)
     assert np.allclose(motion.quats, expected_row, atol=1e-15)
     assert np.array_equal(motion.translations, np.zeros((3, 3)))
@@ -63,8 +73,8 @@ def test_build_motion_map_identity(toy_skeleton):
 def test_build_extract_round_trip(toy_skeleton, rng):
     poses = [random_pose(rng, toy_skeleton) for _ in range(5)]
     conf = rng.uniform(0.2, 1.0, (5, toy_skeleton.n_joints))
-    motion = build_motion_map(poses, toy_skeleton, conf)
-    back = extract_poses(motion, toy_skeleton)
+    motion = build_motion_map(stack_poses(poses), toy_skeleton, conf)
+    back = frames_of(extract_poses(motion, toy_skeleton))
     for orig, rec in zip(poses, back):
         assert np.max(np.abs(orig.theta - rec.theta)) <= 1e-9
         assert np.max(np.abs(orig.root_rot - rec.root_rot)) <= 1e-9
@@ -74,13 +84,87 @@ def test_build_extract_round_trip(toy_skeleton, rng):
 def test_build_motion_map_conf_mismatch(toy_skeleton):
     poses = [identity_pose(toy_skeleton)] * 3
     with pytest.raises(InvalidInputError):
-        build_motion_map(poses, toy_skeleton, np.ones((3, 2)))
+        build_motion_map(stack_poses(poses), toy_skeleton, np.ones((3, 2)))
 
 
 def test_extract_poses_joint_mismatch(toy_skeleton, rng):
     motion = random_motion(rng, n_joints=3)
     with pytest.raises(InvalidInputError):
         extract_poses(motion, toy_skeleton)
+
+
+def assert_poses_equal(seq, ref):
+    for part in ("theta", "root_rot", "root_trans"):
+        assert np.array_equal(getattr(seq, part), getattr(ref, part)), part
+
+
+@pytest.mark.parametrize("seed", [5, 7, 42])
+def test_sequence_conversions_equal_per_frame_oracles(seed):
+    """pose_to_quat, quat_to_pose, build_motion_map, extract_poses,
+    net_pose_targets and time_warp over a whole sequence equal the per-frame
+    code bit for bit: a seeded scene's ground truth with angles pushed past
+    their limits, and its quaternions turned by up to 0.8 rad, so the decode
+    clamps."""
+    scene = synth_generate(SceneConfig(T=12, V=2, seed=seed, sil_points=16))
+    skeleton = scene.skeleton
+    n_frames, n_joints = scene.gt_motion.n_frames, skeleton.n_joints
+    rng = np.random.default_rng(seed)
+    gt = extract_poses(scene.gt_motion, skeleton)
+    span = skeleton.theta_max - skeleton.theta_min
+    seq = SkeletalPose(gt.theta + span * rng.uniform(-0.8, 0.8, gt.theta.shape),
+                       gt.root_rot, gt.root_trans)
+
+    ref_q = np.stack([pose_to_quat_per_frame(skeleton, p).quats for p in frames_of(seq)])
+    assert np.array_equal(pose_to_quat(skeleton, seq).quats, ref_q)
+    conf = rng.uniform(0.0, 1.0, (n_frames, n_joints))
+    motion = build_motion_map(seq, skeleton, conf)
+    assert np.array_equal(motion.quats, ref_q.reshape(n_frames, -1))
+    assert np.array_equal(motion.translations, seq.root_trans)
+
+    turn = quat.from_rotvec(rng.uniform(-0.8, 0.8, (n_frames, n_joints, 3)).reshape(-1, 3))
+    q = quat.canonicalize(quat.normalize(quat.mul(ref_q, turn.reshape(ref_q.shape))))
+    ref = stack_poses([quat_to_pose_per_frame(skeleton, QuatPose(q[t]), seq.root_trans[t])
+                       for t in range(n_frames)])
+    assert np.any(ref.theta == skeleton.theta_min) and np.any(ref.theta == skeleton.theta_max)
+    assert_poses_equal(quat_to_pose(skeleton, QuatPose(q), seq.root_trans), ref)
+    turned = MotionMap(q.reshape(n_frames, -1), conf, seq.root_trans)
+    assert_poses_equal(extract_poses(turned, skeleton), ref)
+
+    net = turned.quats * np.repeat(rng.uniform(0.5, 2.0, (n_frames, n_joints)), 4, axis=1)
+    theta, root_rot = net_pose_targets(skeleton, net, np.zeros((n_frames, 3)))
+    for t in range(n_frames):
+        rows = net[t].reshape(n_joints, 4)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        frame = quat_to_pose_per_frame(skeleton, QuatPose(rows / norms), np.zeros(3))
+        assert np.array_equal(theta[t], frame.theta)
+        assert np.array_equal(root_rot[t], frame.root_rot)
+
+    warp = np.concatenate([[0.0], np.sort(rng.uniform(0.0, n_frames - 1, 15)),
+                           [n_frames - 1]])
+    warped = time_warp(turned, warp)
+    lo = np.minimum(np.floor(warp).astype(int), n_frames - 2)
+    for t, (k, u) in enumerate(zip(lo, warp - lo)):
+        expected = quat.nlerp(turned.frame_quats(k), turned.frame_quats(k + 1), u)
+        assert np.array_equal(warped.frame_quats(t), expected)
+
+
+def test_single_pose_conversions_run_as_one_frame(toy_skeleton, rng):
+    """A single pose converts as a sequence of one, keeping its unbatched
+    shapes, and equals the per-frame code bit for bit, clamping included."""
+    pose = random_pose(rng, toy_skeleton)
+    pose.theta[toy_skeleton.theta_slice(3)] = 0.9  # joint "c": X in [-1.3, 0.4]
+    qpose = pose_to_quat(toy_skeleton, pose)
+    assert qpose.quats.shape == (toy_skeleton.n_joints, 4)
+    assert np.array_equal(qpose.quats, pose_to_quat_per_frame(toy_skeleton, pose).quats)
+    assert np.array_equal(pose_to_quat(toy_skeleton, as_sequence(pose)).quats,
+                          qpose.quats[None])
+    back = quat_to_pose(toy_skeleton, qpose, pose.root_trans)
+    ref = quat_to_pose_per_frame(toy_skeleton, qpose, pose.root_trans)
+    assert back.theta.shape == (toy_skeleton.total_dof,)
+    assert back.theta[toy_skeleton.theta_slice(3)] == pytest.approx([0.4])
+    assert_poses_equal(back, ref)
+    one = quat_to_pose(toy_skeleton, QuatPose(qpose.quats[None]), pose.root_trans[None])
+    assert_poses_equal(one, as_sequence(ref))
 
 
 def test_time_warp_identity(rng):

@@ -16,14 +16,8 @@ from mocorr.camera import (
 )
 from mocorr.errors import EmptySilhouetteError, InvalidInputError
 from mocorr.motion import FrameObservations
-from mocorr.optim.energies import (
-    EnergyWeights,
-    energy_2d,
-    energy_3d,
-    energy_silhouette,
-    energy_temporal,
-)
-from mocorr.optim.kinematics import fk_jacobian, pose_params, projection_jacobian
+from mocorr.optim.energies import EnergyWeights, energy_2d
+from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
 from mocorr.optim.lm import (
     LMOptions,
     _solve_normal_equations,
@@ -46,14 +40,25 @@ from mocorr.skeleton import (
     pose_to_quat,
 )
 
-from conftest import aimed_bone_scene, make_random_skeleton, make_toy_skeleton, random_pose
+from conftest import (
+    aimed_bone_scene,
+    frames_of,
+    make_random_skeleton,
+    make_toy_skeleton,
+    random_pose,
+    stack_poses,
+)
 from oracles import (
     central_diff,
+    energy_3d,
+    energy_silhouette,
+    energy_temporal,
     fk_frames_per_frame,
     fk_jacobian_per_frame,
     grad_check,
     params_to_pose,
     pose_jacobian_sparse,
+    pose_params,
     pose_residuals_ragged,
     project_matrix,
     ragged_rows,
@@ -131,7 +136,7 @@ def test_cost_identity_with_all_terms(toy_skeleton):
     x = problem.pack(np.stack([p.theta for p in seq]),
                      np.stack([p.root_rot for p in seq]),
                      np.stack([p.root_trans for p in seq]))
-    poses = problem.poses(x)
+    poses = frames_of(SkeletalPose(*problem.unpack(x)))
     trans = np.stack([p.root_trans for p in poses])
 
     r = problem.residuals(x)
@@ -260,12 +265,6 @@ def test_fk_jacobian_matches_fd(toy_skeleton):
         numeric = central_diff(positions, pose_params(pose), 1e-6)
         analytic = jac.reshape(-1, jac.shape[2])
         assert grad_check(analytic, numeric, rtol=1e-6) < 1e-6
-
-
-def stack_poses(seq):
-    return SkeletalPose(np.stack([p.theta for p in seq]),
-                        np.stack([p.root_rot for p in seq]),
-                        np.stack([p.root_trans for p in seq]))
 
 
 def test_batched_fk_jacobian_matches_fd(toy_skeleton):
@@ -476,18 +475,13 @@ def test_probe_points_stay_where_the_tracer_looks(toy_skeleton, monkeypatch):
 # --- silhouette term -----------------------------------------------------------
 
 
-def frame_poses(frames):
-    return [SkeletalPose(frames.theta[t], frames.root_rot[t], frames.root_trans[t])
-            for t in range(frames.theta.shape[0])]
-
-
 def aimed_problem(rng, seq, n_sil=32):
     """Pose problem on aimed_bone_scene's skeleton, body and camera: one
     keypoint view and silhouettes, both from that camera. A frame whose body
     is behind the camera observes frame 0's outline."""
     skeleton, body, camera, _ = aimed_bone_scene()
     frames = []
-    for pose in frame_poses(seq):
+    for pose in frames_of(seq):
         uv, _, _ = project_points(camera, forward_kinematics(skeleton, pose))
         try:
             sil = silhouette_points(camera, skeleton, pose, body, 24)
@@ -521,7 +515,7 @@ def test_lost_silhouette_frame_rows_are_inf_and_jacobian_raises():
     cur = head.size
     sil = problem.terms[-1]
     assert np.array_equal(sil.frames, np.arange(problem.T)) and not sil.pad.any()
-    poses = frame_poses(problem._state(x)["frames"])
+    poses = frames_of(problem._state(x)["frames"])
     for t, pose in enumerate(poses):
         obs = sil.obs[t]
         rows = 2 * (obs.shape[0] + sil.n)
@@ -552,7 +546,7 @@ def point_state(problem, x):
 def assert_point_jacobians_match_oracle(problem, x):
     sil, st = point_state(problem, x)
     dmodel = sil.point_jacobians(st)
-    poses = frame_poses(st["frames"])
+    poses = frames_of(st["frames"])
     for k, t in enumerate(sil.frames):
         _, records = silhouette_structure_per_frame(
             sil.camera, sil.skeleton, poses[t], sil.body, sil.n)

@@ -12,6 +12,8 @@ from mocorr.errors import InvalidInputError
 from oracles import (
     central_diff,
     conjugate,
+    euler_xyz_from_matrix_per_matrix,
+    from_matrix_per_matrix,
     grad_check,
     quat_from_scipy,
     rotvec_matrix_jacobian_per_frame,
@@ -59,6 +61,33 @@ def test_from_matrix_trace_branches():
         v[axis] = np.pi - 1e-6
         q = quat.from_rotvec(v)
         assert np.allclose(quat.from_matrix(quat.to_matrix(q)), q, atol=1e-9)
+
+
+def test_batched_from_matrix_and_euler_equal_per_matrix_oracle():
+    """One stack holding every branch, bit for bit against the per-matrix
+    code: positive traces, a pivot on each diagonal entry, and both
+    gimbal-lock signs."""
+    rng = np.random.default_rng(12)
+    mats = list(quat.to_matrix(random_unit_quats(rng, 60)))
+    for axis in range(3):  # rotations near pi pivot on their axis
+        v = np.zeros(3)
+        v[axis] = np.pi - 1e-3
+        mats.append(quat.to_matrix(quat.from_rotvec(v)))
+    for sign in (1.0, -1.0):
+        a, c = rng.uniform(-1.0, 1.0, 2)
+        mats.append(quat.rot_x(a) @ quat.rot_y(sign * np.pi / 2) @ quat.rot_z(c))
+    stack = np.array(mats)
+    trace = np.trace(stack, axis1=1, axis2=2)
+    pivots = np.argmax(np.diagonal(stack, axis1=1, axis2=2), axis=1)[trace <= 0.0]
+    assert np.any(trace > 0.0) and set(pivots) == {0, 1, 2}
+    assert set(np.sign(stack[np.abs(stack[:, 0, 2]) >= 1.0 - 1e-12, 0, 2])) == {1.0, -1.0}
+
+    q = quat.from_matrix(stack)
+    assert np.array_equal(q, [from_matrix_per_matrix(m) for m in stack])
+    assert np.array_equal(quat.from_matrix(stack[:64].reshape(8, 8, 3, 3)),
+                          q[:64].reshape(8, 8, 4))
+    angles = np.stack(quat.euler_xyz_from_matrix(stack), axis=1)
+    assert np.array_equal(angles, [euler_xyz_from_matrix_per_matrix(m) for m in stack])
 
 
 def test_mul_matches_scipy():

@@ -7,17 +7,14 @@ from mocorr.camera import default_body
 from mocorr.errors import InvalidInputError
 from mocorr.metrics import mpjpe
 from mocorr.motion import extract_poses
-from mocorr.optim.energies import (
-    EnergyWeights,
-    energy_2d,
-    energy_3d,
-    energy_silhouette,
-    energy_temporal,
-)
+from mocorr.optim.energies import EnergyWeights, energy_2d
 from mocorr.optim.lm import LMOptions
 from mocorr.optim.refine import place_translations, refine
 from mocorr.skeleton import SkeletalPose, pose_to_quat
 from mocorr.synth import SceneConfig, synth_generate
+
+from conftest import frames_of
+from oracles import energy_3d, energy_silhouette, energy_temporal
 
 OPTIONS = LMOptions(max_iterations=40)
 
@@ -31,7 +28,7 @@ def scene_cfg(**kw):
 
 def total_energy(motion, net_quats, obs, camera, skeleton, body, weights,
                  n_sil=16):
-    poses = extract_poses(motion, skeleton)
+    poses = frames_of(extract_poses(motion, skeleton))
     trans = motion.translations
     value = energy_3d(poses, net_quats, trans, skeleton)
     value += weights.lambda_2d * energy_2d(poses, obs, camera, skeleton,

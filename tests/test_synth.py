@@ -9,6 +9,7 @@ from mocorr.motion import extract_poses
 from mocorr.skeleton import forward_kinematics
 from mocorr.synth import SceneConfig, synth_generate
 
+from conftest import frames_of
 from oracles import project_matrix
 
 
@@ -42,7 +43,7 @@ def test_different_seed_differs():
 
 def test_noiseless_observations_are_exact_projections():
     scene = synth_generate(small_cfg(noise_px=0.0, occlusion=0.0))
-    poses = extract_poses(scene.gt_motion, scene.skeleton)
+    poses = frames_of(extract_poses(scene.gt_motion, scene.skeleton))
     cameras = [scene.mono_camera] + scene.sparse_cameras
     obs_sets = [scene.mono_obs] + scene.sparse_obs
     for camera, frames in zip(cameras, obs_sets):
@@ -57,7 +58,7 @@ def test_noiseless_observations_are_exact_projections():
 def test_noiseless_silhouettes_are_exact():
     scene = synth_generate(small_cfg(noise_px=0.0, occlusion=0.0))
     body = default_body(scene.skeleton)
-    poses = extract_poses(scene.gt_motion, scene.skeleton)
+    poses = frames_of(extract_poses(scene.gt_motion, scene.skeleton))
     for pose, frame in zip(poses, scene.mono_obs):
         ref = silhouette_points(scene.mono_camera, scene.skeleton, pose, body,
                                 16)
@@ -83,7 +84,7 @@ def test_occlusion_rate_binomial():
 def test_occluded_keypoints_are_displaced():
     cfg = SceneConfig(T=40, V=2, noise_px=4.0, occlusion=0.3, seed=12)
     scene = synth_generate(cfg)
-    poses = extract_poses(scene.gt_motion, scene.skeleton)
+    poses = frames_of(extract_poses(scene.gt_motion, scene.skeleton))
     err_occ, err_vis = [], []
     for pose, frame in zip(poses, scene.mono_obs):
         ref_uv, _ = project_matrix(scene.mono_camera,
@@ -99,7 +100,7 @@ def test_occluded_keypoints_are_displaced():
 def test_gt_motion_respects_joint_limits():
     scene = synth_generate(small_cfg(amplitude=0.95))
     skeleton = scene.skeleton
-    for pose in extract_poses(scene.gt_motion, skeleton):
+    for pose in frames_of(extract_poses(scene.gt_motion, skeleton)):
         assert np.all(pose.theta >= skeleton.theta_min - 1e-9)
         assert np.all(pose.theta <= skeleton.theta_max + 1e-9)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_toy_skeleton
+from conftest import make_toy_skeleton, stack_poses
 from mocorr.errors import InvalidInputError, SequenceTooShortError
 from mocorr.motion import MotionMap, build_motion_map
 from mocorr.net.losses import loss_adv_grad, loss_disc
@@ -30,7 +30,7 @@ def smooth_motion(skeleton, t, seed, amp=0.4):
         root_rot = 0.2 * np.sin(2.0 * np.pi * 0.03 * k + rphase)
         trans = np.array([0.01 * k, 0.9, 0.05 * np.sin(0.2 * k)])
         poses.append(SkeletalPose(theta, root_rot, trans))
-    return build_motion_map(poses, skeleton,
+    return build_motion_map(stack_poses(poses), skeleton,
                             np.ones((t, skeleton.n_joints)))
 
 
