@@ -11,20 +11,14 @@ The silhouette functions take joint positions with a leading frame axis,
 (T, n, 3), so one call covers a whole sequence. Stadiums are arrays with a
 leading stadium axis (`Stadiums`), and each outline point's sampling record
 is a row of arrays (stadium index, piece kind code, fraction) in `Outline`.
-A single pose runs as T = 1 (`silhouette_points`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BehindCameraError,
-    EmptySilhouetteError,
-    InvalidInputError,
-)
+from .errors import BehindCameraError, InvalidInputError
 from .jsonio import load_document, require_array, save_document
-from .skeleton import as_sequence, fk_frames
 
 CAMERA_FORMAT = "camera/1"
 
@@ -406,11 +400,3 @@ def silhouette_structure(camera, skeleton, pos, body, n):
         out.frac[t] = s_frac[pick]
     return out
 
-
-def silhouette_points(camera, skeleton, pose, body, n):
-    """n points (pixels) on the outline of the projected capsule body."""
-    pos = fk_frames(skeleton, as_sequence(pose))[0]
-    out = silhouette_structure(camera, skeleton, pos, body, n)
-    if out.lost[0]:
-        raise EmptySilhouetteError("the projected body has no visible outline")
-    return out.points[0]

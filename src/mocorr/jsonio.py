@@ -103,6 +103,16 @@ def require_field(doc, path, key):
     return doc[key]
 
 
+def require_int(doc, path, key):
+    """Fetch an integer field. Booleans, non-integral numbers and anything
+    that is not a number raise ParseError."""
+    value = require_field(doc, path, key)
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ParseError(f"{path}: field {key!r} must be an integer, found {value!r}")
+    return int(value)
+
+
 def _holds_bool(value):
     """Whether a JSON value is or holds true or false anywhere."""
     if not isinstance(value, list):

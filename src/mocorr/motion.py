@@ -1,5 +1,5 @@
-"""Motion sequences as flat per-frame quaternion rows, plus observation
-containers and the on-disk formats for both.
+"""Motion sequences as flat per-frame quaternion rows, plus one camera's
+observations of a sequence, and the on-disk formats for both.
 
 A motion map stores T frames of N_J joint quaternions flattened to rows of
 width 4*N_J, a confidence value per joint-frame, and the root translation
@@ -7,16 +7,19 @@ per frame. It is the common currency between the fitting, network, and
 refinement stages. `build_motion_map` takes a whole pose sequence (a
 `SkeletalPose` with a leading frame axis) and `extract_poses` returns one,
 each through a single batched pose <-> quaternion conversion.
+
+An `Observations` record holds one camera's 2D detections for all T frames
+as frame-axis arrays, so the LM terms read it without restacking.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import quat
 from .errors import InvalidInputError, ParseError
 from .jsonio import (load_document, numeric_array, require_array, require_field,
-                     save_document)
+                     require_int, save_document)
 from .skeleton import QuatPose, as_sequence, pose_to_quat, quat_to_pose
 
 MOTION_FORMAT = "motion/1"
@@ -58,33 +61,51 @@ class MotionMap:
     def n_joints(self):
         return self.quats.shape[1] // 4
 
-    def frame_quats(self, t):
-        """Quaternions of frame t as an (n_joints, 4) view."""
-        return self.quats[t].reshape(self.n_joints, 4)
-
     def copy(self):
         return MotionMap(self.quats.copy(), self.conf.copy(), self.translations.copy())
 
 
 @dataclass
-class FrameObservations:
-    """2D detections for one frame: keypoints with confidences, outline points."""
+class Observations:
+    """One camera's 2D detections of T frames: keypoints (T, n, 2) with
+    confidences (T, n), and outline points (T, m, 2).
+
+    Outlines are zero-padded to the longest one: frame t observes its first
+    sil_count[t] points (all m when sil_count is not given). Without an
+    outline, m is 0.
+    """
 
     keypoints: np.ndarray
     conf: np.ndarray
-    silhouette: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    silhouette: np.ndarray = None
+    sil_count: np.ndarray = None
 
     def __post_init__(self):
         self.keypoints = np.asarray(self.keypoints, dtype=float)
         self.conf = np.asarray(self.conf, dtype=float)
-        self.silhouette = np.asarray(self.silhouette, dtype=float).reshape(-1, 2)
-        n = self.keypoints.shape[0]
-        if self.keypoints.shape != (n, 2) or self.conf.shape != (n,):
-            raise InvalidInputError("keypoints must be (n, 2) with conf (n,)")
+        if self.conf.ndim != 2 or self.keypoints.shape != self.conf.shape + (2,):
+            raise InvalidInputError("keypoints must be (T, n, 2) with conf (T, n)")
+        t = self.conf.shape[0]
+        if self.silhouette is None:
+            self.silhouette = np.zeros((t, 0, 2))
+        self.silhouette = np.asarray(self.silhouette, dtype=float)
+        if self.silhouette.ndim != 3 or self.silhouette.shape[::2] != (t, 2):
+            raise InvalidInputError("silhouette must be (T, m, 2)")
+        if self.sil_count is None:
+            self.sil_count = np.full(t, self.silhouette.shape[1])
+        self.sil_count = np.asarray(self.sil_count)
+        if self.sil_count.shape != (t,) or self.sil_count.dtype.kind not in "iu":
+            raise InvalidInputError("sil_count must hold one integer per frame")
+        if np.any(self.sil_count < 0) or np.any(self.sil_count > self.silhouette.shape[1]):
+            raise InvalidInputError("sil_count must lie in [0, m]")
         if np.any(self.conf < 0.0) or np.any(self.conf > 1.0):
             raise InvalidInputError("confidences must lie in [0, 1]")
         if not (np.all(np.isfinite(self.keypoints)) and np.all(np.isfinite(self.silhouette))):
             raise InvalidInputError("observation coordinates must be finite")
+
+    @property
+    def n_frames(self):
+        return self.conf.shape[0]
 
 
 def build_motion_map(seq, skeleton, conf):
@@ -157,8 +178,8 @@ def save_motion(path, motion):
 
 def load_motion(path):
     doc = load_document(path, MOTION_FORMAT)
-    t = int(require_field(doc, path, "T"))
-    n_j = int(require_field(doc, path, "n_joints"))
+    t = require_int(doc, path, "T")
+    n_j = require_int(doc, path, "n_joints")
     return MotionMap(
         require_array(doc, path, "quats", (t, 4 * n_j)),
         require_array(doc, path, "conf", (t, n_j)),
@@ -166,20 +187,20 @@ def load_motion(path):
     )
 
 
-def save_observations(path, frames):
+def save_observations(path, obs):
     save_document(
         path,
         {
             "format": OBSERVATIONS_FORMAT,
-            "T": len(frames),
-            "n_joints": int(frames[0].keypoints.shape[0]) if frames else 0,
+            "T": obs.n_frames,
+            "n_joints": obs.conf.shape[1] if obs.n_frames else 0,
             "frames": [
                 {
-                    "keypoints": f.keypoints.tolist(),
-                    "conf": f.conf.tolist(),
-                    "silhouette": f.silhouette.tolist(),
+                    "keypoints": obs.keypoints[t].tolist(),
+                    "conf": obs.conf[t].tolist(),
+                    "silhouette": obs.silhouette[t, :obs.sil_count[t]].tolist(),
                 }
-                for f in frames
+                for t in range(obs.n_frames)
             ],
         },
     )
@@ -187,22 +208,33 @@ def save_observations(path, frames):
 
 def load_observations(path):
     doc = load_document(path, OBSERVATIONS_FORMAT)
-    t = int(require_field(doc, path, "T"))
-    n_j = int(require_field(doc, path, "n_joints"))
+    t = require_int(doc, path, "T")
+    n_j = require_int(doc, path, "n_joints")
+    if n_j < 0:
+        raise ParseError(f"{path}: field 'n_joints' must not be negative")
     raw = require_field(doc, path, "frames")
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}: field 'frames' must be a list")
     if len(raw) != t:
         raise ParseError(f"{path}: header says T={t} but {len(raw)} frames present")
-    frames = []
+    keypoints = np.zeros((t, n_j, 2))
+    conf = np.zeros((t, n_j))
+    outlines = []
     for k, item in enumerate(raw):
         where = f"{path}: frames[{k}]"
         try:
-            frames.append(
-                FrameObservations(
-                    numeric_array(item["keypoints"], f"{where} keypoints").reshape(n_j, 2),
-                    numeric_array(item["conf"], f"{where} conf").reshape(n_j),
-                    numeric_array(item["silhouette"], f"{where} silhouette").reshape(-1, 2),
-                )
-            )
+            keypoints[k] = numeric_array(item["keypoints"],
+                                         f"{where} keypoints").reshape(n_j, 2)
+            conf[k] = numeric_array(item["conf"], f"{where} conf").reshape(n_j)
+            outlines.append(
+                numeric_array(item["silhouette"], f"{where} silhouette").reshape(-1, 2))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{where} is malformed ({exc})") from exc
-    return frames
+    sil_count = np.array([o.shape[0] for o in outlines], dtype=int)
+    silhouette = np.zeros((t, sil_count.max(initial=0), 2))
+    for k, outline in enumerate(outlines):
+        silhouette[k, :outline.shape[0]] = outline
+    try:
+        return Observations(keypoints, conf, silhouette, sil_count)
+    except InvalidInputError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, ParseError, SequenceTooShortError
 from ..jsonio import (decode_array, encode_array, load_document, require_array,
-                      require_field, save_document)
+                      require_field, require_int, save_document)
 from ..numerics import sigmoid
 from ..skeleton import REGIONS
 from .layers import Affine, BatchNorm, Conv1d, Dropout, ELU, GRU
@@ -205,20 +205,20 @@ def load_checkpoint(path, skeleton):
     """Read a hybridnet/2 or hybridnet/1 checkpoint."""
     doc = load_document(path, tuple(_ARRAY_DECODERS))
     decode = _ARRAY_DECODERS[doc["format"]]
-    n_joints = int(require_field(doc, path, "n_joints"))
+    n_joints = require_int(doc, path, "n_joints")
     if n_joints != skeleton.n_joints:
         raise ParseError(
             f"checkpoint stores {n_joints} joints but the skeleton has {skeleton.n_joints}")
     rng = np.random.default_rng(0)
     gen = Generator(
         skeleton, rng,
-        conv_width=int(require_field(doc, path, "conv_width")),
-        local_width=int(require_field(doc, path, "local_width")),
-        hidden=int(require_field(doc, path, "hidden")),
-        kernel=int(require_field(doc, path, "kernel")),
+        conv_width=require_int(doc, path, "conv_width"),
+        local_width=require_int(doc, path, "local_width"),
+        hidden=require_int(doc, path, "hidden"),
+        kernel=require_int(doc, path, "kernel"),
         dropout=float(require_field(doc, path, "dropout")),
     )
-    disc = Discriminator(n_joints, rng, hidden=int(require_field(doc, path, "disc_hidden")))
+    disc = Discriminator(n_joints, rng, hidden=require_int(doc, path, "disc_hidden"))
     gen_state = require_field(doc, path, "generator")
     disc_state = require_field(doc, path, "discriminator")
     if not isinstance(gen_state, dict) or not isinstance(disc_state, dict):

@@ -4,8 +4,9 @@ E_total = E_3D + lambda_2d * E_2D + lambda_t * E_T + lambda_s * E_S, each
 term a residual term of `problem.py`. E_3D and E_T measure distances in
 stacked pose-parameter space (angles in radians, root rotation as
 axis-angle, translation in meters, mixed as-is); E_3D pulls towards the
-network's poses M(Q_hat_t, t_t), which `net_pose_targets` decodes. E_2D, a
-confidence-gated mean reprojection error, is also kept here as a scalar.
+network's poses M(Q_hat_t, t_t), which `net_pose_targets` decodes.
+`energy_2d` evaluates the E_2D term alone as a scalar: the confidence-gated
+mean reprojection error.
 """
 
 from dataclasses import dataclass
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import quat
-from ..camera import project_points
 from ..errors import InvalidInputError
-from ..skeleton import QuatPose, forward_kinematics, quat_to_pose
+from ..skeleton import QuatPose, as_sequence, fk_frames, quat_to_pose
+from .problem import Reprojection, View
 
 
 @dataclass
@@ -33,7 +34,7 @@ class EnergyWeights:
             raise InvalidInputError("conf_threshold must lie in [0, 1]")
 
 
-def net_pose_targets(skeleton, net_quats, trans):
+def net_pose_targets(skeleton, net_quats):
     """Angles and root rotations of M(Q_hat_t, t_t) for every frame.
 
     Returns (theta (T, total_dof), root_rot (T, 3)); angles come out clamped
@@ -43,7 +44,7 @@ def net_pose_targets(skeleton, net_quats, trans):
     """
     net_quats = np.asarray(net_quats, dtype=float)
     q = quat.normalize(net_quats.reshape(net_quats.shape[0], -1, 4))
-    pose = quat_to_pose(skeleton, QuatPose(q), trans)
+    pose = quat_to_pose(skeleton, QuatPose(q), np.zeros((q.shape[0], 3)))
     return pose.theta, pose.root_rot
 
 
@@ -51,19 +52,12 @@ def energy_2d(seq, obs, camera, skeleton, threshold=0.8):
     """Mean over frames of the mean squared reprojection error of confident joints.
 
     Joints with confidence below threshold are ignored; frames where no
-    joint passes (or none is visible) contribute zero.
+    joint passes (or none is visible) contribute zero. This is the cost of
+    the reprojection term at unit weight.
     """
-    if len(seq) != len(obs):
+    seq = as_sequence(seq)
+    if seq.root_trans.shape[0] != obs.n_frames:
         raise InvalidInputError("seq and obs must have equal length")
-    total = 0.0
-    for pose, frame in zip(seq, obs):
-        included = np.flatnonzero(frame.conf >= threshold)
-        if included.size == 0:
-            continue
-        uv, _, valid = project_points(camera, forward_kinematics(skeleton, pose))
-        use = included[valid[included]]
-        if use.size == 0:
-            continue
-        diff = uv[use] - frame.keypoints[use]
-        total += float(np.sum(diff * diff)) / included.size
-    return total / len(seq)
+    term = Reprojection(View(camera, obs), EnergyWeights(conf_threshold=threshold))
+    r = term.residuals({"pos": fk_frames(skeleton, seq)[0]})
+    return float(r @ r)

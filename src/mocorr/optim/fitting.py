@@ -24,7 +24,7 @@ def _candidate_sets(conf, torso, threshold):
     return (gate, soft, anyj)
 
 
-def _root_depth_init(skeleton, camera, frames, threshold):
+def _root_depth_init(skeleton, camera, obs, threshold):
     """Per-frame root translation from torso keypoint spread.
 
     For joints i, j at rest-pose distance d_ij seen l_ij pixels apart at a
@@ -36,16 +36,16 @@ def _root_depth_init(skeleton, camera, frames, threshold):
     rest = forward_kinematics(skeleton, identity_pose(skeleton))
     torso = list(skeleton.region_joints("torso"))
     focal = 0.5 * (camera.fx + camera.fy)
-    out = np.zeros((len(frames), 3))
+    out = np.zeros((obs.n_frames, 3))
     prev_z = 2.0
-    for t, frame in enumerate(frames):
+    for t in range(obs.n_frames):
         z = None
         centroid_px = None
         offset = np.zeros(3)
-        for joints in _candidate_sets(frame.conf, torso, threshold):
+        for joints in _candidate_sets(obs.conf[t], torso, threshold):
             if len(joints) < 2:
                 continue
-            kp = frame.keypoints[joints]
+            kp = obs.keypoints[t][joints]
             num = 0.0
             den = 0.0
             for a in range(len(joints)):
@@ -72,7 +72,8 @@ def _root_depth_init(skeleton, camera, frames, threshold):
 
 
 def sparse_view_fit(multi_obs, cameras, skeleton, options=None, weights=None):
-    """Fit a motion to keypoints from V synchronized views.
+    """Fit a motion to keypoints from V synchronized views, one
+    `Observations` record per camera.
 
     Solves E_2D (averaged over views) + lambda_T * E_T over bounded joint
     angles, root rotation, and root translation for every frame jointly.
@@ -80,21 +81,19 @@ def sparse_view_fit(multi_obs, cameras, skeleton, options=None, weights=None):
     """
     if len(multi_obs) != len(cameras) or not cameras:
         raise InvalidInputError("need one observation sequence per camera")
-    n_frames = len(multi_obs[0])
-    if any(len(frames) != n_frames for frames in multi_obs):
+    n_frames = multi_obs[0].n_frames
+    if any(obs.n_frames != n_frames for obs in multi_obs):
         raise InvalidInputError("all views must cover the same frames")
     if n_frames < 2:
         raise InvalidInputError("need at least two frames to fit")
     weights = EnergyWeights() if weights is None else weights
     options = LMOptions() if options is None else options
     n_views = len(cameras)
-    views = [View(cam, frames, 1.0 / n_views)
-             for cam, frames in zip(cameras, multi_obs)]
-    if not any(np.any(f.conf >= weights.conf_threshold)
-               for frames in multi_obs for f in frames):
+    views = [View(cam, obs, 1.0 / n_views) for cam, obs in zip(cameras, multi_obs)]
+    if not any(np.any(obs.conf >= weights.conf_threshold) for obs in multi_obs):
         raise UnfittableError(
             "no keypoint clears the confidence gate in any frame of any view")
-    problem = PoseProblem(skeleton, views, weights, temporal=True)
+    problem = PoseProblem(skeleton, views, weights)
 
     mid = 0.5 * (skeleton.theta_min + skeleton.theta_max)
     theta0 = np.tile(mid, (n_frames, 1))
@@ -102,7 +101,7 @@ def sparse_view_fit(multi_obs, cameras, skeleton, options=None, weights=None):
     trans0 = _root_depth_init(skeleton, cameras[0], multi_obs[0], weights.conf_threshold)
     x0 = problem.pack(theta0, rot0, trans0)
     result = levenberg_marquardt(problem.residuals, x0, problem.jacobian, options)
-    conf = np.mean([[f.conf for f in frames] for frames in multi_obs], axis=0)
+    conf = np.mean([obs.conf for obs in multi_obs], axis=0)
     return build_motion_map(SkeletalPose(*problem.unpack(result.x)), skeleton, conf)
 
 

@@ -5,7 +5,11 @@ Both LM problems are lists of residual terms over per-frame parameter blocks:
 - `Reprojection` (E_2D, one per view): confidence-gated pixel errors.
 - `Anchor` (E_3D): the leading parameters against per-frame targets.
 - `Temporal` (E_T): the change of every parameter between frames.
-- `Silhouette` (E_S): nearest-neighbour distances between outlines.
+- `Silhouette` (E_S, one per view with outlines): nearest-neighbour
+  distances between outlines.
+
+Each view reads one `motion.Observations` record, whose frame-axis arrays
+the terms take as they are.
 
 Residuals carry square-rooted weights, so the solver's cost (sum of squared
 residuals) equals the weighted energy exactly. Each term fixes its row count
@@ -60,7 +64,6 @@ from ..camera import (
 from ..errors import InvalidInputError
 from ..numerics import sigmoid
 from ..skeleton import SkeletalPose, fk_frames
-from .energies import net_pose_targets
 from .kinematics import fk_jacobian, projection_jacobian
 
 
@@ -87,10 +90,11 @@ class BoundedAngles:
 
 @dataclass
 class View:
-    """One camera's keypoint observations with its share of the 2D weight."""
+    """One camera's observations (a `motion.Observations` record) with its
+    share of the 2D weight."""
 
     camera: object
-    frames: list
+    obs: object
     weight: float = 1.0
 
 
@@ -199,13 +203,13 @@ class Reprojection:
     behind the camera gets zero rows, residual and Jacobian alike.
     """
 
-    def __init__(self, view, weights, n_frames):
-        gate = np.stack([f.conf for f in view.frames]) >= weights.conf_threshold
+    def __init__(self, view, weights):
+        gate = view.obs.conf >= weights.conf_threshold
         count = np.maximum(gate.sum(axis=1, keepdims=True), 1)
-        share = weights.lambda_2d * view.weight / (n_frames * count)
+        share = weights.lambda_2d * view.weight / (gate.shape[0] * count)
         self.weight = np.where(gate, np.sqrt(share), 0.0)
         self.camera = view.camera
-        self.targets = np.stack([f.keypoints for f in view.frames])
+        self.targets = view.obs.keypoints
         self.rows = 2 * self.weight.size
 
     def residuals(self, state):
@@ -258,26 +262,25 @@ class Temporal:
 
 
 class Silhouette:
-    """E_S over the frames with an observed outline: each observed point to
-    its nearest model point, then each of the n model points to its nearest
-    observed point, each side weighted by sqrt(lambda_s / 2 / (T * count)).
+    """E_S of one view over the frames with an observed outline: each
+    observed point to its nearest model point, then each of the n model
+    points to its nearest observed point, each side weighted by
+    sqrt(lambda_s / 2 / (T * count)).
 
-    Observed outlines shorter than the longest are padded with zero-weight
-    rows that no model point pairs with. Every row of a frame whose model
-    outline is lost is inf, and such a frame has no Jacobian.
+    Observed outlines shorter than the longest keep the record's padding as
+    zero-weight rows that no model point pairs with. Every row of a frame
+    whose model outline is lost is inf, and such a frame has no Jacobian.
     """
 
-    def __init__(self, camera, skeleton, body, observed, weights, n_frames, n):
+    def __init__(self, camera, skeleton, body, obs, weights, n):
         self.camera, self.skeleton, self.body, self.n = camera, skeleton, body, n
-        lengths = np.array([o.shape[0] for o in observed])
-        self.frames = np.flatnonzero(lengths)
-        lengths = lengths[self.frames][:, None]
+        self.frames = np.flatnonzero(obs.sil_count)
+        lengths = obs.sil_count[self.frames][:, None]
         self.pad = np.arange(lengths.max()) >= lengths
-        self.obs = np.zeros(self.pad.shape + (2,))
-        self.obs[~self.pad] = np.concatenate([observed[t] for t in self.frames])
-        share = weights.lambda_s * 0.5 / (n_frames * lengths)
+        self.obs = obs.silhouette[self.frames, :self.pad.shape[1]]
+        share = weights.lambda_s * 0.5 / (obs.n_frames * lengths)
         self.w_obs = np.where(self.pad, 0.0, np.sqrt(share))
-        self.w_model = np.sqrt(weights.lambda_s * 0.5 / (n_frames * n))
+        self.w_model = np.sqrt(weights.lambda_s * 0.5 / (obs.n_frames * n))
         self.rows = 2 * self.pad.shape[0] * (self.pad.shape[1] + n)
 
     def _structure(self, state):
@@ -410,35 +413,35 @@ def _jacobian(terms, state, jac):
 
 
 class PoseProblem:
-    """Full-pose sequence refinement: E_2D + E_3D + E_T + E_S as residuals."""
+    """Full-pose sequence refinement: E_2D + E_3D + E_T + E_S as residuals.
 
-    def __init__(self, skeleton, views, weights, *, net_quats=None, body=None,
-                 sil_camera=None, sil_frames=None, n_sil=96, temporal=True):
-        if not views and net_quats is None:
+    Every view adds a reprojection term. `anchor`, angles and root rotations
+    (T, D) and (T, 3), adds E_3D towards them; E_T joins whenever T >= 2.
+    With a capsule `body` and lambda_s > 0, each view whose record holds
+    outline points adds a silhouette term seen through that view's camera.
+    """
+
+    def __init__(self, skeleton, views, weights, *, anchor=None, body=None, n_sil=96):
+        if not views and anchor is None:
             raise InvalidInputError("pose problem needs at least one term")
         self.skeleton = skeleton
         self.views = views
         self.weights = weights
         self.bounds = BoundedAngles(skeleton)
-        self.T = len(views[0].frames) if views else np.asarray(net_quats).shape[0]
-        if any(len(v.frames) != self.T for v in views):
+        self.T = views[0].obs.n_frames if views else len(anchor[0])
+        if any(v.obs.n_frames != self.T for v in views):
             raise InvalidInputError("all views must cover the same frames")
         self.D = skeleton.total_dof
         self.Pf = self.D + 6
 
-        self.terms = [Reprojection(v, weights, self.T) for v in views]
-        if net_quats is not None:
-            theta, root_rot = net_pose_targets(skeleton, net_quats, np.zeros((self.T, 3)))
-            self.terms.append(Anchor(np.concatenate([theta, root_rot], axis=1), self.Pf))
-        if temporal and self.T >= 2:
+        self.terms = [Reprojection(v, weights) for v in views]
+        if anchor is not None:
+            self.terms.append(Anchor(np.concatenate(anchor, axis=1), self.Pf))
+        if self.T >= 2:
             self.terms.append(Temporal(weights.lambda_t, self.T, self.Pf))
-        if (weights.lambda_s > 0.0 and sil_camera is not None and body is not None
-                and sil_frames is not None
-                and any(np.asarray(f.silhouette).size for f in sil_frames)):
-            observed = [np.asarray(f.silhouette, dtype=float).reshape(-1, 2)
-                        for f in sil_frames]
-            self.terms.append(Silhouette(sil_camera, skeleton, body, observed, weights,
-                                         self.T, n_sil))
+        if body is not None and weights.lambda_s > 0.0:
+            self.terms += [Silhouette(v.camera, skeleton, body, v.obs, weights, n_sil)
+                           for v in views if v.obs.sil_count.any()]
         self.n_rows = sum(term.rows for term in self.terms)
         self._cache = (None, None)
 
@@ -481,16 +484,16 @@ class TranslationProblem:
     """Stage-one refinement: root translations under E_2D + lambda_t * E_T,
     with every frame's angles and root rotation held at theta, root_rot."""
 
-    def __init__(self, skeleton, camera, frames, weights, theta, root_rot):
-        self.T = len(frames)
+    def __init__(self, skeleton, camera, obs, weights, theta, root_rot):
+        self.T = obs.n_frames
         if len(theta) != self.T or len(root_rot) != self.T:
             raise InvalidInputError("need one fixed pose per frame")
         zeroed = SkeletalPose(np.asarray(theta, dtype=float),
                               np.asarray(root_rot, dtype=float), np.zeros((self.T, 3)))
         self.base = fk_frames(skeleton, zeroed)[0]
-        self.views = [View(camera, frames)]
+        self.views = [View(camera, obs)]
         self.weights = weights
-        self.terms = [Reprojection(self.views[0], weights, self.T)]
+        self.terms = [Reprojection(self.views[0], weights)]
         if self.T >= 2:
             self.terms.append(Temporal(weights.lambda_t, self.T, 3))
         self.n_rows = sum(term.rows for term in self.terms)

@@ -32,11 +32,9 @@ def place_translations(net_quats, obs, camera, skeleton, init_translations,
     under the reprojection and smoothness terms; this is exactly the first
     flip-flop stage.
     """
-    net_quats = np.asarray(net_quats, dtype=float)
-    n_frames = net_quats.shape[0]
     weights = EnergyWeights() if weights is None else weights
     options = LMOptions() if options is None else options
-    theta, root_rot = net_pose_targets(skeleton, net_quats, np.zeros((n_frames, 3)))
+    theta, root_rot = net_pose_targets(skeleton, net_quats)
     return _solve_translations(skeleton, camera, obs, weights, options, theta, root_rot,
                                np.asarray(init_translations, dtype=float))
 
@@ -45,14 +43,14 @@ def refine(init, net_quats, obs, camera, skeleton, body=None, weights=None,
            options=None, flipflop_rounds=1, n_sil=96):
     """Refine a motion map; returns a new MotionMap with init's confidences.
 
-    The silhouette term participates only when `body` is given, the frames
-    carry silhouette points, and weights.lambda_s > 0.
+    The silhouette term participates only when `body` is given, the
+    observations carry silhouette points, and weights.lambda_s > 0.
     """
     net_quats = np.asarray(net_quats, dtype=float)
     n_frames = init.n_frames
     if n_frames < 2:
         raise InvalidInputError("refinement needs at least two frames")
-    if len(obs) != n_frames or net_quats.shape[0] != n_frames:
+    if obs.n_frames != n_frames or net_quats.shape[0] != n_frames:
         raise InvalidInputError("init, network output and observations must align")
     if net_quats.shape[1] != 4 * skeleton.n_joints:
         raise InvalidInputError("network output width does not match the skeleton")
@@ -61,16 +59,14 @@ def refine(init, net_quats, obs, camera, skeleton, body=None, weights=None,
     weights = EnergyWeights() if weights is None else weights
     options = LMOptions() if options is None else options
 
-    theta, root_rot = net_pose_targets(skeleton, net_quats, np.zeros((n_frames, 3)))
+    anchor = net_pose_targets(skeleton, net_quats)
+    theta, root_rot = anchor
     trans = init.translations.copy()
+    stage2 = PoseProblem(skeleton, [View(camera, obs)], weights, anchor=anchor,
+                         body=body, n_sil=n_sil)
     for _ in range(flipflop_rounds):
         trans = _solve_translations(skeleton, camera, obs, weights, options,
                                     theta, root_rot, trans)
-
-        stage2 = PoseProblem(
-            skeleton, [View(camera, obs, 1.0)], weights,
-            net_quats=net_quats, body=body, sil_camera=camera,
-            sil_frames=obs, n_sil=n_sil, temporal=True)
         x0 = stage2.pack(theta, root_rot, trans)
         result = levenberg_marquardt(stage2.residuals, x0, stage2.jacobian, options)
         theta, root_rot, trans = stage2.unpack(result.x)

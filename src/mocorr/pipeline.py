@@ -7,13 +7,14 @@ final report is recomputable from the emitted motion files alone.
 
 import dataclasses
 import os
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .camera import default_body, save_camera
 from .errors import ConfigError, InvalidInputError
-from .jsonio import load_document, save_document
+from .jsonio import load_document, require_int, save_document
 from .metrics import frame_mpjpe, joint_positions, mpjpe, pck
 from .motion import MotionMap, save_motion, save_observations
 from .net.model import generator_forward, load_checkpoint, save_checkpoint
@@ -96,6 +97,33 @@ def _section_to_dict(obj):
     return out
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _field_value(kind, value, where):
+    """A JSON value as a config field annotated `kind` (bool, int, float, a
+    tuple of floats, or one of these or None) takes it."""
+    kinds = typing.get_args(kind) or (kind,)
+    if value is None and type(None) in kinds:
+        return None
+    if bool in kinds:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{where} must be true or false")
+    if tuple in kinds:
+        if isinstance(value, list) and all(map(_is_number, value)):
+            return tuple(float(x) for x in value)
+        raise ConfigError(f"{where} must be a list of numbers")
+    if int in kinds:
+        if _is_number(value) and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        raise ConfigError(f"{where} must be an integer")
+    if float in kinds and not _is_number(value):
+        raise ConfigError(f"{where} must be a number")
+    return value
+
+
 def _section_from_dict(cls, data, name):
     if not isinstance(data, dict):
         raise ConfigError(f"{name} section must be an object")
@@ -104,12 +132,7 @@ def _section_from_dict(cls, data, name):
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown field {name}.{key}")
-        default = known[key].default
-        if isinstance(default, tuple):
-            if not isinstance(value, list):
-                raise ConfigError(f"{name}.{key} must be a list")
-            value = tuple(float(x) for x in value)
-        kwargs[key] = value
+        kwargs[key] = _field_value(known[key].type, value, f"{name}.{key}")
     try:
         return cls(**kwargs)
     except (InvalidInputError, TypeError, ValueError) as exc:
@@ -141,10 +164,8 @@ def load_pipeline_config(path):
     for key, value in doc.items():
         if key == "format":
             continue
-        if key == "seed":
-            kwargs["seed"] = int(value)
-        elif key == "flipflop_rounds":
-            kwargs["flipflop_rounds"] = int(value)
+        if key in ("seed", "flipflop_rounds"):
+            kwargs[key] = require_int(doc, path, key)
         elif key in sections:
             cls, name = sections[key]
             kwargs[key] = _section_from_dict(cls, value, name)

@@ -123,12 +123,6 @@ class SkeletonModel:
     def region_joints(self, region):
         return [i for i, r in enumerate(self.region_map) if r == region]
 
-    def joint_index(self, name):
-        for i, j in enumerate(self.joints):
-            if j.name == name:
-                return i
-        raise InvalidInputError(f"no joint named {name!r}")
-
 
 @dataclass
 class SkeletalPose:
@@ -317,7 +311,7 @@ def load_skeleton(path):
                     limits=item["limits"],
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             from .errors import ParseError
 
             raise ParseError(f"{path}: joints[{k}] is malformed ({exc})") from exc

@@ -14,7 +14,7 @@ import numpy as np
 from . import quat
 from .camera import default_body, look_at, project_points, silhouette_structure
 from .errors import EmptySilhouetteError, InvalidInputError
-from .motion import FrameObservations, MotionMap, build_motion_map, time_warp
+from .motion import MotionMap, Observations, build_motion_map, time_warp
 from .skeleton import SkeletalPose, default_skeleton, fk_frames
 
 # Silhouette outlines emulate a segmentation-mask boundary, not a sparse joint
@@ -64,7 +64,7 @@ class SyntheticScene:
     gt_motion: MotionMap
     mono_camera: object
     sparse_cameras: list
-    mono_obs: list
+    mono_obs: Observations
     sparse_obs: list
     marker_ref: MotionMap
 
@@ -123,13 +123,16 @@ def _observe(rng, camera, skeleton, pos, body, cfg, with_silhouette):
     """One camera's observations of joint positions pos (T, n, 3), drawing
     each frame's random numbers in turn."""
     sigma = cfg.noise_px
-    n_j = skeleton.n_joints
+    n_frames, n_j = pos.shape[:2]
     uv_all, _, valid_all = project_points(camera, pos)
+    keypoints_all = np.zeros((n_frames, n_j, 2))
+    conf_all = np.zeros((n_frames, n_j))
+    silhouette = np.zeros((n_frames, 0, 2))
     if with_silhouette:
         outline = silhouette_structure(camera, skeleton, pos, body, cfg.sil_points)
         if outline.lost.any():
             raise EmptySilhouetteError("the projected body has no visible outline")
-    frames = []
+        silhouette = np.zeros_like(outline.points)
     for t, (uv, valid) in enumerate(zip(uv_all, valid_all)):
         noise = sigma * rng.standard_normal((n_j, 2))
         eps = rng.uniform(0.0, 0.35, n_j)
@@ -140,19 +143,18 @@ def _observe(rng, camera, skeleton, pos, body, cfg, with_silhouette):
             conf = np.clip(1.0 - np.linalg.norm(noise, axis=1) / (3.0 * sigma) + eps, 0.0, 1.0)
         else:
             conf = np.ones(n_j)
-        keypoints = uv + noise
+        keypoints = keypoints_all[t]
+        keypoints[:] = uv + noise
         keypoints[occluded] += (
             3.0 * sigma * np.stack([np.cos(occ_angle), np.sin(occ_angle)], axis=1)[occluded]
         )
         conf = np.where(occluded, occ_conf, conf)
-        conf = np.where(valid, conf, 0.0)
+        conf_all[t] = np.where(valid, conf, 0.0)
         keypoints[~valid] = 0.0
-        sil = np.zeros((0, 2))
         if with_silhouette:
             sil = outline.points[t]
-            sil = sil + SIL_NOISE_SCALE * sigma * rng.standard_normal(sil.shape)
-        frames.append(FrameObservations(keypoints, conf, sil))
-    return frames
+            silhouette[t] = sil + SIL_NOISE_SCALE * sigma * rng.standard_normal(sil.shape)
+    return Observations(keypoints_all, conf_all, silhouette)
 
 
 def _marker_reference(rng_warp, rng_jitter, gt_motion, cfg):

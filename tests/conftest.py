@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mocorr.camera import CapsuleBody, look_at
+from mocorr.motion import Observations
 from mocorr.skeleton import AXES, Joint, REGIONS, SkeletalPose, SkeletonModel
 
 
@@ -60,6 +63,32 @@ def frames_of(seq):
     """The single poses of a frame-axis SkeletalPose, as a list."""
     return [SkeletalPose(seq.theta[t], seq.root_rot[t], seq.root_trans[t])
             for t in range(seq.theta.shape[0])]
+
+
+def frame_rows(obs):
+    """The per-frame rows of an Observations record, as a list of views with
+    keypoints (n, 2), conf (n,) and the frame's own outline points (k, 2)."""
+    return [SimpleNamespace(keypoints=obs.keypoints[t], conf=obs.conf[t],
+                            silhouette=obs.silhouette[t, :obs.sil_count[t]])
+            for t in range(obs.n_frames)]
+
+
+def observations_of(keypoints, conf, outlines=None):
+    """An Observations record from per-frame keypoints (n, 2), confidences
+    (n,) and, optionally, outlines (k_t, 2) of any lengths."""
+    if outlines is None:
+        return Observations(np.stack(keypoints), np.stack(conf))
+    count = np.array([len(o) for o in outlines], dtype=int)
+    silhouette = np.zeros((len(outlines), count.max(initial=0), 2))
+    for t, outline in enumerate(outlines):
+        silhouette[t, :count[t]] = outline
+    return Observations(np.stack(keypoints), np.stack(conf), silhouette, count)
+
+
+def take_frames(obs, frames):
+    """The record of the given frames (an index or slice) of obs."""
+    return Observations(obs.keypoints[frames], obs.conf[frames], obs.silhouette[frames],
+                        obs.sil_count[frames])
 
 
 def aimed_bone_scene():

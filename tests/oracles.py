@@ -13,8 +13,10 @@ different: they are the earlier, unoptimised versions of package code, kept
 as they were so the optimised versions can be required to reproduce them bit
 for bit, or to rounding where the summation order changed. The checkpoint
 writer makes the hybridnet/1 files that the loader must still read. The
-scalar energies E_3D, E_T and E_S, also former package code, are the energy
-definitions that the residual terms are checked against term by term.
+scalar energies E_3D, E_2D, E_T and E_S, also former package code, are the
+energy definitions that the residual terms are checked against term by term.
+`silhouette_points` (one pose's outline) and `frame_quats` (one frame of a
+motion map) are former package helpers that only tests use.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from scipy.linalg import solveh_banded
 from scipy.spatial.transform import Rotation
 
 from mocorr import quat
-from mocorr.camera import project_points, silhouette_points, silhouette_structure
+from mocorr.camera import project_points, silhouette_structure
 from mocorr.errors import (
     EmptySilhouetteError,
     InvalidInputError,
@@ -40,10 +42,14 @@ from mocorr.skeleton import (
     QuatPose,
     SkeletalPose,
     _check_dims,
+    as_sequence,
     clamp_joint_limits,
     fk_frames,
+    forward_kinematics,
     local_rotation,
 )
+
+from conftest import frame_rows
 
 
 def conjugate(q):
@@ -266,7 +272,7 @@ def energy_3d(seq, net_quats, trans, skeleton, joint_weights=None):
     trans = np.asarray(trans, dtype=float)
     if len(seq) != np.asarray(net_quats).shape[0] or len(seq) != trans.shape[0]:
         raise InvalidInputError("seq, net_quats and trans must have equal length")
-    theta_hat, rv_hat = net_pose_targets(skeleton, net_quats, trans)
+    theta_hat, rv_hat = net_pose_targets(skeleton, net_quats)
     w = _joint_weight_vector(skeleton, joint_weights)
     total = 0.0
     for t, pose in enumerate(seq):
@@ -276,16 +282,53 @@ def energy_3d(seq, net_quats, trans, skeleton, joint_weights=None):
     return total
 
 
+def energy_2d_per_frame(seq, obs, camera, skeleton, threshold=0.8):
+    """Mean over frames of the mean squared reprojection error of confident joints.
+
+    Joints with confidence below threshold are ignored; frames where no
+    joint passes (or none is visible) contribute zero. seq is a list of
+    single poses, obs an Observations record.
+    """
+    if len(seq) != obs.n_frames:
+        raise InvalidInputError("seq and obs must have equal length")
+    total = 0.0
+    for pose, frame in zip(seq, frame_rows(obs)):
+        included = np.flatnonzero(frame.conf >= threshold)
+        if included.size == 0:
+            continue
+        uv, _, valid = project_points(camera, forward_kinematics(skeleton, pose))
+        use = included[valid[included]]
+        if use.size == 0:
+            continue
+        diff = uv[use] - frame.keypoints[use]
+        total += float(np.sum(diff * diff)) / included.size
+    return total / len(seq)
+
+
 def energy_temporal(net_quats, trans, skeleton):
     """Sum of squared pose-parameter differences between adjacent frames of M."""
     net_quats = np.asarray(net_quats, dtype=float)
     trans = np.asarray(trans, dtype=float)
     if net_quats.shape[0] < 2:
         raise InvalidInputError("temporal energy needs at least two frames")
-    theta, root_rot = net_pose_targets(skeleton, net_quats, trans)
+    theta, root_rot = net_pose_targets(skeleton, net_quats)
     p = np.concatenate([theta, root_rot, trans], axis=1)
     diff = np.diff(p, axis=0)
     return float(np.sum(diff * diff))
+
+
+def silhouette_points(camera, skeleton, pose, body, n):
+    """n points (pixels) on the outline of the projected capsule body."""
+    pos = fk_frames(skeleton, as_sequence(pose))[0]
+    out = silhouette_structure(camera, skeleton, pos, body, n)
+    if out.lost[0]:
+        raise EmptySilhouetteError("the projected body has no visible outline")
+    return out.points[0]
+
+
+def frame_quats(motion, t):
+    """Quaternions of frame t of a motion map as an (n_joints, 4) view."""
+    return motion.quats[t].reshape(motion.n_joints, 4)
 
 
 def _mean_min_sq(a, b):
@@ -789,7 +832,7 @@ class _SparseBuilder:
 def ragged_gate(problem):
     """Per view, per frame: the joints that clear the confidence gate."""
     threshold = problem.weights.conf_threshold
-    return [[np.flatnonzero(f.conf >= threshold) for f in view.frames]
+    return [[np.flatnonzero(conf >= threshold) for conf in view.obs.conf]
             for view in problem.views]
 
 
@@ -806,8 +849,8 @@ def ragged_rows(problem):
     for term in problem.terms:
         kind = type(term).__name__
         if kind == "Reprojection":
-            gate = [f.conf >= problem.weights.conf_threshold for f in next(views).frames]
-            keep.append(np.repeat(np.ravel(gate), 2))
+            gate = next(views).obs.conf >= problem.weights.conf_threshold
+            keep.append(np.repeat(gate.ravel(), 2))
         elif kind == "Silhouette":
             real = np.repeat(~term.pad, 2, axis=1)
             keep.append(np.concatenate(
@@ -854,7 +897,7 @@ def _reprojection_ragged(problem, pos, gate):
                 continue
             scale = np.sqrt(problem.weights.lambda_2d * view.weight / (problem.T * incl.size))
             uv, _, valid = project_points(view.camera, pos[t][incl])
-            diff = (uv - view.frames[t].keypoints[incl]) * scale
+            diff = (uv - view.obs.keypoints[t][incl]) * scale
             diff[~valid] = 0.0
             out.append(diff.ravel())
     return out

@@ -16,7 +16,7 @@ from conftest import make_random_skeleton, make_toy_skeleton, random_pose, stack
 from mocorr.camera import default_body, project
 from mocorr.cli import main as cli_main
 from mocorr.metrics import mpjpe
-from mocorr.motion import FrameObservations
+from mocorr.motion import Observations
 from mocorr.net.layers import Affine, BatchNorm, Conv1d, Dropout, ELU, GRU
 from mocorr.net.losses import QUAT_NORM_WEIGHT, loss_adv, loss_disc, loss_sv
 from mocorr.net.model import Discriminator, Generator, motion_channels
@@ -251,13 +251,13 @@ def test_criterion_4_loss_arithmetic():
     conf = np.array([1.0, 1.0, 0.79, 1.0, 1.0])
     moved = uv.copy()
     moved[2] += 500.0
-    e_base = energy_2d([pose], [FrameObservations(uv, conf)], camera, skeleton)
-    e_moved = energy_2d([pose], [FrameObservations(moved, conf)], camera,
+    e_base = energy_2d(pose, Observations(uv[None], conf[None]), camera, skeleton)
+    e_moved = energy_2d(pose, Observations(moved[None], conf[None]), camera,
                         skeleton)
     assert e_moved == e_base
     conf_in = conf.copy()
     conf_in[2] = 0.8
-    e_gated_in = energy_2d([pose], [FrameObservations(moved, conf_in)],
+    e_gated_in = energy_2d(pose, Observations(moved[None], conf_in[None]),
                            camera, skeleton)
     assert e_gated_in > e_base + 1.0
     print("\n  hand values reproduced to 1e-12; 0.79 gated out, 0.80 kept")

@@ -17,7 +17,6 @@ from mocorr.camera import (
     project,
     project_points,
     save_camera,
-    silhouette_points,
     silhouette_structure,
     stadium_signed_distance,
 )
@@ -36,7 +35,7 @@ from conftest import (
     random_pose,
     stack_poses,
 )
-from oracles import project_matrix, silhouette_structure_per_frame
+from oracles import project_matrix, silhouette_points, silhouette_structure_per_frame
 
 
 def make_camera(seed=0):

@@ -179,3 +179,40 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+MALFORMED = {
+    "skeleton limits of the wrong length":
+        ("skeleton.json", lambda doc: doc["joints"][1].update(limits=[[0.0, 1.0]])),
+    "config seed not a number": ("config.json", lambda doc: doc.update(seed="abc")),
+    "config scene.T not a number":
+        ("config.json", lambda doc: doc["scene"].update(T="abc")),
+    "config flipflop_rounds null":
+        ("config.json", lambda doc: doc.update(flipflop_rounds=None)),
+    "motion T not a number": ("gt.motion.json", lambda doc: doc.update(T="abc")),
+    "observations T null": ("obs_mono.json", lambda doc: doc.update(T=None)),
+    "observations frames not a list": ("obs_mono.json", lambda doc: doc.update(frames=5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_files_exit_2(scene_dir, tmp_path, capsys, case):
+    name, change = MALFORMED[case]
+    with open(path_in(scene_dir, name)) as fh:
+        doc = json.load(fh)
+    change(doc)
+    bad = str(tmp_path / name)
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    skeleton = bad if name == "skeleton.json" else path_in(scene_dir, "skeleton.json")
+    gt = bad if name == "gt.motion.json" else path_in(scene_dir, "gt.motion.json")
+    if name == "config.json":
+        argv = ["--config", bad, "--out", out, "synth"]
+    elif name == "obs_mono.json":
+        argv = ["--out", out, "fit", "--obs", bad,
+                "--camera", path_in(scene_dir, "camera_mono.json"), "--skeleton", skeleton]
+    else:
+        argv = ["--out", out, "eval", "--pred", gt, "--gt", gt, "--skeleton", skeleton]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")

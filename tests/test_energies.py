@@ -3,19 +3,28 @@
 import numpy as np
 import pytest
 
-from mocorr.camera import default_body, look_at, silhouette_points
+from mocorr.camera import default_body, look_at, project_points
 from mocorr.errors import InvalidInputError
-from mocorr.motion import FrameObservations
+from mocorr.motion import Observations
 from mocorr.optim.energies import EnergyWeights, energy_2d, net_pose_targets
 from mocorr.skeleton import SkeletalPose, forward_kinematics, pose_to_quat
 
-from conftest import make_toy_skeleton, random_pose
+from conftest import (
+    frame_rows,
+    make_random_skeleton,
+    make_toy_skeleton,
+    observations_of,
+    random_pose,
+    stack_poses,
+)
 from oracles import (
     chamfer_sq,
+    energy_2d_per_frame,
     energy_3d,
     energy_silhouette,
     energy_temporal,
     project_matrix,
+    silhouette_points,
 )
 
 
@@ -76,7 +85,7 @@ def test_energy_3d_decode_clamps_to_limits(toy_skeleton):
                           np.zeros(3))
     target.theta[t_axis] = 0.9  # out of range; decode clamps to 0.4
     net = pose_to_quat(toy_skeleton, target).quats.ravel()[None, :]
-    theta_hat, _ = net_pose_targets(toy_skeleton, net, np.zeros((1, 3)))
+    theta_hat, _ = net_pose_targets(toy_skeleton, net)
     assert theta_hat[0, t_axis][0] == pytest.approx(0.4, abs=1e-12)
 
 
@@ -84,7 +93,7 @@ def test_net_pose_targets_refuses_zero_quaternion(toy_skeleton, rng):
     net, _ = targets_from_poses(toy_skeleton, [random_pose(rng, toy_skeleton) for _ in range(3)])
     net[1, 4:8] = 0.0
     with pytest.raises(InvalidInputError, match="cannot normalize zero quaternion"):
-        net_pose_targets(toy_skeleton, net, np.zeros((3, 3)))
+        net_pose_targets(toy_skeleton, net)
 
 
 def test_energy_3d_length_mismatch(toy_skeleton, rng):
@@ -105,8 +114,8 @@ def test_energy_2d_single_joint_three_pixels(toy_skeleton, rng):
     conf[2] = 1.0
     keypoints = uv.copy()
     keypoints[2, 0] += 3.0
-    obs = [FrameObservations(keypoints, conf)]
-    assert energy_2d([pose], obs, camera, toy_skeleton) == pytest.approx(
+    obs = Observations(keypoints[None], conf[None])
+    assert energy_2d(pose, obs, camera, toy_skeleton) == pytest.approx(
         9.0, abs=1e-9)
 
 
@@ -116,18 +125,18 @@ def test_energy_2d_gate_excludes_conf_079(toy_skeleton, rng):
     uv, _ = project_matrix(camera, forward_kinematics(toy_skeleton, pose))
     conf = np.full(toy_skeleton.n_joints, 1.0)
     conf[1] = 0.79
-    base = FrameObservations(uv.copy(), conf)
-    value = energy_2d([pose], [base], camera, toy_skeleton, threshold=0.8)
+    base = Observations(uv.copy()[None], conf[None])
+    value = energy_2d(pose, base, camera, toy_skeleton, threshold=0.8)
 
     moved = uv.copy()
     moved[1] += 500.0  # gated-out joint: moving it must change nothing
-    value_moved = energy_2d([pose], [FrameObservations(moved, conf)],
+    value_moved = energy_2d(pose, Observations(moved[None], conf[None]),
                             camera, toy_skeleton, threshold=0.8)
     assert value_moved == value
 
     conf_in = conf.copy()
     conf_in[1] = 0.8  # at the threshold the joint participates
-    value_in = energy_2d([pose], [FrameObservations(moved, conf_in)],
+    value_in = energy_2d(pose, Observations(moved[None], conf_in[None]),
                          camera, toy_skeleton, threshold=0.8)
     assert value_in > value + 1.0
 
@@ -135,13 +144,14 @@ def test_energy_2d_gate_excludes_conf_079(toy_skeleton, rng):
 def test_energy_2d_matches_direct_sum(toy_skeleton, rng):
     camera = make_camera()
     seq = [random_pose(rng, toy_skeleton, trans_scale=0.1) for _ in range(5)]
-    obs = []
+    keypoints, conf = [], []
     for pose in seq:
         uv, _ = project_matrix(camera, forward_kinematics(toy_skeleton, pose))
-        obs.append(FrameObservations(uv + rng.normal(0, 3, uv.shape),
-                                     rng.uniform(0, 1, len(uv))))
+        keypoints.append(uv + rng.normal(0, 3, uv.shape))
+        conf.append(rng.uniform(0, 1, len(uv)))
+    obs = observations_of(keypoints, conf)
     expected = 0.0
-    for pose, frame in zip(seq, obs):
+    for pose, frame in zip(seq, frame_rows(obs)):
         included = frame.conf >= 0.8
         if not np.any(included):
             continue
@@ -152,7 +162,7 @@ def test_energy_2d_matches_direct_sum(toy_skeleton, rng):
                 err += float(np.sum((uv[j] - frame.keypoints[j]) ** 2))
         expected += err / int(np.sum(included))
     expected /= len(seq)
-    assert energy_2d(seq, obs, camera, toy_skeleton) == pytest.approx(
+    assert energy_2d(stack_poses(seq), obs, camera, toy_skeleton) == pytest.approx(
         expected, rel=1e-12)
 
 
@@ -160,8 +170,35 @@ def test_energy_2d_empty_gate_contributes_zero(toy_skeleton, rng):
     camera = make_camera()
     pose = random_pose(rng, toy_skeleton, trans_scale=0.1)
     uv, _ = project_matrix(camera, forward_kinematics(toy_skeleton, pose))
-    obs = [FrameObservations(uv, np.full(toy_skeleton.n_joints, 0.5))]
-    assert energy_2d([pose], obs, camera, toy_skeleton) == 0.0
+    obs = Observations(uv[None], np.full((1, toy_skeleton.n_joints), 0.5))
+    assert energy_2d(pose, obs, camera, toy_skeleton) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_energy_2d_equals_per_frame_oracle(seed):
+    """The unit-weight reprojection term's cost equals the per-frame loop to
+    rounding, on sequences whose last frame is fully gated and whose first
+    frame has a gated-in joint behind the camera."""
+    rng = np.random.default_rng(seed)
+    skeleton = make_random_skeleton(rng) if seed % 2 else make_toy_skeleton()
+    n_frames = int(rng.integers(2, 6))
+    seq = [random_pose(rng, skeleton, trans_scale=0.1) for _ in range(n_frames)]
+    pos = np.stack([forward_kinematics(skeleton, p) for p in seq])
+    centre = pos.mean(axis=(0, 1))
+    far = int(np.argmax(np.linalg.norm(pos[0] - centre, axis=1)))
+    camera = look_at(centre + 0.6 * (pos[0, far] - centre), centre,
+                     500.0, 480.0, 320.0, 240.0)
+    _, _, valid = project_points(camera, pos)
+    conf = rng.uniform(0.0, 1.0, (n_frames, skeleton.n_joints))
+    conf[0] = 1.0
+    conf[-1] = rng.uniform(0.0, 0.79, skeleton.n_joints)
+    obs = Observations(rng.uniform(0.0, 640.0, (n_frames, skeleton.n_joints, 2)), conf)
+    assert not valid[0, far] and valid[0].any()
+    for threshold in (0.8, 0.5):
+        expected = energy_2d_per_frame(seq, obs, camera, skeleton, threshold)
+        value = energy_2d(stack_poses(seq), obs, camera, skeleton, threshold)
+        assert expected > 0.0
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_energy_temporal_translation_step(toy_skeleton, rng):

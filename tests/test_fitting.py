@@ -6,14 +6,14 @@ import pytest
 from mocorr.errors import InvalidInputError, UnfittableError
 from mocorr.metrics import mpjpe
 from mocorr.motion import extract_poses
-from mocorr.optim.energies import EnergyWeights, energy_2d
+from mocorr.optim.energies import EnergyWeights
 from mocorr.optim.fitting import initial_fit, sparse_view_fit
 from mocorr.optim.lm import LMOptions
 from mocorr.skeleton import forward_kinematics
 from mocorr.synth import SceneConfig, synth_generate
 
-from conftest import frames_of
-from oracles import project_matrix
+from conftest import frame_rows, frames_of, take_frames
+from oracles import energy_2d_per_frame, project_matrix
 
 FIT_OPTIONS = LMOptions(max_iterations=60)
 
@@ -50,13 +50,13 @@ def test_conf_passthrough_mono_and_view_mean():
     scene = synth_generate(scene_cfg(noise_px=2.0, occlusion=0.15, seed=11))
     mono = initial_fit(scene.mono_obs, scene.mono_camera, scene.skeleton,
                        FIT_OPTIONS)
-    obs_conf = np.stack([f.conf for f in scene.mono_obs])
+    obs_conf = scene.mono_obs.conf
     assert np.array_equal(mono.conf, obs_conf)
 
     sparse = sparse_view_fit(scene.sparse_obs, scene.sparse_cameras,
                              scene.skeleton, FIT_OPTIONS)
     mean_conf = np.mean(
-        [[f.conf for f in frames] for frames in scene.sparse_obs], axis=0)
+        [[f.conf for f in frame_rows(frames)] for frames in scene.sparse_obs], axis=0)
     assert np.allclose(sparse.conf, mean_conf, atol=1e-15)
 
 
@@ -74,7 +74,7 @@ def test_noiseless_mono_fit_reprojects_tightly():
                          LMOptions(max_iterations=120))
     poses = frames_of(extract_poses(fitted, scene.skeleton))
     worst = 0.0
-    for pose, frame in zip(poses, scene.mono_obs):
+    for pose, frame in zip(poses, frame_rows(scene.mono_obs)):
         uv, _ = project_matrix(scene.mono_camera,
                                forward_kinematics(scene.skeleton, pose))
         worst = max(worst, float(np.max(
@@ -92,7 +92,7 @@ def test_more_views_never_increase_fitted_e2d():
                                  scene.skeleton, LMOptions(max_iterations=120))
         poses = frames_of(extract_poses(fitted, scene.skeleton))
         e2d = np.mean([
-            energy_2d(poses, frames, camera, scene.skeleton)
+            energy_2d_per_frame(poses, frames, camera, scene.skeleton)
             for frames, camera in zip(scene.sparse_obs[:v],
                                       scene.sparse_cameras[:v])
         ])
@@ -103,7 +103,7 @@ def test_more_views_never_increase_fitted_e2d():
 
 def test_unfittable_when_everything_gated():
     scene = synth_generate(scene_cfg(noise_px=1.0, seed=12))
-    for frame in scene.mono_obs:
+    for frame in frame_rows(scene.mono_obs):
         frame.conf[:] = 0.0
     with pytest.raises(UnfittableError):
         initial_fit(scene.mono_obs, scene.mono_camera, scene.skeleton,
@@ -116,10 +116,11 @@ def test_fit_input_validation():
         sparse_view_fit(scene.sparse_obs, scene.sparse_cameras[:1],
                         scene.skeleton)
     with pytest.raises(InvalidInputError):  # unequal frame counts
-        sparse_view_fit([scene.sparse_obs[0], scene.sparse_obs[1][:4]],
+        sparse_view_fit([scene.sparse_obs[0], take_frames(scene.sparse_obs[1], slice(4))],
                         scene.sparse_cameras, scene.skeleton)
     with pytest.raises(InvalidInputError):  # too short
-        sparse_view_fit([scene.sparse_obs[0][:1], scene.sparse_obs[1][:1]],
+        sparse_view_fit([take_frames(scene.sparse_obs[0], slice(1)),
+                         take_frames(scene.sparse_obs[1], slice(1))],
                         scene.sparse_cameras, scene.skeleton)
     with pytest.raises(InvalidInputError):  # no cameras at all
         sparse_view_fit([], [], scene.skeleton)

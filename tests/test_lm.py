@@ -5,7 +5,6 @@ import pytest
 
 from mocorr.camera import look_at, project_points
 from mocorr.errors import InvalidInputError, NumericFailureError
-from mocorr.motion import FrameObservations
 from mocorr.optim.energies import EnergyWeights
 from mocorr.optim.lm import (
     LMOptions,
@@ -15,7 +14,7 @@ from mocorr.optim.lm import (
 from mocorr.optim.problem import BlockJacobian, PoseProblem, View
 from mocorr.skeleton import SkeletalPose, forward_kinematics
 
-from conftest import make_toy_skeleton, random_pose
+from conftest import make_toy_skeleton, observations_of, random_pose
 from oracles import levenberg_marquardt_rebuilt, pose_jacobian_sparse
 
 
@@ -145,13 +144,13 @@ def _small_pose_problem(rng, n_frames=3):
     camera = look_at(np.array([0.0, 1.2, 2.5]), np.zeros(3), 500.0, 480.0, 320.0, 240.0)
     seq = [random_pose(rng, skeleton, margin=0.25, trans_scale=0.15)
            for _ in range(n_frames)]
-    frames = []
+    keypoints = []
     for pose in seq:
         uv, _, _ = project_points(camera, forward_kinematics(skeleton, pose))
-        frames.append(FrameObservations(uv + rng.normal(0.0, 3.0, uv.shape),
-                                        np.ones(skeleton.n_joints), np.zeros((0, 2))))
+        keypoints.append(uv + rng.normal(0.0, 3.0, uv.shape))
+    frames = observations_of(keypoints, [np.ones(skeleton.n_joints)] * n_frames)
     problem = PoseProblem(skeleton, [View(camera, frames)],
-                          EnergyWeights(lambda_2d=1.0, lambda_t=2.0), temporal=True)
+                          EnergyWeights(lambda_2d=1.0, lambda_t=2.0))
     mid = 0.5 * (skeleton.theta_min + skeleton.theta_max)
     x0 = problem.pack(np.tile(mid, (n_frames, 1)), np.zeros((n_frames, 3)),
                       np.zeros((n_frames, 3)))

@@ -1,4 +1,6 @@
-"""Motion maps, observation containers, time warping, and their file formats."""
+"""Motion maps, observation records, time warping, and their file formats."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from mocorr import quat
 from mocorr.errors import InvalidInputError, ParseError, UnsupportedVersionError
 from mocorr.motion import (
-    FrameObservations,
     MotionMap,
+    Observations,
     build_motion_map,
     extract_poses,
     load_motion,
@@ -27,8 +29,8 @@ from mocorr.skeleton import (
 )
 from mocorr.synth import SceneConfig, synth_generate
 
-from conftest import frames_of, make_toy_skeleton, random_pose, stack_poses
-from oracles import pose_to_quat_per_frame, quat_to_pose_per_frame
+from conftest import frames_of, make_toy_skeleton, observations_of, random_pose, stack_poses
+from oracles import frame_quats, pose_to_quat_per_frame, quat_to_pose_per_frame
 
 
 def random_motion(rng, n_joints=3, t=6):
@@ -131,7 +133,7 @@ def test_sequence_conversions_equal_per_frame_oracles(seed):
     assert_poses_equal(extract_poses(turned, skeleton), ref)
 
     net = turned.quats * np.repeat(rng.uniform(0.5, 2.0, (n_frames, n_joints)), 4, axis=1)
-    theta, root_rot = net_pose_targets(skeleton, net, np.zeros((n_frames, 3)))
+    theta, root_rot = net_pose_targets(skeleton, net)
     for t in range(n_frames):
         rows = net[t].reshape(n_joints, 4)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
@@ -144,8 +146,8 @@ def test_sequence_conversions_equal_per_frame_oracles(seed):
     warped = time_warp(turned, warp)
     lo = np.minimum(np.floor(warp).astype(int), n_frames - 2)
     for t, (k, u) in enumerate(zip(lo, warp - lo)):
-        expected = quat.nlerp(turned.frame_quats(k), turned.frame_quats(k + 1), u)
-        assert np.array_equal(warped.frame_quats(t), expected)
+        expected = quat.nlerp(frame_quats(turned, k), frame_quats(turned, k + 1), u)
+        assert np.array_equal(frame_quats(warped, t), expected)
 
 
 def test_single_pose_conversions_run_as_one_frame(toy_skeleton, rng):
@@ -179,10 +181,10 @@ def test_time_warp_identity(rng):
 def test_time_warp_midpoint_is_nlerp(rng):
     motion = random_motion(rng, n_joints=2, t=4)
     warped = time_warp(motion, np.array([0.0, 1.5, 3.0]))
-    qa = motion.frame_quats(1)
-    qb = motion.frame_quats(2)
+    qa = frame_quats(motion, 1)
+    qb = frame_quats(motion, 2)
     expected = quat.nlerp(qa, qb, 0.5)
-    assert np.max(np.abs(warped.frame_quats(1) - expected)) <= 1e-9
+    assert np.max(np.abs(frame_quats(warped, 1) - expected)) <= 1e-9
     assert np.allclose(warped.conf[1], 0.5 * (motion.conf[1] + motion.conf[2]))
     assert np.allclose(warped.translations[1],
                        0.5 * (motion.translations[1] + motion.translations[2]))
@@ -244,29 +246,43 @@ def test_motion_load_bad_shape(tmp_path, rng):
 
 
 def test_observations_round_trip(tmp_path, rng):
-    frames = [
-        FrameObservations(rng.uniform(0, 640, (4, 2)),
-                          rng.uniform(0, 1, 4),
-                          rng.uniform(0, 640, (9, 2)))
-        for _ in range(3)
-    ]
+    obs = Observations(rng.uniform(0, 640, (3, 4, 2)), rng.uniform(0, 1, (3, 4)),
+                       rng.uniform(0, 640, (3, 9, 2)))
     path = tmp_path / "obs.json"
-    save_observations(path, frames)
+    save_observations(path, obs)
     loaded = load_observations(path)
-    assert len(loaded) == 3
-    for a, b in zip(loaded, frames):
-        assert np.array_equal(a.keypoints, b.keypoints)
-        assert np.array_equal(a.conf, b.conf)
-        assert np.array_equal(a.silhouette, b.silhouette)
+    assert loaded.n_frames == 3
+    for part in ("keypoints", "conf", "silhouette", "sil_count"):
+        assert np.array_equal(getattr(loaded, part), getattr(obs, part)), part
+
+
+def test_ragged_observations_round_trip_is_byte_identical(tmp_path, rng):
+    """Outlines of 5, 2 and 0 points: each frame writes only its own points,
+    the loaded record pads them to the longest, and saving it again gives
+    the same bytes."""
+    outlines = [rng.uniform(0, 640, (k, 2)) for k in (5, 2, 0)]
+    obs = observations_of(list(rng.uniform(0, 640, (3, 4, 2))),
+                          list(rng.uniform(0, 1, (3, 4))), outlines)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_observations(first, obs)
+    doc = json.loads(first.read_text())
+    assert [len(f["silhouette"]) for f in doc["frames"]] == [5, 2, 0]
+    loaded = load_observations(first)
+    assert np.array_equal(loaded.sil_count, [5, 2, 0])
+    assert loaded.silhouette.shape == (3, 5, 2)
+    assert np.all(loaded.silhouette[1, 2:] == 0.0) and np.all(loaded.silhouette[2] == 0.0)
+    for t, outline in enumerate(outlines):
+        assert np.array_equal(loaded.silhouette[t, :len(outline)], outline)
+    save_observations(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_observations_header_mismatch(tmp_path, rng):
     import json
 
-    frames = [FrameObservations(rng.uniform(0, 10, (2, 2)), np.ones(2))
-              for _ in range(2)]
+    obs = Observations(rng.uniform(0, 10, (2, 2, 2)), np.ones((2, 2)))
     path = tmp_path / "obs.json"
-    save_observations(path, frames)
+    save_observations(path, obs)
     doc = json.loads(path.read_text())
     doc["T"] = 5
     path.write_text(json.dumps(doc))
@@ -277,10 +293,9 @@ def test_observations_header_mismatch(tmp_path, rng):
 def test_observations_malformed_frame(tmp_path, rng):
     import json
 
-    frames = [FrameObservations(rng.uniform(0, 10, (2, 2)), np.ones(2))
-              for _ in range(2)]
+    obs = Observations(rng.uniform(0, 10, (2, 2, 2)), np.ones((2, 2)))
     path = tmp_path / "obs.json"
-    save_observations(path, frames)
+    save_observations(path, obs)
     doc = json.loads(path.read_text())
     del doc["frames"][1]["conf"]
     path.write_text(json.dumps(doc))
@@ -300,10 +315,9 @@ def test_observations_malformed_frame(tmp_path, rng):
 def test_observations_refuse_strings_and_booleans(tmp_path, rng, field, value):
     import json
 
-    frames = [FrameObservations(rng.uniform(0, 10, (2, 2)), np.ones(2))
-              for _ in range(2)]
+    obs = Observations(rng.uniform(0, 10, (2, 2, 2)), np.ones((2, 2)))
     path = tmp_path / "obs.json"
-    save_observations(path, frames)
+    save_observations(path, obs)
     doc = json.loads(path.read_text())
     doc["frames"][1][field] = value
     path.write_text(json.dumps(doc))
@@ -312,19 +326,43 @@ def test_observations_refuse_strings_and_booleans(tmp_path, rng, field, value):
 
 
 def test_observations_empty_silhouette_loads(tmp_path, rng):
-    frames = [FrameObservations(rng.uniform(0, 10, (2, 2)), np.ones(2))
-              for _ in range(2)]
+    obs = Observations(rng.uniform(0, 10, (2, 2, 2)), np.ones((2, 2)))
     path = tmp_path / "obs.json"
-    save_observations(path, frames)
+    save_observations(path, obs)
     assert '"silhouette": []' in path.read_text()
     loaded = load_observations(path)
-    assert all(f.silhouette.shape == (0, 2) for f in loaded)
+    assert loaded.silhouette.shape == (2, 0, 2) and np.all(loaded.sil_count == 0)
 
 
-def test_frame_observations_validation(rng):
-    with pytest.raises(InvalidInputError):
-        FrameObservations(rng.uniform(0, 10, (3, 2)), np.array([0.5, 1.2, 0.1]))
-    with pytest.raises(InvalidInputError):
-        FrameObservations(np.full((2, 2), np.nan), np.ones(2))
-    with pytest.raises(InvalidInputError):
-        FrameObservations(rng.uniform(0, 10, (3, 2)), np.ones(2))
+def test_observations_validation(rng):
+    keypoints, conf = rng.uniform(0, 10, (2, 3, 2)), np.ones((2, 3))
+    outline = rng.uniform(0, 10, (2, 4, 2))
+    obs = Observations(keypoints, conf)
+    assert obs.silhouette.shape == (2, 0, 2) and np.array_equal(obs.sil_count, [0, 0])
+    assert np.array_equal(Observations(keypoints, conf, outline).sil_count, [4, 4])
+    shapes = [(keypoints[:, :2], conf), (keypoints, conf[0]), (keypoints[0], conf[0]),
+              (keypoints[..., :1], conf)]
+    for bad_keypoints, bad_conf in shapes:
+        with pytest.raises(InvalidInputError, match="keypoints must be"):
+            Observations(bad_keypoints, bad_conf)
+    with pytest.raises(InvalidInputError, match="silhouette must be"):
+        Observations(keypoints, conf, outline[:1])
+    with pytest.raises(InvalidInputError, match="silhouette must be"):
+        Observations(keypoints, conf, outline[..., :1])
+    with pytest.raises(InvalidInputError, match="one integer per frame"):
+        Observations(keypoints, conf, outline, [4])
+    with pytest.raises(InvalidInputError, match="one integer per frame"):
+        Observations(keypoints, conf, outline, [4.0, 2.0])
+    for count in ([5, 2], [-1, 2]):
+        with pytest.raises(InvalidInputError, match=r"sil_count must lie in \[0, m\]"):
+            Observations(keypoints, conf, outline, count)
+    for value in (1.2, -0.1):
+        high = conf.copy()
+        high[1, 2] = value
+        with pytest.raises(InvalidInputError, match=r"confidences must lie in \[0, 1\]"):
+            Observations(keypoints, high)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="coordinates must be finite"):
+            Observations(np.where(keypoints > 5.0, bad, keypoints), conf)
+        with pytest.raises(InvalidInputError, match="coordinates must be finite"):
+            Observations(keypoints, conf, np.full((2, 4, 2), bad), [0, 0])

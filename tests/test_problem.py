@@ -12,11 +12,10 @@ from mocorr.camera import (
     look_at,
     piece_points,
     project_points,
-    silhouette_points,
 )
 from mocorr.errors import EmptySilhouetteError, InvalidInputError
-from mocorr.motion import FrameObservations
-from mocorr.optim.energies import EnergyWeights, energy_2d
+from mocorr.motion import Observations
+from mocorr.optim.energies import EnergyWeights, net_pose_targets
 from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
 from mocorr.optim.lm import (
     LMOptions,
@@ -42,14 +41,18 @@ from mocorr.skeleton import (
 
 from conftest import (
     aimed_bone_scene,
+    frame_rows,
     frames_of,
     make_random_skeleton,
     make_toy_skeleton,
+    observations_of,
     random_pose,
     stack_poses,
+    take_frames,
 )
 from oracles import (
     central_diff,
+    energy_2d_per_frame,
     energy_3d,
     energy_silhouette,
     energy_temporal,
@@ -63,6 +66,7 @@ from oracles import (
     project_matrix,
     ragged_rows,
     silhouette_point_jacobians_per_frame,
+    silhouette_points,
     silhouette_structure_per_frame,
     translation_jacobian_sparse,
     translation_residuals_ragged,
@@ -76,7 +80,7 @@ def make_camera(angle=0.0):
 
 def observed_frames(rng, skeleton, camera, seq, noise=2.0, with_sil=False,
                     body=None, n_sil=16):
-    frames = []
+    keypoints, confs, outlines = [], [], []
     for pose in seq:
         uv, _ = project_matrix(camera, forward_kinematics(skeleton, pose))
         conf = rng.uniform(0.5, 1.0, skeleton.n_joints)
@@ -85,9 +89,10 @@ def observed_frames(rng, skeleton, camera, seq, noise=2.0, with_sil=False,
         if with_sil:
             sil = silhouette_points(camera, skeleton, pose, body, n_sil)
             sil = sil + rng.normal(0.0, 1.0, sil.shape)
-        frames.append(FrameObservations(uv + rng.normal(0.0, noise, uv.shape),
-                                        conf, sil))
-    return frames
+        keypoints.append(uv + rng.normal(0.0, noise, uv.shape))
+        confs.append(conf)
+        outlines.append(sil)
+    return observations_of(keypoints, confs, outlines)
 
 
 def seq_to_net(skeleton, seq):
@@ -99,7 +104,7 @@ def fixed_angles(seq):
     return np.stack([p.theta for p in seq]), np.stack([p.root_rot for p in seq])
 
 
-def build_problem(rng, skeleton, t=3, with_sil=True, temporal=True, blind_frame=None,
+def build_problem(rng, skeleton, t=3, with_sil=True, blind_frame=None,
                   ragged_outlines=False):
     """A pose problem with two views; with blind_frame, no joint of that
     frame clears the confidence gate in the second view; with
@@ -113,10 +118,10 @@ def build_problem(rng, skeleton, t=3, with_sil=True, temporal=True, blind_frame=
                                body=body)
     frames_b = observed_frames(rng, skeleton, cam_b, seq)
     if ragged_outlines:
-        frames_a[1].silhouette = frames_a[1].silhouette[:10]
-        frames_a[-1].silhouette = np.zeros((0, 2))
+        frames_a.sil_count[1] = 10
+        frames_a.sil_count[-1] = 0
     if blind_frame is not None:
-        frames_b[blind_frame].conf[:] = 0.3
+        frames_b.conf[blind_frame] = 0.3
     views = [View(cam_a, frames_a, weight=0.6), View(cam_b, frames_b,
                                                      weight=0.4)]
     targets = [random_pose(rng, skeleton, margin=0.25, trans_scale=0.15)
@@ -124,9 +129,8 @@ def build_problem(rng, skeleton, t=3, with_sil=True, temporal=True, blind_frame=
     net = seq_to_net(skeleton, targets)
     weights = EnergyWeights(lambda_2d=1.3, lambda_t=5.0, lambda_s=0.7)
     problem = PoseProblem(
-        skeleton, views, weights, net_quats=net, body=body if with_sil else None,
-        sil_camera=cam_a if with_sil else None,
-        sil_frames=frames_a if with_sil else None, n_sil=16, temporal=temporal)
+        skeleton, views, weights, anchor=net_pose_targets(skeleton, net),
+        body=body if with_sil else None, n_sil=16)
     return problem, seq, net, views, weights
 
 
@@ -143,10 +147,10 @@ def test_cost_identity_with_all_terms(toy_skeleton):
     cost = float(r @ r)
 
     e3d = energy_3d(poses, net, trans, toy_skeleton)
-    e2d = sum(v.weight * energy_2d(poses, v.frames, v.camera, toy_skeleton)
+    e2d = sum(v.weight * energy_2d_per_frame(poses, v.obs, v.camera, toy_skeleton)
               for v in views)
     et = energy_temporal(seq_to_net(toy_skeleton, poses), trans, toy_skeleton)
-    es = energy_silhouette(poses, [f.silhouette for f in views[0].frames],
+    es = energy_silhouette(poses, [f.silhouette for f in frame_rows(views[0].obs)],
                            views[0].camera, toy_skeleton,
                            default_body(toy_skeleton), n_points=16)
     expected = e3d + weights.lambda_2d * e2d + weights.lambda_t * et \
@@ -173,7 +177,8 @@ def test_pose_jacobian_terms_isolated(toy_skeleton):
                      [random_pose(rng, toy_skeleton, margin=0.25)
                       for _ in range(4)])
     weights = EnergyWeights(lambda_t=3.0)
-    problem = PoseProblem(toy_skeleton, [], weights, net_quats=net)
+    problem = PoseProblem(toy_skeleton, [], weights,
+                          anchor=net_pose_targets(toy_skeleton, net))
     x = problem.pack(np.stack([p.theta for p in seq]),
                      np.stack([p.root_rot for p in seq]),
                      np.stack([p.root_trans for p in seq]))
@@ -181,10 +186,9 @@ def test_pose_jacobian_terms_isolated(toy_skeleton):
     numeric = central_diff(problem.residuals, x, 1e-6)
     assert grad_check(analytic, numeric, rtol=1e-4) < 1e-4
 
-    # 2D only
+    # 2D, with the temporal term every problem of T >= 2 has
     rng2 = np.random.default_rng(43)
-    problem2, seq2, *_ = build_problem(rng2, toy_skeleton, with_sil=False,
-                                       temporal=False)
+    problem2, seq2, *_ = build_problem(rng2, toy_skeleton, with_sil=False)
     x2 = problem2.pack(np.stack([p.theta for p in seq2]),
                        np.stack([p.root_rot for p in seq2]),
                        np.stack([p.root_trans for p in seq2]))
@@ -203,11 +207,32 @@ def test_gated_joint_is_frozen_out(toy_skeleton):
     base = problem.residuals(x).copy()
     # Move every keypoint whose confidence sits below the 0.8 gate.
     for view in views:
-        for frame in view.frames:
-            frame.keypoints[frame.conf < 0.8] += 1234.5
-    problem2 = PoseProblem(toy_skeleton, views, weights, net_quats=net)
+        view.obs.keypoints[view.obs.conf < 0.8] += 1234.5
+    problem2 = PoseProblem(toy_skeleton, views, weights,
+                           anchor=net_pose_targets(toy_skeleton, net))
     after = problem2.residuals(x)
     assert np.array_equal(base, after)
+
+
+def test_silhouette_terms_come_from_views_with_outlines(toy_skeleton):
+    """With a body and lambda_s > 0, each view whose record holds outline
+    points adds a silhouette term through its own camera; without a body,
+    or at lambda_s = 0, outlines add nothing."""
+    rng = np.random.default_rng(57)
+    problem, _, net, views, weights = build_problem(rng, toy_skeleton)
+    body, anchor = default_body(toy_skeleton), net_pose_targets(toy_skeleton, net)
+    assert views[0].obs.sil_count.all() and not views[1].obs.sil_count.any()
+    kinds = ["Reprojection", "Reprojection", "Anchor", "Temporal"]
+    assert [type(t).__name__ for t in problem.terms] == kinds + ["Silhouette"]
+    assert problem.terms[-1].camera is views[0].camera
+    for kwargs in ({}, {"body": None},
+                   {"body": body, "weights": EnergyWeights(lambda_s=0.0)}):
+        kwargs = {"weights": weights} | kwargs
+        bare = PoseProblem(toy_skeleton, views, anchor=anchor, n_sil=16, **kwargs)
+        assert [type(t).__name__ for t in bare.terms] == kinds
+    both = [views[0], View(views[1].camera, views[0].obs, views[1].weight)]
+    two = PoseProblem(toy_skeleton, both, weights, anchor=anchor, body=body, n_sil=16)
+    assert [term.camera for term in two.terms[4:]] == [views[0].camera, views[1].camera]
 
 
 def test_empty_problem_rejected(toy_skeleton):
@@ -221,7 +246,8 @@ def test_view_frame_count_mismatch(toy_skeleton):
     seq = [random_pose(rng, toy_skeleton) for _ in range(3)]
     frames = observed_frames(rng, toy_skeleton, cam, seq)
     with pytest.raises(InvalidInputError):
-        PoseProblem(toy_skeleton, [View(cam, frames), View(cam, frames[:2])],
+        PoseProblem(toy_skeleton,
+                    [View(cam, frames), View(cam, take_frames(frames, slice(2)))],
                     EnergyWeights())
 
 
@@ -366,8 +392,8 @@ def test_translation_problem_cost_identity_and_fd(toy_skeleton):
 
     moved = [SkeletalPose(p.theta, p.root_rot, trans[t])
              for t, p in enumerate(seq)]
-    expected = weights.lambda_2d * energy_2d(moved, frames, camera,
-                                             toy_skeleton) \
+    expected = weights.lambda_2d * energy_2d_per_frame(moved, frames, camera,
+                                                       toy_skeleton) \
         + weights.lambda_t * float(np.sum(np.diff(trans, axis=0) ** 2))
     assert cost == pytest.approx(expected, rel=1e-10)
 
@@ -417,8 +443,8 @@ def behind_camera_case(toy_skeleton, t=3):
                      500.0, 480.0, 320.0, 240.0)
     z = camera.to_camera(pos)[..., 2]
     assert z[0, far] < 0.0 and np.any(z > 0.0) and np.min(np.abs(z)) > 0.01
-    frames = [FrameObservations(rng.uniform(0.0, 640.0, (toy_skeleton.n_joints, 2)),
-                                np.ones(toy_skeleton.n_joints)) for _ in range(t)]
+    frames = Observations(rng.uniform(0.0, 640.0, (t, toy_skeleton.n_joints, 2)),
+                          np.ones((t, toy_skeleton.n_joints)))
     return seq, camera, frames, z <= 0.0
 
 
@@ -480,19 +506,20 @@ def aimed_problem(rng, seq, n_sil=32):
     keypoint view and silhouettes, both from that camera. A frame whose body
     is behind the camera observes frame 0's outline."""
     skeleton, body, camera, _ = aimed_bone_scene()
-    frames = []
+    keypoints, outlines = [], []
     for pose in frames_of(seq):
         uv, _, _ = project_points(camera, forward_kinematics(skeleton, pose))
         try:
             sil = silhouette_points(camera, skeleton, pose, body, 24)
         except EmptySilhouetteError:
-            sil = frames[0].silhouette
-        frames.append(FrameObservations(uv + rng.normal(0.0, 2.0, uv.shape),
-                                        np.ones(skeleton.n_joints),
-                                        sil + rng.normal(0.0, 1.0, sil.shape)))
+            sil = outlines[0]
+        keypoints.append(uv + rng.normal(0.0, 2.0, uv.shape))
+        outlines.append(sil + rng.normal(0.0, 1.0, sil.shape))
+    frames = observations_of(keypoints, [np.ones(skeleton.n_joints)] * len(keypoints),
+                             outlines)
     weights = EnergyWeights(lambda_2d=1.0, lambda_t=2.0, lambda_s=0.5)
     problem = PoseProblem(skeleton, [View(camera, frames)], weights, body=body,
-                          sil_camera=camera, sil_frames=frames, n_sil=n_sil)
+                          n_sil=n_sil)
     return problem, problem.pack(seq.theta, seq.root_rot, seq.root_trans)
 
 
@@ -642,7 +669,7 @@ def block_problems(toy_skeleton):
                for _ in range(t)]
         frames = observed_frames(rng, toy_skeleton, camera, seq)
         if t == 4:
-            frames[1].conf[:] = 0.3
+            frames.conf[1] = 0.3
         problem = TranslationProblem(toy_skeleton, camera, frames,
                                      EnergyWeights(lambda_2d=1.0, lambda_t=2.0),
                                      *fixed_angles(seq))
@@ -665,7 +692,7 @@ def test_residuals_equal_ragged_oracle(toy_skeleton):
         assert np.all(r[~keep] == 0.0)
         assert np.max(np.abs(r[keep] - ref)) <= 1e-12 * np.max(np.abs(ref))
         blind += sum(not np.any(f.conf >= problem.weights.conf_threshold)
-                     for view in problem.views for f in view.frames)
+                     for view in problem.views for f in frame_rows(view.obs))
     assert blind == 2
 
 
@@ -676,7 +703,7 @@ def test_outlines_of_different_lengths_are_padded(toy_skeleton):
     rng = np.random.default_rng(70)
     problem, seq, _, views, _ = build_problem(rng, toy_skeleton, ragged_outlines=True)
     sil = problem.terms[-1]
-    observed = [f.silhouette for f in views[0].frames]
+    observed = [f.silhouette for f in frame_rows(views[0].obs)]
     assert [o.shape[0] for o in observed] == [16, 10, 0]
     assert np.array_equal(sil.frames, [0, 1]) and sil.pad.sum() == 6
     for k, t in enumerate(sil.frames):

@@ -13,7 +13,7 @@ from mocorr.optim.refine import place_translations, refine
 from mocorr.skeleton import SkeletalPose, pose_to_quat
 from mocorr.synth import SceneConfig, synth_generate
 
-from conftest import frames_of
+from conftest import frame_rows, frames_of, stack_poses, take_frames
 from oracles import energy_3d, energy_silhouette, energy_temporal
 
 OPTIONS = LMOptions(max_iterations=40)
@@ -31,13 +31,13 @@ def total_energy(motion, net_quats, obs, camera, skeleton, body, weights,
     poses = frames_of(extract_poses(motion, skeleton))
     trans = motion.translations
     value = energy_3d(poses, net_quats, trans, skeleton)
-    value += weights.lambda_2d * energy_2d(poses, obs, camera, skeleton,
+    value += weights.lambda_2d * energy_2d(stack_poses(poses), obs, camera, skeleton,
                                            weights.conf_threshold)
     net_from_poses = np.stack(
         [pose_to_quat(skeleton, p).quats.ravel() for p in poses])
     value += weights.lambda_t * energy_temporal(net_from_poses, trans, skeleton)
     value += weights.lambda_s * energy_silhouette(
-        poses, [f.silhouette for f in obs], camera, skeleton, body,
+        poses, [f.silhouette for f in frame_rows(obs)], camera, skeleton, body,
         n_points=n_sil)
     return value
 
@@ -83,12 +83,10 @@ def test_place_translations_reduces_reprojection():
 
     from mocorr.optim.energies import net_pose_targets
 
-    theta, root_rot = net_pose_targets(skeleton, net,
-                                       np.zeros((len(scene.mono_obs), 3)))
+    theta, root_rot = net_pose_targets(skeleton, net)
 
     def seq_at(translations):
-        return [SkeletalPose(theta[t], root_rot[t], translations[t])
-                for t in range(len(scene.mono_obs))]
+        return SkeletalPose(theta, root_rot, translations)
 
     e_before = energy_2d(seq_at(bad_translations), scene.mono_obs,
                          scene.mono_camera, skeleton)
@@ -124,7 +122,7 @@ def test_refine_validation():
     scene = synth_generate(scene_cfg(T=4))
     gt = scene.gt_motion
     with pytest.raises(InvalidInputError):  # misaligned obs
-        refine(gt, gt.quats, scene.mono_obs[:3], scene.mono_camera,
+        refine(gt, gt.quats, take_frames(scene.mono_obs, slice(3)), scene.mono_camera,
                scene.skeleton)
     with pytest.raises(InvalidInputError):  # misaligned net output
         refine(gt, gt.quats[:3], scene.mono_obs, scene.mono_camera,

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from mocorr.camera import default_body, project, silhouette_points
+from mocorr.camera import default_body, project
 from mocorr.errors import InvalidInputError
 from mocorr.motion import extract_poses
 from mocorr.skeleton import forward_kinematics
 from mocorr.synth import SceneConfig, synth_generate
 
-from conftest import frames_of
-from oracles import project_matrix
+from conftest import frame_rows, frames_of
+from oracles import project_matrix, silhouette_points
 
 
 def small_cfg(**kw):
@@ -25,12 +25,12 @@ def test_same_seed_bitwise_identical():
     assert np.array_equal(a.gt_motion.quats, b.gt_motion.quats)
     assert np.array_equal(a.gt_motion.translations, b.gt_motion.translations)
     assert np.array_equal(a.marker_ref.quats, b.marker_ref.quats)
-    for fa, fb in zip(a.mono_obs, b.mono_obs):
+    for fa, fb in zip(frame_rows(a.mono_obs), frame_rows(b.mono_obs)):
         assert np.array_equal(fa.keypoints, fb.keypoints)
         assert np.array_equal(fa.conf, fb.conf)
         assert np.array_equal(fa.silhouette, fb.silhouette)
     for va, vb in zip(a.sparse_obs, b.sparse_obs):
-        for fa, fb in zip(va, vb):
+        for fa, fb in zip(frame_rows(va), frame_rows(vb)):
             assert np.array_equal(fa.keypoints, fb.keypoints)
             assert np.array_equal(fa.conf, fb.conf)
 
@@ -47,7 +47,7 @@ def test_noiseless_observations_are_exact_projections():
     cameras = [scene.mono_camera] + scene.sparse_cameras
     obs_sets = [scene.mono_obs] + scene.sparse_obs
     for camera, frames in zip(cameras, obs_sets):
-        for pose, frame in zip(poses, frames):
+        for pose, frame in zip(poses, frame_rows(frames)):
             ref_uv, ref_z = project_matrix(camera,
                                            forward_kinematics(scene.skeleton, pose))
             assert np.all(ref_z > 0)
@@ -59,12 +59,12 @@ def test_noiseless_silhouettes_are_exact():
     scene = synth_generate(small_cfg(noise_px=0.0, occlusion=0.0))
     body = default_body(scene.skeleton)
     poses = frames_of(extract_poses(scene.gt_motion, scene.skeleton))
-    for pose, frame in zip(poses, scene.mono_obs):
+    for pose, frame in zip(poses, frame_rows(scene.mono_obs)):
         ref = silhouette_points(scene.mono_camera, scene.skeleton, pose, body,
                                 16)
         assert np.max(np.abs(frame.silhouette - ref)) < 1e-9
     for view in scene.sparse_obs:
-        assert all(frame.silhouette.shape == (0, 2) for frame in view)
+        assert all(frame.silhouette.shape == (0, 2) for frame in frame_rows(view))
 
 
 def test_occlusion_rate_binomial():
@@ -72,7 +72,7 @@ def test_occlusion_rate_binomial():
     # occluded joint-frames are exactly those with conf < 1 (occ conf <= 0.3).
     cfg = SceneConfig(T=100, V=2, noise_px=0.0, occlusion=0.2, seed=11)
     scene = synth_generate(cfg)
-    conf = np.stack([f.conf for f in scene.mono_obs])
+    conf = scene.mono_obs.conf
     n = conf.size
     occluded = int(np.sum(conf < 1.0))
     expect = 0.2 * n
@@ -86,7 +86,7 @@ def test_occluded_keypoints_are_displaced():
     scene = synth_generate(cfg)
     poses = frames_of(extract_poses(scene.gt_motion, scene.skeleton))
     err_occ, err_vis = [], []
-    for pose, frame in zip(poses, scene.mono_obs):
+    for pose, frame in zip(poses, frame_rows(scene.mono_obs)):
         ref_uv, _ = project_matrix(scene.mono_camera,
                                    forward_kinematics(scene.skeleton, pose))
         err = np.linalg.norm(frame.keypoints - ref_uv, axis=1)
