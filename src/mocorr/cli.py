@@ -6,11 +6,12 @@ numeric failure, 2 on I/O, parse, or configuration problems.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-from .camera import default_body, load_camera
+from .camera import load_camera
 from .errors import ConfigError, InvalidInputError, MocorrError, ParseError
 from .jsonio import save_document
 from .motion import load_motion, load_observations, save_motion
@@ -56,18 +57,16 @@ def _build_parser():
     inf.add_argument("--checkpoint", required=True)
     inf.add_argument("--init", required=True)
     inf.add_argument("--skeleton", required=True)
-    inf.add_argument("--obs", help="keypoints for root re-placement")
-    inf.add_argument("--camera", help="camera for root re-placement")
+    inf.add_argument("--obs", required=True, help="keypoints for root placement")
+    inf.add_argument("--camera", required=True, help="camera for root placement")
 
     ref = sub.add_parser("refine", help="energy-based refinement")
-    ref.add_argument("--init", required=True)
     ref.add_argument("--net", required=True, help="network-corrected motion")
     ref.add_argument("--obs", required=True)
     ref.add_argument("--camera", required=True)
     ref.add_argument("--skeleton", required=True)
     ref.add_argument("--no-silhouette", action="store_true",
                      help="drop the silhouette term")
-    ref.add_argument("--flipflop-rounds", type=int, default=None)
 
     ev = sub.add_parser("eval", help="compare a motion against ground truth")
     ev.add_argument("--pred", required=True)
@@ -149,10 +148,8 @@ def _cmd_infer(args):
     skeleton = load_skeleton(args.skeleton)
     init_motion = load_motion(args.init)
     gen, _disc = load_checkpoint(args.checkpoint, skeleton)
-    if (args.obs is None) != (args.camera is None):
-        raise ConfigError("--obs and --camera must be given together")
-    obs = load_observations(args.obs) if args.obs else None
-    camera = load_camera(args.camera) if args.camera else None
+    obs = load_observations(args.obs)
+    camera = load_camera(args.camera)
     motion = hybrid_motion(gen, init_motion, skeleton, obs, camera,
                            cfg.weights, cfg.lm)
     path = _out_path(args, ARTIFACTS["hybrid"])
@@ -164,15 +161,12 @@ def _cmd_infer(args):
 def _cmd_refine(args):
     cfg = _load_config(args)
     skeleton = load_skeleton(args.skeleton)
-    init_motion = load_motion(args.init)
     net_motion = load_motion(args.net)
     obs = load_observations(args.obs)
     camera = load_camera(args.camera)
-    body = None if args.no_silhouette else default_body(skeleton)
-    rounds = cfg.flipflop_rounds if args.flipflop_rounds is None else args.flipflop_rounds
-    motion = refine(init_motion, net_motion.quats, obs, camera, skeleton,
-                    body=body, weights=cfg.weights, options=cfg.lm,
-                    flipflop_rounds=rounds, n_sil=cfg.scene.sil_points)
+    weights = dataclasses.replace(cfg.weights, lambda_s=0.0) if args.no_silhouette else cfg.weights
+    motion = refine(net_motion, obs, camera, skeleton, weights=weights, options=cfg.lm,
+                    n_sil=cfg.scene.sil_points)
     path = _out_path(args, ARTIFACTS["refined"])
     save_motion(path, motion)
     print(f"wrote {path}")

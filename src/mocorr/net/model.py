@@ -216,7 +216,7 @@ def load_checkpoint(path, skeleton):
         local_width=require_int(doc, path, "local_width"),
         hidden=require_int(doc, path, "hidden"),
         kernel=require_int(doc, path, "kernel"),
-        dropout=float(require_field(doc, path, "dropout")),
+        dropout=float(require_array(doc, path, "dropout", ())),
     )
     disc = Discriminator(n_joints, rng, hidden=require_int(doc, path, "disc_hidden"))
     gen_state = require_field(doc, path, "generator")

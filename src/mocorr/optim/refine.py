@@ -1,14 +1,17 @@
-"""Two-stage motion refinement against the network's corrected quaternions.
+"""Root placement for the network's poses and the refinement of the result.
 
-Stage one holds the pose angles at the network output and solves all root
-translations jointly under the reprojection and smoothness terms. Stage two
-then optimizes the full per-frame pose (bounded joint angles, root rotation,
-root translation) under the complete energy. The pair of stages can repeat
-via flipflop_rounds.
+`place_translations` holds every pose at the network output and solves all
+root translations jointly under the reprojection and smoothness terms; the
+hybrid inference step uses it to put the corrected poses back on the
+keypoints. `refine` then starts from that hybrid motion and optimizes the
+full per-frame pose (bounded joint angles, root rotation, root translation)
+under the complete energy, anchoring E_3D to the motion's own poses, in one
+LM solve.
 """
 
 import numpy as np
 
+from ..camera import default_body
 from ..errors import InvalidInputError
 from ..motion import build_motion_map
 from ..skeleton import SkeletalPose
@@ -17,57 +20,36 @@ from .lm import LMOptions, levenberg_marquardt
 from .problem import PoseProblem, TranslationProblem, View
 
 
-def _solve_translations(skeleton, camera, obs, weights, options, theta, root_rot, trans0):
-    problem = TranslationProblem(skeleton, camera, obs, weights, theta, root_rot)
-    result = levenberg_marquardt(problem.residuals, problem.pack(trans0),
-                                 problem.jacobian, options)
-    return problem.translations(result.x)
-
-
 def place_translations(net_quats, obs, camera, skeleton, init_translations,
                        weights=None, options=None):
-    """Root placement for a quaternion-only motion.
-
-    Holds every pose at the network output and solves all root translations
-    under the reprojection and smoothness terms; this is exactly the first
-    flip-flop stage.
-    """
+    """Root translations for a quaternion-only motion, solved from
+    `init_translations` with every pose held at the network output."""
     weights = EnergyWeights() if weights is None else weights
     options = LMOptions() if options is None else options
     theta, root_rot = net_pose_targets(skeleton, net_quats)
-    return _solve_translations(skeleton, camera, obs, weights, options, theta, root_rot,
-                               np.asarray(init_translations, dtype=float))
+    problem = TranslationProblem(skeleton, camera, obs, weights, theta, root_rot)
+    x0 = problem.pack(np.asarray(init_translations, dtype=float))
+    result = levenberg_marquardt(problem.residuals, x0, problem.jacobian, options)
+    return problem.translations(result.x)
 
 
-def refine(init, net_quats, obs, camera, skeleton, body=None, weights=None,
-           options=None, flipflop_rounds=1, n_sil=96):
-    """Refine a motion map; returns a new MotionMap with init's confidences.
+def refine(motion, obs, camera, skeleton, weights=None, options=None, n_sil=96):
+    """Refine a motion map; returns a new MotionMap with the motion's confidences.
 
-    The silhouette term participates only when `body` is given, the
-    observations carry silhouette points, and weights.lambda_s > 0.
+    The silhouette term joins when the observations carry outline points and
+    weights.lambda_s > 0.
     """
-    net_quats = np.asarray(net_quats, dtype=float)
-    n_frames = init.n_frames
-    if n_frames < 2:
-        raise InvalidInputError("refinement needs at least two frames")
-    if obs.n_frames != n_frames or net_quats.shape[0] != n_frames:
-        raise InvalidInputError("init, network output and observations must align")
-    if net_quats.shape[1] != 4 * skeleton.n_joints:
-        raise InvalidInputError("network output width does not match the skeleton")
-    if flipflop_rounds < 1:
-        raise InvalidInputError("flipflop_rounds must be at least 1")
+    if obs.n_frames != motion.n_frames:
+        raise InvalidInputError("the motion and the observations must cover the same frames")
+    if motion.n_joints != skeleton.n_joints:
+        raise InvalidInputError("the motion's joint count does not match the skeleton")
     weights = EnergyWeights() if weights is None else weights
     options = LMOptions() if options is None else options
 
-    anchor = net_pose_targets(skeleton, net_quats)
-    theta, root_rot = anchor
-    trans = init.translations.copy()
-    stage2 = PoseProblem(skeleton, [View(camera, obs)], weights, anchor=anchor,
-                         body=body, n_sil=n_sil)
-    for _ in range(flipflop_rounds):
-        trans = _solve_translations(skeleton, camera, obs, weights, options,
-                                    theta, root_rot, trans)
-        x0 = stage2.pack(theta, root_rot, trans)
-        result = levenberg_marquardt(stage2.residuals, x0, stage2.jacobian, options)
-        theta, root_rot, trans = stage2.unpack(result.x)
-    return build_motion_map(SkeletalPose(theta, root_rot, trans), skeleton, init.conf.copy())
+    anchor = net_pose_targets(skeleton, motion.quats)
+    problem = PoseProblem(skeleton, [View(camera, obs)], weights, anchor=anchor,
+                          body=default_body(skeleton), n_sil=n_sil)
+    result = levenberg_marquardt(problem.residuals, problem.pack(*anchor, motion.translations),
+                                 problem.jacobian, options)
+    return build_motion_map(SkeletalPose(*problem.unpack(result.x)), skeleton,
+                            motion.conf.copy())

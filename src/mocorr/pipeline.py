@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import default_body, save_camera
+from .camera import save_camera
 from .errors import ConfigError, InvalidInputError
 from .jsonio import load_document, require_int, save_document
 from .metrics import frame_mpjpe, joint_positions, mpjpe, pck
@@ -57,15 +57,12 @@ def sparse_obs_file(v):
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    flipflop_rounds: int = 1
     scene: SceneConfig = field(default_factory=SceneConfig)
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=200))
     weights: EnergyWeights = field(default_factory=EnergyWeights)
     lm: LMOptions = field(default_factory=LMOptions)
 
     def validate(self):
-        if self.flipflop_rounds < 1:
-            raise ConfigError("flipflop_rounds must be at least 1")
         try:
             self.scene.validate()
         except InvalidInputError as exc:
@@ -143,7 +140,6 @@ def save_pipeline_config(path, cfg):
     doc = {
         "format": CONFIG_FORMAT,
         "seed": cfg.seed,
-        "flipflop_rounds": cfg.flipflop_rounds,
         "scene": _section_to_dict(cfg.scene),
         "train": _section_to_dict(cfg.train),
         "weights": _section_to_dict(cfg.weights),
@@ -164,7 +160,7 @@ def load_pipeline_config(path):
     for key, value in doc.items():
         if key == "format":
             continue
-        if key in ("seed", "flipflop_rounds"):
+        if key == "seed":
             kwargs[key] = require_int(doc, path, key)
         elif key in sections:
             cls, name = sections[key]
@@ -190,22 +186,17 @@ def unit_quat_rows(raw):
     return blocks.reshape(raw.shape[0], -1)
 
 
-def hybrid_motion(gen, init_motion, skeleton=None, obs=None, camera=None,
-                  weights=None, options=None):
-    """Run the generator on the initial fit and wrap the output as a motion.
+def hybrid_motion(gen, init_motion, skeleton, obs, camera, weights=None, options=None):
+    """Run the generator on the initial fit and place the roots of its poses.
 
-    With a skeleton, observations and a camera, the root translations are
-    re-solved for the corrected poses (initial-fit translations compensate
-    initial-fit angle errors, so keeping them would misplace the corrected
-    motion); without them, the initial translations are carried over.
+    The root translations are re-solved, starting from the initial fit's,
+    with every pose held at the corrected output: the initial-fit
+    translations compensate initial-fit angle errors, so keeping them would
+    misplace the corrected motion. The confidences are the initial fit's.
     """
-    raw = generator_forward(gen, init_motion)
-    quats = unit_quat_rows(raw)
-    if skeleton is not None and obs is not None and camera is not None:
-        trans = place_translations(quats, obs, camera, skeleton,
-                                   init_motion.translations, weights, options)
-    else:
-        trans = init_motion.translations.copy()
+    quats = unit_quat_rows(generator_forward(gen, init_motion))
+    trans = place_translations(quats, obs, camera, skeleton,
+                               init_motion.translations, weights, options)
     return MotionMap(quats, init_motion.conf.copy(), trans)
 
 
@@ -273,7 +264,6 @@ def run_pipeline(cfg, out_dir, checkpoint=None, log=None):
     scene = synth_generate(cfg.scene)
     write_scene(scene, out_dir)
     skeleton = scene.skeleton
-    body = default_body(skeleton)
 
     say("fitting monocular sequence")
     init_motion = initial_fit(scene.mono_obs, scene.mono_camera, skeleton,
@@ -300,9 +290,8 @@ def run_pipeline(cfg, out_dir, checkpoint=None, log=None):
     save_motion(os.path.join(out_dir, ARTIFACTS["hybrid"]), hybrid)
 
     say("refining")
-    refined = refine(init_motion, hybrid.quats, scene.mono_obs, scene.mono_camera,
-                     skeleton, body=body, weights=cfg.weights, options=cfg.lm,
-                     flipflop_rounds=cfg.flipflop_rounds, n_sil=cfg.scene.sil_points)
+    refined = refine(hybrid, scene.mono_obs, scene.mono_camera, skeleton,
+                     weights=cfg.weights, options=cfg.lm, n_sil=cfg.scene.sil_points)
     save_motion(os.path.join(out_dir, ARTIFACTS["refined"]), refined)
 
     say("evaluating")

@@ -8,10 +8,11 @@ brute-force loops.
 The per-frame pose <-> quaternion conversions, per-frame forward
 kinematics, root-rotation derivative, Levenberg-Marquardt loop, silhouette
 structure, sparse Jacobian builders, per-step GRU, masked sigmoid,
-dict-based Adam and hybridnet/1 checkpoint writer further down are
-different: they are the earlier, unoptimised versions of package code, kept
-as they were so the optimised versions can be required to reproduce them bit
-for bit, or to rounding where the summation order changed. The checkpoint
+dict-based Adam, hybridnet/1 checkpoint writer and two-stage flip-flop
+refinement further down are different: they are the earlier, unoptimised
+versions of package code, kept as they were so the optimised versions can be
+required to reproduce them bit for bit, or to rounding where the summation
+order changed. The checkpoint
 writer makes the hybridnet/1 files that the loader must still read. The
 scalar energies E_3D, E_2D, E_T and E_S, also former package code, are the
 energy definitions that the residual terms are checked against term by term.
@@ -33,10 +34,12 @@ from mocorr.errors import (
     NumericFailureError,
 )
 from mocorr.jsonio import save_document
+from mocorr.motion import build_motion_map
 from mocorr.net.layers import GRU
 from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
-from mocorr.optim.lm import LMOptions, LMResult, numeric_jacobian
-from mocorr.optim.energies import net_pose_targets
+from mocorr.optim.lm import LMOptions, LMResult, levenberg_marquardt, numeric_jacobian
+from mocorr.optim.energies import EnergyWeights, net_pose_targets
+from mocorr.optim.problem import PoseProblem, TranslationProblem, View
 from mocorr.skeleton import (
     AXES,
     QuatPose,
@@ -1148,3 +1151,41 @@ def save_checkpoint_v1(path, gen, disc):
         "discriminator": {name: _layer_state(layer) for name, layer in disc.layers()},
     }
     save_document(path, doc)
+
+
+def _solve_translations(skeleton, camera, obs, weights, options, theta, root_rot, trans0):
+    problem = TranslationProblem(skeleton, camera, obs, weights, theta, root_rot)
+    result = levenberg_marquardt(problem.residuals, problem.pack(trans0),
+                                 problem.jacobian, options)
+    return problem.translations(result.x)
+
+
+def refine_flipflop(init, net_quats, obs, camera, skeleton, body=None, weights=None,
+                    options=None, rounds=1, n_sil=96):
+    """The two-stage refinement: per round, a translation solve at the network
+    poses, then the full pose solve; returns a MotionMap with init's confidences."""
+    net_quats = np.asarray(net_quats, dtype=float)
+    n_frames = init.n_frames
+    if n_frames < 2:
+        raise InvalidInputError("refinement needs at least two frames")
+    if obs.n_frames != n_frames or net_quats.shape[0] != n_frames:
+        raise InvalidInputError("init, network output and observations must align")
+    if net_quats.shape[1] != 4 * skeleton.n_joints:
+        raise InvalidInputError("network output width does not match the skeleton")
+    if rounds < 1:
+        raise InvalidInputError("rounds must be at least 1")
+    weights = EnergyWeights() if weights is None else weights
+    options = LMOptions() if options is None else options
+
+    anchor = net_pose_targets(skeleton, net_quats)
+    theta, root_rot = anchor
+    trans = init.translations.copy()
+    stage2 = PoseProblem(skeleton, [View(camera, obs)], weights, anchor=anchor,
+                         body=body, n_sil=n_sil)
+    for _ in range(rounds):
+        trans = _solve_translations(skeleton, camera, obs, weights, options,
+                                    theta, root_rot, trans)
+        x0 = stage2.pack(theta, root_rot, trans)
+        result = levenberg_marquardt(stage2.residuals, x0, stage2.jacobian, options)
+        theta, root_rot, trans = stage2.unpack(result.x)
+    return build_motion_map(SkeletalPose(theta, root_rot, trans), skeleton, init.conf.copy())

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_skeleton, make_toy_skeleton, random_pose, stack_poses
-from mocorr.camera import default_body, project
+from mocorr.camera import project
 from mocorr.cli import main as cli_main
 from mocorr.metrics import mpjpe
 from mocorr.motion import Observations
@@ -365,8 +365,7 @@ def test_criterion_8_refine_fixed_point():
                                        occlusion=0.0, seed=7, sil_points=16,
                                        amplitude=0.0))
     gt = scene.gt_motion
-    refined = refine(gt, gt.quats, scene.mono_obs, scene.mono_camera,
-                     scene.skeleton, body=default_body(scene.skeleton),
+    refined = refine(gt, scene.mono_obs, scene.mono_camera, scene.skeleton,
                      n_sil=16)
     drift = mpjpe(refined, gt, scene.skeleton)
     print(f"\n  refine(GT, GT) drift {drift:.3e} mm (bound 1e-6)")

@@ -2,15 +2,22 @@
 
 import json
 import os
+import re
+import shlex
 
+import numpy as np
 import pytest
 
-from mocorr.cli import main
+from mocorr.cli import _build_parser, main
 from mocorr.motion import load_motion, save_motion
+from mocorr.net.model import Discriminator, Generator, save_checkpoint
 from mocorr.net.train import TrainConfig
 from mocorr.optim.lm import LMOptions
 from mocorr.pipeline import PipelineConfig, apply_seed, save_pipeline_config
+from mocorr.skeleton import load_skeleton
 from mocorr.synth import SceneConfig
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def tiny_config(seed=13):
@@ -48,51 +55,40 @@ def test_synth_writes_scene(scene_dir):
         assert os.path.exists(path_in(scene_dir, name)), name
 
 
+def run_stages(scene_dir, out, *refine_flags):
+    """fit, sparse-fit, train, infer and refine into `out`, one command each."""
+    common = ["--config", scene_dir["config"], "--out", out]
+    skeleton = path_in(scene_dir, "skeleton.json")
+    mono = ["--obs", path_in(scene_dir, "obs_mono.json"),
+            "--camera", path_in(scene_dir, "camera_mono.json"), "--skeleton", skeleton]
+    stages = [
+        ("init.motion.json", ["fit", *mono]),
+        ("sv.motion.json", ["sparse-fit",
+                            "--obs", path_in(scene_dir, "obs_sparse_0.json"),
+                            path_in(scene_dir, "obs_sparse_1.json"),
+                            "--camera", path_in(scene_dir, "camera_sparse_0.json"),
+                            path_in(scene_dir, "camera_sparse_1.json"),
+                            "--skeleton", skeleton]),
+        ("checkpoint.json", ["train",
+                             "--init", os.path.join(out, "init.motion.json"),
+                             "--sv", os.path.join(out, "sv.motion.json"),
+                             "--ref", path_in(scene_dir, "marker_ref.motion.json"),
+                             "--skeleton", skeleton]),
+        ("hybrid.motion.json", ["infer", "--checkpoint", os.path.join(out, "checkpoint.json"),
+                                "--init", os.path.join(out, "init.motion.json"), *mono]),
+        ("refined.motion.json", ["refine", "--net", os.path.join(out, "hybrid.motion.json"),
+                                 *mono, *refine_flags]),
+    ]
+    for written, argv in stages:
+        assert main(common + argv) == 0, argv[0]
+        assert os.path.exists(os.path.join(out, written)), written
+
+
 def test_fit_train_infer_refine_eval_chain(scene_dir, tmp_path, capsys):
     out = str(tmp_path)
     common = ["--config", scene_dir["config"], "--out", out]
     skeleton = path_in(scene_dir, "skeleton.json")
-
-    rc = main(common + ["fit", "--obs", path_in(scene_dir, "obs_mono.json"),
-                        "--camera", path_in(scene_dir, "camera_mono.json"),
-                        "--skeleton", skeleton])
-    assert rc == 0
-    assert os.path.exists(os.path.join(out, "init.motion.json"))
-
-    rc = main(common + ["sparse-fit",
-                        "--obs", path_in(scene_dir, "obs_sparse_0.json"),
-                        path_in(scene_dir, "obs_sparse_1.json"),
-                        "--camera", path_in(scene_dir, "camera_sparse_0.json"),
-                        path_in(scene_dir, "camera_sparse_1.json"),
-                        "--skeleton", skeleton])
-    assert rc == 0
-    assert os.path.exists(os.path.join(out, "sv.motion.json"))
-
-    rc = main(common + ["train",
-                        "--init", os.path.join(out, "init.motion.json"),
-                        "--sv", os.path.join(out, "sv.motion.json"),
-                        "--ref", path_in(scene_dir, "marker_ref.motion.json"),
-                        "--skeleton", skeleton])
-    assert rc == 0
-    checkpoint = os.path.join(out, "checkpoint.json")
-    assert os.path.exists(checkpoint)
-
-    rc = main(common + ["infer", "--checkpoint", checkpoint,
-                        "--init", os.path.join(out, "init.motion.json"),
-                        "--skeleton", skeleton,
-                        "--obs", path_in(scene_dir, "obs_mono.json"),
-                        "--camera", path_in(scene_dir, "camera_mono.json")])
-    assert rc == 0
-    assert os.path.exists(os.path.join(out, "hybrid.motion.json"))
-
-    rc = main(common + ["refine",
-                        "--init", os.path.join(out, "init.motion.json"),
-                        "--net", os.path.join(out, "hybrid.motion.json"),
-                        "--obs", path_in(scene_dir, "obs_mono.json"),
-                        "--camera", path_in(scene_dir, "camera_mono.json"),
-                        "--skeleton", skeleton, "--no-silhouette"])
-    assert rc == 0
-    assert os.path.exists(os.path.join(out, "refined.motion.json"))
+    run_stages(scene_dir, out, "--no-silhouette")
 
     capsys.readouterr()
     rc = main(common + ["eval",
@@ -107,13 +103,23 @@ def test_fit_train_infer_refine_eval_chain(scene_dir, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "eval_report.json"))
 
 
+def test_stage_by_stage_equals_run(scene_dir, tmp_path):
+    stages, whole = str(tmp_path / "stages"), str(tmp_path / "run")
+    run_stages(scene_dir, stages)
+    assert main(["--config", scene_dir["config"], "--out", whole, "run"]) == 0
+    for name in ("init", "sv", "hybrid", "refined"):
+        with open(os.path.join(stages, f"{name}.motion.json"), "rb") as a, \
+                open(os.path.join(whole, f"{name}.motion.json"), "rb") as b:
+            assert a.read() == b.read(), name
+
+
 def test_refine_zero_quaternion_exits_2(scene_dir, tmp_path, capsys):
     motion = load_motion(path_in(scene_dir, "gt.motion.json"))
     motion.quats[1, 8:12] = 0.0
     net = str(tmp_path / "zero.motion.json")
     save_motion(net, motion)
     rc = main(["--config", scene_dir["config"], "--out", str(tmp_path), "refine",
-               "--init", path_in(scene_dir, "gt.motion.json"), "--net", net,
+               "--net", net,
                "--obs", path_in(scene_dir, "obs_mono.json"),
                "--camera", path_in(scene_dir, "camera_mono.json"),
                "--skeleton", path_in(scene_dir, "skeleton.json"), "--no-silhouette"])
@@ -156,12 +162,56 @@ def test_sparse_fit_count_mismatch_exits_2(scene_dir, tmp_path, capsys):
 
 
 def test_infer_needs_obs_and_camera_together(scene_dir, tmp_path, capsys):
-    rc = main(["--out", str(tmp_path), "infer",
-               "--checkpoint", str(tmp_path / "absent.json"),
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--out", str(tmp_path), "infer",
+              "--checkpoint", str(tmp_path / "absent.json"),
+              "--init", path_in(scene_dir, "gt.motion.json"),
+              "--skeleton", path_in(scene_dir, "skeleton.json"),
+              "--obs", path_in(scene_dir, "obs_mono.json")])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("dropout", ["abc", None, True, [0.1]])
+def test_malformed_checkpoint_dropout_exits_2(scene_dir, tmp_path, capsys, dropout):
+    skeleton = load_skeleton(path_in(scene_dir, "skeleton.json"))
+    rng = np.random.default_rng(0)
+    gen = Generator(skeleton, rng, conv_width=8, local_width=4, hidden=8, kernel=7,
+                    dropout=0.0)
+    checkpoint = str(tmp_path / "checkpoint.json")
+    save_checkpoint(checkpoint, gen, Discriminator(skeleton.n_joints, rng, hidden=8))
+    with open(checkpoint) as fh:
+        doc = json.load(fh)
+    doc["dropout"] = dropout
+    with open(checkpoint, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["--out", str(tmp_path / "out"), "infer", "--checkpoint", checkpoint,
                "--init", path_in(scene_dir, "gt.motion.json"),
                "--skeleton", path_in(scene_dir, "skeleton.json"),
-               "--obs", path_in(scene_dir, "obs_mono.json")])
+               "--obs", path_in(scene_dir, "obs_mono.json"),
+               "--camera", path_in(scene_dir, "camera_mono.json")])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def readme_commands():
+    """Every `mocorr ...` command in the README's fenced blocks, with
+    backslash continuations joined."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), re.M | re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("mocorr "):
+                commands.append(line.strip())
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert any(" refine " in c for c in commands)
+    parser = _build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def test_corrupt_motion_exits_2(scene_dir, tmp_path, capsys):
@@ -187,8 +237,7 @@ MALFORMED = {
     "config seed not a number": ("config.json", lambda doc: doc.update(seed="abc")),
     "config scene.T not a number":
         ("config.json", lambda doc: doc["scene"].update(T="abc")),
-    "config flipflop_rounds null":
-        ("config.json", lambda doc: doc.update(flipflop_rounds=None)),
+    "config seed null": ("config.json", lambda doc: doc.update(seed=None)),
     "motion T not a number": ("gt.motion.json", lambda doc: doc.update(T="abc")),
     "observations T null": ("obs_mono.json", lambda doc: doc.update(T=None)),
     "observations frames not a list": ("obs_mono.json", lambda doc: doc.update(frames=5)),

@@ -16,6 +16,7 @@ from mocorr.motion import MotionMap
 from mocorr.net.model import (
     Discriminator,
     Generator,
+    generator_forward,
     load_checkpoint,
     save_checkpoint,
 )
@@ -57,13 +58,11 @@ def tiny_config(seed=5):
 
 def test_config_round_trip(tmp_path):
     cfg = tiny_config(seed=9)
-    cfg.flipflop_rounds = 2
     cfg.weights.lambda_2d = 3.5
     path = tmp_path / "config.json"
     save_pipeline_config(path, cfg)
     loaded = load_pipeline_config(path)
     assert loaded.seed == cfg.seed
-    assert loaded.flipflop_rounds == 2
     for section in ("scene", "train", "weights", "lm"):
         assert dataclasses.asdict(getattr(loaded, section)) == \
             dataclasses.asdict(getattr(cfg, section))
@@ -98,7 +97,7 @@ def test_config_validation_and_seed_fanout():
     assert cfg.train.seed == 12
     apply_seed(cfg, 40)
     assert (cfg.seed, cfg.scene.seed, cfg.train.seed) == (40, 40, 41)
-    cfg.flipflop_rounds = 0
+    cfg.scene.T = 1
     with pytest.raises(ConfigError):
         cfg.validate()
 
@@ -247,21 +246,18 @@ def test_hybrid_motion_translation_paths():
                     local_width=4, hidden=8, kernel=7, dropout=0.0)
     init = scene.gt_motion
 
-    carried = hybrid_motion(gen, init)
-    assert np.array_equal(carried.translations, init.translations)
-    assert carried.translations is not init.translations
-    assert np.array_equal(carried.conf, init.conf)
-    blocks = carried.quats.reshape(init.n_frames, -1, 4)
-    assert np.allclose(np.linalg.norm(blocks, axis=2), 1.0, atol=1e-12)
-
     options = LMOptions(max_iterations=20)
     placed = hybrid_motion(gen, init, skeleton, scene.mono_obs,
                            scene.mono_camera, None, options)
-    expect = place_translations(carried.quats, scene.mono_obs,
+    assert np.array_equal(placed.quats, unit_quat_rows(generator_forward(gen, init)))
+    assert np.array_equal(placed.conf, init.conf)
+    assert placed.conf is not init.conf
+    blocks = placed.quats.reshape(init.n_frames, -1, 4)
+    assert np.allclose(np.linalg.norm(blocks, axis=2), 1.0, atol=1e-12)
+    expect = place_translations(placed.quats, scene.mono_obs,
                                 scene.mono_camera, skeleton,
                                 init.translations, None, options)
     assert np.array_equal(placed.translations, expect)
-    assert np.array_equal(placed.quats, carried.quats)
 
 
 def test_build_report_matches_per_call_metrics():
