@@ -159,14 +159,6 @@ def generator_forward(gen, motion, train=False, rng=None):
     return gen.forward(x, train, rng)[0]
 
 
-def discriminator_forward(disc, quats):
-    """Score one (T, 4N) quaternion sequence; returns a scalar in (0, 1)."""
-    quats = np.asarray(quats, dtype=float)
-    if quats.ndim != 2:
-        raise InvalidInputError("expected a single (T, 4N) sequence")
-    return float(disc.forward(quats[None, :, :])[0])
-
-
 def _layer_state(layer, path):
     arrays = {**layer.params, **layer.buffers}
     return {name: encode_array(arrays[name].ravel(), path) for name in sorted(arrays)}

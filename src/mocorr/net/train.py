@@ -18,19 +18,21 @@ from ..errors import InvalidInputError, NumericFailureError, SequenceTooShortErr
 from .losses import loss_adv_grad, loss_disc_grad, loss_sv_grad
 from .model import CHANNELS_PER_JOINT, Discriminator, Generator, motion_channels
 
+# Adam: the two learning rates, the factor they fall by from the decay
+# boundary on, and the moment decay rates and denominator offset
+LR_GEN = 1e-3
+LR_DISC = 1e-2
+DECAY = 0.1
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 500
     batch: int = 32
-    lr_gen: float = 1e-3
-    lr_disc: float = 1e-2
-    decay: float = 0.1
     decay_epoch: int | None = None
-    lambda_quat: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     window: int = 64
     stride: int = 8
@@ -47,11 +49,9 @@ class TrainConfig:
             raise InvalidInputError("epochs must be at least 1")
         if self.batch < 1 or self.window < 1 or self.stride < 1:
             raise InvalidInputError("batch, window and stride must be positive")
-        for name in ("lr_gen", "lr_disc", "decay", "beta1", "beta2", "eps"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidInputError(f"{name} must be positive")
-        if self.lambda_quat < 0.0:
-            raise InvalidInputError("lambda_quat must be non-negative")
+        for name in ("conv_width", "local_width", "hidden", "disc_hidden"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be at least 1")
 
     def decay_boundary(self):
         """First epoch (1-based) that runs at the decayed learning rate."""
@@ -192,14 +192,14 @@ def train(dataset, unpaired, skeleton, cfg):
                     local_width=cfg.local_width, hidden=cfg.hidden,
                     kernel=cfg.kernel, dropout=cfg.dropout)
     disc = Discriminator(n, rng_disc, hidden=cfg.disc_hidden)
-    adam_gen = Adam(gen.layers(), cfg.lr_gen, cfg.beta1, cfg.beta2, cfg.eps)
-    adam_disc = Adam(disc.layers(), cfg.lr_disc, cfg.beta1, cfg.beta2, cfg.eps)
+    adam_gen = Adam(gen.layers(), LR_GEN, BETA1, BETA2, EPS)
+    adam_disc = Adam(disc.layers(), LR_DISC, BETA1, BETA2, EPS)
 
     inputs, targets, references = make_windows(dataset, unpaired if cfg.adversarial else [], cfg)
     boundary = cfg.decay_boundary()
     history = {"loss_sv": [], "loss_adv": [], "loss_disc": []}
     for epoch in range(1, cfg.epochs + 1):
-        lr_scale = cfg.decay if epoch >= boundary else 1.0
+        lr_scale = DECAY if epoch >= boundary else 1.0
         order = rng_shuffle.permutation(len(inputs))
         sums = np.zeros(3)
         count = 0
@@ -208,7 +208,7 @@ def train(dataset, unpaired, skeleton, cfg):
             xb = np.stack([inputs[i] for i in idx])
             yb = np.stack([targets[i] for i in idx])
             pred = gen.forward(xb, train=True, rng=rng_dropout)
-            sv_value, dpred = loss_sv_grad(pred, yb, cfg.lambda_quat)
+            sv_value, dpred = loss_sv_grad(pred, yb)
             adv_value = 0.0
             disc_value = 0.0
             if cfg.adversarial:

@@ -23,26 +23,26 @@ from scipy.linalg import solveh_banded
 
 from ..errors import InvalidInputError, NumericFailureError
 
+# damping schedule: start small, raise on a rejected step, lower on an
+# accepted one, and give up on an iteration at the ceiling
+DAMPING_INIT = 1e-3
+DAMPING_UP = 10.0
+DAMPING_DOWN = 0.1
 _DAMPING_CEILING = 1e16
+# stopping tolerances: largest gradient entry, step length relative to |x|,
+# and cost decrease relative to max(1, cost)
+GRADIENT_TOL = 1e-10
+STEP_TOL = 1e-10
+COST_TOL = 1e-12
 
 
 @dataclass
 class LMOptions:
     max_iterations: int = 100
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-10
-    cost_tol: float = 1e-12
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
-        for name in ("damping_init", "damping_up", "damping_down",
-                     "gradient_tol", "step_tol", "cost_tol"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidInputError(f"{name} must be positive")
 
 
 @dataclass
@@ -101,7 +101,7 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
         raise NumericFailureError("residuals are not finite at the starting point")
     cost = float(r @ r)
     history = [cost]
-    damping = opts.damping_init
+    damping = DAMPING_INIT
     status = "max_iterations"
     iterations = 0
 
@@ -114,7 +114,7 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
             jtj, grad = jac.T @ jac, jac.T @ r
         if not np.all(np.isfinite(grad)):
             raise NumericFailureError("gradient is not finite")
-        if np.max(np.abs(grad), initial=0.0) <= opts.gradient_tol:
+        if np.max(np.abs(grad), initial=0.0) <= GRADIENT_TOL:
             status = "gradient"
             break
 
@@ -122,16 +122,16 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
         while damping < _DAMPING_CEILING:
             step = _solve_normal_equations(jtj, grad, damping, banded)
             if step is None:
-                damping *= opts.damping_up
+                damping *= DAMPING_UP
                 continue
             x_new = x + step
             r_new = np.asarray(residuals(x_new), dtype=float)
             cost_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
             if cost_new < cost:
                 accepted = True
-                damping *= opts.damping_down
+                damping *= DAMPING_DOWN
                 break
-            damping *= opts.damping_up
+            damping *= DAMPING_UP
         if not accepted:
             status = "stalled"
             break
@@ -141,10 +141,10 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
         step_norm = float(np.linalg.norm(step))
         x, r, cost = x_new, r_new, cost_new
         history.append(cost)
-        if step_norm <= opts.step_tol * (np.linalg.norm(x) + opts.step_tol):
+        if step_norm <= STEP_TOL * (np.linalg.norm(x) + STEP_TOL):
             status = "step"
             break
-        if decrease <= opts.cost_tol * max(1.0, cost):
+        if decrease <= COST_TOL * max(1.0, cost):
             status = "cost"
             break
 

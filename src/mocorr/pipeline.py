@@ -84,14 +84,13 @@ def apply_seed(cfg, seed):
     return cfg
 
 
+def _settable_fields(section):
+    """The fields a config file sets; stage seeds follow the pipeline seed."""
+    return [f for f in dataclasses.fields(section) if f.name != "seed"]
+
+
 def _section_to_dict(obj):
-    out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
+    return {f.name: getattr(obj, f.name) for f in _settable_fields(obj)}
 
 
 def _is_number(value):
@@ -99,8 +98,8 @@ def _is_number(value):
 
 
 def _field_value(kind, value, where):
-    """A JSON value as a config field annotated `kind` (bool, int, float, a
-    tuple of floats, or one of these or None) takes it."""
+    """A JSON value as a config field annotated `kind` (bool, int, float, or
+    one of these or None) takes it."""
     kinds = typing.get_args(kind) or (kind,)
     if value is None and type(None) in kinds:
         return None
@@ -108,10 +107,6 @@ def _field_value(kind, value, where):
         if isinstance(value, bool):
             return value
         raise ConfigError(f"{where} must be true or false")
-    if tuple in kinds:
-        if isinstance(value, list) and all(map(_is_number, value)):
-            return tuple(float(x) for x in value)
-        raise ConfigError(f"{where} must be a list of numbers")
     if int in kinds:
         if _is_number(value) and (isinstance(value, int) or value.is_integer()):
             return int(value)
@@ -124,7 +119,7 @@ def _field_value(kind, value, where):
 def _section_from_dict(cls, data, name):
     if not isinstance(data, dict):
         raise ConfigError(f"{name} section must be an object")
-    known = {f.name: f for f in dataclasses.fields(cls)}
+    known = {f.name: f for f in _settable_fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in known:
@@ -169,7 +164,7 @@ def load_pipeline_config(path):
             raise ConfigError(f"unknown config field {key!r}")
     cfg = PipelineConfig(**kwargs)
     cfg.validate()
-    return cfg
+    return apply_seed(cfg, cfg.seed)
 
 
 def unit_quat_rows(raw):

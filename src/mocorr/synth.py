@@ -23,6 +23,19 @@ from .skeleton import SkeletalPose, default_skeleton, fk_frames
 # noise_px is zero).
 SIL_NOISE_SCALE = 0.1
 
+# desk-scale stage dressing: pinhole intrinsics, the camera ring around the
+# subject, and the root's band-limited wander (metres, radians)
+FX = 500.0
+FY = 500.0
+CX = 320.0
+CY = 240.0
+RING_RADIUS = 2.8
+CAMERA_HEIGHT = 1.0
+TARGET = (0.0, 0.9, 0.0)
+ROOT_CENTER = (0.0, 0.9, 0.0)
+ROOT_AMP = (0.25, 0.06, 0.25)
+ROOT_ROT_AMP = 0.35
+
 
 @dataclass
 class SceneConfig:
@@ -31,18 +44,7 @@ class SceneConfig:
     noise_px: float = 5.0
     occlusion: float = 0.2
     seed: int = 0
-    # desk-scale stage dressing
-    fx: float = 500.0
-    fy: float = 500.0
-    cx: float = 320.0
-    cy: float = 240.0
-    ring_radius: float = 2.8
-    camera_height: float = 1.0
-    target: tuple = (0.0, 0.9, 0.0)
     amplitude: float = 0.8
-    root_center: tuple = (0.0, 0.9, 0.0)
-    root_amp: tuple = (0.25, 0.06, 0.25)
-    root_rot_amp: float = 0.35
     sil_points: int = 96
 
     def validate(self):
@@ -109,11 +111,11 @@ def _gt_sequence(rng, skeleton, cfg):
     for d in range(skeleton.total_dof):
         theta[:, d] = centre[d] + _band_limited(rng, cfg.T, half[d], cfg.amplitude)
     root_rot = np.stack(
-        [_band_limited(rng, cfg.T, cfg.root_rot_amp, cfg.amplitude) for _ in range(3)],
+        [_band_limited(rng, cfg.T, ROOT_ROT_AMP, cfg.amplitude) for _ in range(3)],
         axis=1,
     )
-    root_trans = np.array(cfg.root_center) + np.stack(
-        [_band_limited(rng, cfg.T, cfg.root_amp[i], cfg.amplitude) for i in range(3)],
+    root_trans = np.array(ROOT_CENTER) + np.stack(
+        [_band_limited(rng, cfg.T, ROOT_AMP[i], cfg.amplitude) for i in range(3)],
         axis=1,
     )
     return SkeletalPose(theta, root_rot, root_trans)
@@ -189,17 +191,13 @@ def synth_generate(cfg, skeleton=None):
     gt_motion = build_motion_map(gt, skeleton, np.ones((cfg.T, skeleton.n_joints)))
     pos = fk_frames(skeleton, gt)[0]
 
-    target = np.array(cfg.target)
+    target = np.array(TARGET)
 
     def ring_camera(angle):
         position = np.array(
-            [
-                cfg.ring_radius * np.sin(angle),
-                cfg.camera_height,
-                cfg.ring_radius * np.cos(angle),
-            ]
+            [RING_RADIUS * np.sin(angle), CAMERA_HEIGHT, RING_RADIUS * np.cos(angle)]
         )
-        return look_at(position, target, cfg.fx, cfg.fy, cfg.cx, cfg.cy)
+        return look_at(position, target, FX, FY, CX, CY)
 
     mono_camera = ring_camera(0.0)
     sparse_cameras = [

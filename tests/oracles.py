@@ -37,7 +37,18 @@ from mocorr.jsonio import save_document
 from mocorr.motion import build_motion_map
 from mocorr.net.layers import GRU
 from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
-from mocorr.optim.lm import LMOptions, LMResult, levenberg_marquardt, numeric_jacobian
+from mocorr.optim.lm import (
+    COST_TOL,
+    DAMPING_DOWN,
+    DAMPING_INIT,
+    DAMPING_UP,
+    GRADIENT_TOL,
+    STEP_TOL,
+    LMOptions,
+    LMResult,
+    levenberg_marquardt,
+    numeric_jacobian,
+)
 from mocorr.optim.energies import EnergyWeights, net_pose_targets
 from mocorr.optim.problem import PoseProblem, TranslationProblem, View
 from mocorr.skeleton import (
@@ -499,7 +510,7 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
         raise NumericFailureError("residuals are not finite at the starting point")
     cost = float(r @ r)
     history = [cost]
-    damping = opts.damping_init
+    damping = DAMPING_INIT
     status = "max_iterations"
     iterations = 0
 
@@ -512,7 +523,7 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
         grad = np.asarray(grad).ravel()
         if not np.all(np.isfinite(grad)):
             raise NumericFailureError("gradient is not finite")
-        if np.max(np.abs(grad), initial=0.0) <= opts.gradient_tol:
+        if np.max(np.abs(grad), initial=0.0) <= GRADIENT_TOL:
             status = "gradient"
             break
 
@@ -520,16 +531,16 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
         while damping < _DAMPING_CEILING:
             step = _solve_normal_equations_rebuilt(jac, r, grad, damping)
             if step is None:
-                damping *= opts.damping_up
+                damping *= DAMPING_UP
                 continue
             x_new = x + step
             r_new = np.asarray(residuals(x_new), dtype=float)
             cost_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
             if cost_new < cost:
                 accepted = True
-                damping *= opts.damping_down
+                damping *= DAMPING_DOWN
                 break
-            damping *= opts.damping_up
+            damping *= DAMPING_UP
         if not accepted:
             status = "stalled"
             break
@@ -539,10 +550,10 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
         step_norm = float(np.linalg.norm(step))
         x, r, cost = x_new, r_new, cost_new
         history.append(cost)
-        if step_norm <= opts.step_tol * (np.linalg.norm(x) + opts.step_tol):
+        if step_norm <= STEP_TOL * (np.linalg.norm(x) + STEP_TOL):
             status = "step"
             break
-        if decrease <= opts.cost_tol * max(1.0, cost):
+        if decrease <= COST_TOL * max(1.0, cost):
             status = "cost"
             break
 

@@ -13,7 +13,8 @@ from mocorr.motion import load_motion, save_motion
 from mocorr.net.model import Discriminator, Generator, save_checkpoint
 from mocorr.net.train import TrainConfig
 from mocorr.optim.lm import LMOptions
-from mocorr.pipeline import PipelineConfig, apply_seed, save_pipeline_config
+from mocorr.pipeline import (PipelineConfig, apply_seed, load_pipeline_config,
+                             save_pipeline_config)
 from mocorr.skeleton import load_skeleton
 from mocorr.synth import SceneConfig
 
@@ -206,6 +207,20 @@ def readme_commands():
     return commands
 
 
+def readme_config():
+    """The README's fenced `json` config example."""
+    with open(README, encoding="utf-8") as fh:
+        (block,) = re.findall(r"^```json\n(.*?)^```", fh.read(), re.M | re.S)
+    return block
+
+
+def test_readme_config_loads_with_derived_seeds(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(readme_config())
+    cfg = load_pipeline_config(path)
+    assert (cfg.seed, cfg.scene.seed, cfg.train.seed) == (42, 42, 43)
+
+
 def test_readme_commands_parse():
     commands = readme_commands()
     assert any(" refine " in c for c in commands)
@@ -238,6 +253,9 @@ MALFORMED = {
     "config scene.T not a number":
         ("config.json", lambda doc: doc["scene"].update(T="abc")),
     "config seed null": ("config.json", lambda doc: doc.update(seed=None)),
+    "config train.hidden 0": ("config.json", lambda doc: doc["train"].update(hidden=0)),
+    "config train.conv_width -3":
+        ("config.json", lambda doc: doc["train"].update(conv_width=-3)),
     "motion T not a number": ("gt.motion.json", lambda doc: doc.update(T="abc")),
     "observations T null": ("obs_mono.json", lambda doc: doc.update(T=None)),
     "observations frames not a list": ("obs_mono.json", lambda doc: doc.update(frames=5)),

@@ -18,7 +18,6 @@ from mocorr.net.model import (
     CHANNELS_PER_JOINT,
     Discriminator,
     Generator,
-    discriminator_forward,
     generator_forward,
     motion_channels,
 )
@@ -456,7 +455,7 @@ def test_discriminator_zero_params_score_half():
         for p in layer.params.values():
             p[...] = 0.0
     q = np.random.default_rng(22).normal(size=(9, 8))
-    assert discriminator_forward(disc, q) == 0.5
+    assert float(disc.forward(q[None])[0]) == 0.5
 
 
 def test_discriminator_scores_stay_in_unit_interval():
@@ -465,7 +464,7 @@ def test_discriminator_scores_stay_in_unit_interval():
     for _ in range(100):
         t = int(rng.integers(2, 30))
         q = rng.normal(scale=3.0, size=(t, 8))
-        s = discriminator_forward(disc, q)
+        s = float(disc.forward(q[None])[0])
         assert 0.0 < s < 1.0
 
 
@@ -475,15 +474,13 @@ def test_discriminator_sensitive_to_frame_order():
     q = rng.normal(size=(16, 8))
     perm = np.random.default_rng(25).permutation(16)
     assert not np.array_equal(perm, np.arange(16))
-    s1 = discriminator_forward(disc, q)
-    s2 = discriminator_forward(disc, q[perm])
+    s1 = float(disc.forward(q[None])[0])
+    s2 = float(disc.forward(q[perm][None])[0])
     assert abs(s1 - s2) > 1e-6
 
 
 def test_discriminator_input_validation():
     disc = Discriminator(2, np.random.default_rng(26), hidden=6)
-    with pytest.raises(InvalidInputError):
-        discriminator_forward(disc, np.zeros((2, 3, 8)))
     with pytest.raises(InvalidInputError):
         disc.forward(np.zeros((1, 5, 9)))
 

@@ -115,10 +115,6 @@ def test_non_finite_start_raises():
 def test_options_validation():
     with pytest.raises(InvalidInputError):
         LMOptions(max_iterations=0)
-    with pytest.raises(InvalidInputError):
-        LMOptions(gradient_tol=0.0)
-    with pytest.raises(InvalidInputError):
-        LMOptions(damping_init=-1.0)
 
 
 def test_numeric_jacobian_on_polynomial():
@@ -173,7 +169,7 @@ def test_jtj_once_per_iteration_matches_rebuilding_reference(jacobian_kind):
         jacobian = problem.jacobian
     else:
         jacobian = lambda x: problem.jacobian(x).toarray()
-    options = LMOptions(max_iterations=40, damping_init=1e3)
+    options = LMOptions(max_iterations=40)
     calls = []
     reference = levenberg_marquardt_rebuilt(_counted(problem.residuals, calls), x0,
                                             jacobian, options)

@@ -72,9 +72,12 @@ def test_config_defaults_fill_missing_sections(tmp_path):
     path = tmp_path / "config.json"
     save_document(path, {"format": CONFIG_FORMAT, "seed": 3})
     cfg = load_pipeline_config(path)
-    assert cfg.seed == 3
+    assert (cfg.seed, cfg.scene.seed, cfg.train.seed) == (3, 3, 4)
     assert cfg.scene.T == SceneConfig().T
     assert cfg.train.epochs == 200
+    save_document(path, {"format": CONFIG_FORMAT})
+    cfg = load_pipeline_config(path)
+    assert (cfg.seed, cfg.scene.seed, cfg.train.seed) == (0, 0, 1)
 
 
 def test_config_unknown_fields_rejected(tmp_path):
@@ -87,6 +90,49 @@ def test_config_unknown_fields_rejected(tmp_path):
         load_pipeline_config(path)
     save_document(path, {"format": CONFIG_FORMAT, "scene": {"T": 1}})
     with pytest.raises(ConfigError):
+        load_pipeline_config(path)
+
+
+# every settable value of a pipeline/1 config, by section
+CONFIG_SCHEMA = {
+    "scene": {"T", "V", "noise_px", "occlusion", "amplitude", "sil_points"},
+    "train": {"epochs", "batch", "decay_epoch", "window", "stride", "adversarial",
+              "conv_width", "local_width", "hidden", "disc_hidden", "kernel",
+              "dropout"},
+    "weights": {"lambda_2d", "lambda_t", "lambda_s", "conf_threshold"},
+    "lm": {"max_iterations"},
+}
+
+# fields a pipeline/1 config no longer accepts: constants of the code that
+# reads them, or stage seeds derived from the pipeline seed
+REMOVED_FIELDS = [
+    ("scene", "seed"), ("scene", "fx"), ("scene", "fy"), ("scene", "cx"),
+    ("scene", "cy"), ("scene", "ring_radius"), ("scene", "camera_height"),
+    ("scene", "target"), ("scene", "root_center"), ("scene", "root_amp"),
+    ("scene", "root_rot_amp"),
+    ("train", "seed"), ("train", "lr_gen"), ("train", "lr_disc"), ("train", "decay"),
+    ("train", "lambda_quat"), ("train", "beta1"), ("train", "beta2"), ("train", "eps"),
+    ("lm", "damping_init"), ("lm", "damping_up"), ("lm", "damping_down"),
+    ("lm", "gradient_tol"), ("lm", "step_tol"), ("lm", "cost_tol"),
+]
+
+
+def test_saved_config_holds_exactly_the_settable_values(tmp_path):
+    path = tmp_path / "config.json"
+    save_pipeline_config(path, default_pipeline_config(4))
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert set(doc) == {"format", "seed", *CONFIG_SCHEMA}
+    assert {name: set(doc[name]) for name in CONFIG_SCHEMA} == CONFIG_SCHEMA
+    assert 1 + sum(map(len, CONFIG_SCHEMA.values())) == 24
+
+
+@pytest.mark.parametrize("section, name", REMOVED_FIELDS,
+                         ids=[f"{s}.{n}" for s, n in REMOVED_FIELDS])
+def test_config_removed_fields_rejected(tmp_path, section, name):
+    path = tmp_path / "config.json"
+    save_document(path, {"format": CONFIG_FORMAT, section: {name: 1}})
+    with pytest.raises(ConfigError, match=f"unknown field {section}.{name}"):
         load_pipeline_config(path)
 
 

@@ -7,7 +7,8 @@ from mocorr.camera import default_body, project
 from mocorr.errors import InvalidInputError
 from mocorr.motion import extract_poses
 from mocorr.skeleton import forward_kinematics
-from mocorr.synth import SceneConfig, synth_generate
+from mocorr.synth import (CAMERA_HEIGHT, CX, CY, RING_RADIUS, TARGET, SceneConfig,
+                          synth_generate)
 
 from conftest import frame_rows, frames_of
 from oracles import project_matrix, silhouette_points
@@ -136,13 +137,13 @@ def test_camera_rig_geometry():
     cfg = small_cfg(V=4)
     scene = synth_generate(cfg)
     assert len(scene.sparse_cameras) == 4
-    target = np.array(cfg.target)
+    target = np.array(TARGET)
     for camera in [scene.mono_camera] + scene.sparse_cameras:
         centre = -camera.rotation.T @ camera.translation
         radial = np.linalg.norm(centre[[0, 2]])
-        assert radial == pytest.approx(cfg.ring_radius, abs=1e-9)
-        assert centre[1] == pytest.approx(cfg.camera_height, abs=1e-9)
-        assert np.allclose(project(camera, target), [cfg.cx, cfg.cy], atol=1e-6)
+        assert radial == pytest.approx(RING_RADIUS, abs=1e-9)
+        assert centre[1] == pytest.approx(CAMERA_HEIGHT, abs=1e-9)
+        assert np.allclose(project(camera, target), [CX, CY], atol=1e-6)
 
 
 def test_scene_config_validation():

@@ -174,10 +174,10 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(InvalidInputError):
         TrainConfig(batch=0)
-    with pytest.raises(InvalidInputError):
-        TrainConfig(lr_gen=0.0)
-    with pytest.raises(InvalidInputError):
-        TrainConfig(lambda_quat=-1e-6)
+    for width in ("conv_width", "local_width", "hidden", "disc_hidden"):
+        for bad in (0, -3):
+            with pytest.raises(InvalidInputError):
+                TrainConfig(**{width: bad})
 
 
 def test_decay_boundary_arithmetic():
