@@ -30,7 +30,7 @@ EPS = 1e-8
 
 @dataclass
 class TrainConfig:
-    epochs: int = 500
+    epochs: int = 200
     batch: int = 32
     decay_epoch: int | None = None
     seed: int = 0
@@ -52,6 +52,10 @@ class TrainConfig:
         for name in ("conv_width", "local_width", "hidden", "disc_hidden"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be at least 1")
+        if self.kernel < 1 or self.kernel % 2 != 1:
+            raise InvalidInputError("kernel width must be odd and at least 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise InvalidInputError("dropout rate must lie in [0, 1)")
 
     def decay_boundary(self):
         """First epoch (1-based) that runs at the decayed learning rate."""

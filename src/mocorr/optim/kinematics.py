@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import quat
 from ..camera import Z_EPS
-from ..skeleton import AXES, as_sequence, fk_frames
+from ..skeleton import as_sequence, fk_chain, frames_first
 
 
 def fk_jacobian(skeleton, pose):
@@ -19,9 +19,13 @@ def fk_jacobian(skeleton, pose):
     (T,n,3,total_dof+6). An angle moves a joint by omega x (joint - pivot)
     where omega is the rotation axis in world coordinates; the root
     axis-angle derivative uses the closed-form rotation-matrix differential.
+    Every angle's world axis comes from FK's running products in one matmul
+    over all angles and frames, and only the pairs of an angle and a joint it
+    moves get a cross product; the other angle entries stay zero.
     """
     seq = as_sequence(pose)
-    pos, rot = fk_frames(skeleton, seq)
+    pos_j, rot_j, products = fk_chain(skeleton, seq)
+    pos, rot = frames_first(pos_j), frames_first(rot_j)
     n_frames, n = pos.shape[:2]
     d = skeleton.total_dof
     jac = np.zeros((n_frames, n, 3, d + 6))
@@ -31,23 +35,15 @@ def fk_jacobian(skeleton, pose):
     # root rotation: pos_i = t + R(v) s_i with s_i fixed in the body frame
     body = (pos - seq.root_trans[:, None]) @ rot[:, 0]
     d_rot = quat.rotvec_matrix_jacobian(seq.root_rot)
-    for k in range(3):
-        jac[..., d + k] = body @ d_rot[:, k].transpose(0, 2, 1)
+    jac[..., d:d + 3] = (body[:, None] @ d_rot.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
 
-    # world axis of every angle: column `axis` of parent @ (local rotation so far)
-    omega = np.empty((n_frames, d, 3))
-    for j, joint in enumerate(skeleton.joints):
-        if not joint.dof:
-            continue
-        before = np.eye(3)
-        col = int(skeleton.dof_start[j])
-        for m, ax in enumerate(joint.dof):
-            omega[:, col + m] = (rot[:, joint.parent] @ before)[:, :, AXES.index(ax)]
-            before = before @ quat.axis_rotation(ax, seq.theta[:, col + m])
-    lever = pos[:, None, :, :] - pos[:, skeleton.dof_joint, None, :]
-    moved = np.cross(omega[:, :, None, :], lever)
-    moved[:, ~skeleton.dof_descendants] = 0.0
-    jac[..., :d] = moved.transpose(0, 2, 3, 1)
+    # world axis of every angle: column `axis` of parent @ (running product
+    # before the angle), one matmul over all angle slots
+    turned = rot_j[skeleton.slot_parent] @ products[skeleton.before_slot]
+    col, moved = skeleton.dof_pairs
+    omega = turned[skeleton.rank_pos[col], :, :, skeleton.dof_axis[col]]
+    lever = pos_j[moved] - pos_j[skeleton.dof_joint[col]]
+    jac[:, moved, :, col] = np.cross(omega, lever)
     if seq is pose:
         return pos, rot, jac
     return pos[0], rot[0], jac[0]

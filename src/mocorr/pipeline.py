@@ -58,7 +58,7 @@ def sparse_obs_file(v):
 class PipelineConfig:
     seed: int = 0
     scene: SceneConfig = field(default_factory=SceneConfig)
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=200))
+    train: TrainConfig = field(default_factory=TrainConfig)
     weights: EnergyWeights = field(default_factory=EnergyWeights)
     lm: LMOptions = field(default_factory=LMOptions)
 

@@ -135,38 +135,6 @@ def from_matrix(m):
     return canonicalize(normalize(q)).reshape(m.shape[:-2] + (4,))
 
 
-def _plane_rotation(a, i, j):
-    """Rotation by angle a taking axis i towards axis j; batched over a's shape."""
-    c, s = np.cos(a), np.sin(a)
-    m = np.zeros(np.shape(a) + (3, 3))
-    m[..., 3 - i - j, 3 - i - j] = 1.0
-    m[..., i, i] = c
-    m[..., j, j] = c
-    m[..., i, j] = -s
-    m[..., j, i] = s
-    return m
-
-
-def rot_x(a):
-    return _plane_rotation(a, 1, 2)
-
-
-def rot_y(a):
-    return _plane_rotation(a, 2, 0)
-
-
-def rot_z(a):
-    return _plane_rotation(a, 0, 1)
-
-
-_AXIS_ROT = {"X": rot_x, "Y": rot_y, "Z": rot_z}
-
-
-def axis_rotation(axis, angle):
-    """Rotation about a named axis 'X', 'Y' or 'Z': (3, 3), or (..., 3, 3) for an array of angles."""
-    return _AXIS_ROT[axis](angle)
-
-
 def euler_xyz_from_matrix(m):
     """Angles (a, b, c) with m = Rx(a) @ Ry(b) @ Rz(c), each shaped like the
     leading axes of m (..., 3, 3).
@@ -197,17 +165,15 @@ def rotvec_matrix_jacobian(v):
     seq = np.atleast_2d(v)
     theta2 = (seq[:, None, :] @ seq[:, :, None])[:, 0, 0]
     small = theta2 < 1e-14
+    eye = np.eye(3)
     out = np.empty((seq.shape[0], 3, 3, 3))
-    out[small] = [skew(e) for e in np.eye(3)]
+    out[small] = skew(eye)
     big = seq[~small]
     r = to_matrix(from_rotvec(big))
-    vx = skew(big)
-    eye = np.eye(3)
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        w = big[:, k, None, None] * vx + skew(np.cross(big, (eye - r) @ e))
-        out[~small, k] = (w / theta2[~small, None, None]) @ r
+    # (eye - r) @ e_k for every k, as matrix-vector products: (N, k, 3)
+    cols = ((eye - r)[:, None] @ eye[:, :, None])[..., 0]
+    w = big[:, :, None, None] * skew(big)[:, None] + skew(np.cross(big[:, None], cols))
+    out[~small] = (w / theta2[~small, None, None, None]) @ r[:, None]
     return out if v.ndim == 2 else out[0]
 
 

@@ -7,8 +7,10 @@ a root translation in meters. The same type holds a whole sequence when each
 piece gains a leading frame axis: theta (T, D), root_rot and root_trans
 (T, 3). The quaternion form stores one unit quaternion per joint, with the
 root rotation in slot 0: (n, 4) for one pose, (T, n, 4) for a sequence.
-Forward kinematics and both conversions loop over joints only, each step
-covering every frame; a single pose runs as a sequence of one.
+Forward kinematics and pose_to_quat build every joint's axis rotations for
+all frames at once (`angle_products`) and then walk the tree one depth level
+at a time; quat_to_pose loops over joints, each step covering every frame. A
+single pose runs as a sequence of one.
 
 Joint rotation axes are always listed in X, Y, Z order and the local
 rotation composes in that order, so converting a quaternion back to angles
@@ -107,10 +109,55 @@ class SkeletonModel:
             if j.parent is not None:
                 self.descendants[:, i] = self.descendants[:, j.parent]
                 self.descendants[j.parent, i] = True
-        # per angle column c: the joint it turns, and dof_descendants[c, i] <=>
+        # per angle column c: the joint it turns, its axis (an index into AXES),
+        # its rank among that joint's angles, and dof_descendants[c, i] <=>
         # angle c moves joint i
         self.dof_joint = np.repeat(np.arange(n), counts)
+        self.dof_axis = np.array([AXES.index(ax) for j in self.joints for ax in j.dof],
+                                 dtype=int)
+        self.dof_rank = np.arange(self.total_dof) - self.dof_start[self.dof_joint]
         self.dof_descendants = self.descendants[self.dof_joint]
+        self._chain_layout(counts)
+
+    def _chain_layout(self, counts):
+        """Index arrays of the batched kinematics (`angle_products`, `fk_chain`).
+
+        The angles' running products live in slots: slot k belongs to angle
+        column rank_order[k], and slot total_dof holds the identity.
+        rank_order groups the columns by rank, each group listing its joints
+        in one order, those with more angles first, so the first entries of
+        rank r's group (bounded by rank_start) are the columns just before
+        rank r + 1's group, entry for entry.
+        """
+        n, d = len(self.joints), self.total_dof
+        parent = np.array([-1] + [j.parent for j in self.joints[1:]])
+        by_count = sorted(range(n), key=lambda i: -counts[i])
+        self.rank_order = np.array([self.dof_start[i] + r for r in range(3)
+                                    for i in by_count if counts[i] > r], dtype=int)
+        self.rank_start = np.concatenate([[0], np.cumsum(np.bincount(self.dof_rank,
+                                                                     minlength=3))])
+        self.rank_pos = np.argsort(self.rank_order)
+        # per slot: its angle's axis, the parent of the angle's joint, and the
+        # slot of the running product before the angle (the identity for rank 0)
+        self.slot_axis = self.dof_axis[self.rank_order]
+        self.slot_parent = parent[self.dof_joint[self.rank_order]]
+        self.before_slot = np.where(self.dof_rank[self.rank_order] > 0,
+                                    self.rank_pos[self.rank_order - 1], d)
+        # per joint: the slot of its local rotation, its last angle's
+        self.local_slot = np.full(n, d)
+        turned = np.asarray(counts) > 0
+        self.local_slot[turned] = self.rank_pos[self.dof_start[1:][turned] - 1]
+        # the tree by depth: per level below the root, its joints, their
+        # parents, offsets (k, 1, 3, 1) and local-rotation slots
+        depth = np.zeros(n, dtype=int)
+        for i in range(1, n):
+            depth[i] = depth[parent[i]] + 1
+        offsets = np.stack([j.offset for j in self.joints])[:, None, :, None]
+        self.levels = tuple((kids, parent[kids], offsets[kids], self.local_slot[kids])
+                            for kids in (np.flatnonzero(depth == level)
+                                         for level in range(1, depth.max() + 1)))
+        # the (angle column, joint it moves) pairs
+        self.dof_pairs = np.nonzero(self.dof_descendants)
 
     @property
     def n_joints(self):
@@ -177,20 +224,40 @@ def _check_dims(skeleton, pose):
         )
 
 
-def local_rotation(skeleton, i, pose):
-    """Local rotation of joint i: composed axis rotations (root folds in root_rot).
+def angle_products(skeleton, theta):
+    """Every joint's axis rotations and their running products, for all frames.
 
-    (3, 3) for one pose, (T, 3, 3) for a sequence; a joint without angles
-    gives the identity (3, 3) either way.
+    theta (T, D) gives (D + 1, T, 3, 3): slot k holds eye @ R_0 @ ... @ R_r
+    for the angle column `skeleton.rank_order[k]`, rank r of its joint, and
+    the last slot the identity. So a joint's local rotation sits in its
+    `local_slot`, and the product before an angle in its `before_slot`. One
+    cos and one sin call cover every angle; ranks 1 and 2 take one batched
+    matmul each, over the slots of their rank.
     """
-    joint = skeleton.joints[i]
-    if joint.parent is None:
-        return quat.to_matrix(quat.from_rotvec(pose.root_rot))
-    r = np.eye(3)
-    angles = pose.theta[..., skeleton.theta_slice(i)]
-    for m, ax in enumerate(joint.dof):
-        r = r @ quat.axis_rotation(ax, angles[..., m])
-    return r
+    d = skeleton.total_dof
+    angles = theta[:, skeleton.rank_order].T
+    c, s = np.cos(angles), np.sin(angles)
+    # each angle's rotation about its axis, taking axis i towards axis j
+    slot, axis = np.arange(d), skeleton.slot_axis
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    turn = np.zeros((d,) + theta.shape[:1] + (3, 3))
+    turn[slot, :, axis, axis] = 1.0
+    turn[slot, :, i, i] = c
+    turn[slot, :, j, j] = c
+    turn[slot, :, i, j] = -s
+    turn[slot, :, j, i] = s
+    products = np.empty((d + 1,) + turn.shape[1:])
+    products[d] = np.eye(3)
+    start = skeleton.rank_start
+    # rank 0: eye @ R is R with each -0.0 entry made +0.0 (an entry sums one
+    # product by 1 with products by 0, and a -0.0's column also holds
+    # cos(0) = 1, whose product by 0 is +0.0); adding +0.0 gives the same bits
+    np.add(turn[:start[1]], 0.0, out=products[:start[1]])
+    for rank in (1, 2):
+        group = slice(start[rank], start[rank + 1])
+        before = slice(start[rank - 1], start[rank - 1] + group.stop - group.start)
+        np.matmul(products[before], turn[group], out=products[group])
+    return products
 
 
 def as_sequence(pose):
@@ -200,29 +267,45 @@ def as_sequence(pose):
     return SkeletalPose(pose.theta[None], pose.root_rot[None], pose.root_trans[None])
 
 
+def fk_chain(skeleton, seq):
+    """Forward kinematics of a sequence, joint axis first, with the angle
+    running products.
+
+    Returns positions (n, T, 3), world rotations (n, T, 3, 3) and
+    `angle_products(skeleton, seq.theta)`. The tree is walked one depth level
+    at a time, each step covering every joint of the level in every frame;
+    with the joint axis first, a level gathers whole (T, ...) blocks.
+    """
+    products = angle_products(skeleton, seq.theta)
+    n_frames = seq.root_rot.shape[0]
+    pos = np.empty((skeleton.n_joints, n_frames, 3))
+    rot = np.empty((skeleton.n_joints, n_frames, 3, 3))
+    pos[0] = seq.root_trans
+    rot[0] = quat.to_matrix(quat.from_rotvec(seq.root_rot))
+    for kids, parents, offsets, slots in skeleton.levels:
+        parent_rot = rot[parents]
+        pos[kids] = pos[parents] + (parent_rot @ offsets)[..., 0]
+        rot[kids] = parent_rot @ products[slots]
+    return pos, rot, products
+
+
+def frames_first(a):
+    """A joint-major array (n, T, ...) as a contiguous (T, n, ...) array."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
 def fk_frames(skeleton, pose):
     """World positions and world rotations of every joint.
 
     One pose gives (n, 3) and (n, 3, 3); a sequence gives (T, n, 3) and
-    (T, n, 3, 3). Each step of the joint loop covers all frames, and a single
-    pose runs as a sequence of one.
+    (T, n, 3, 3). A single pose runs as a sequence of one.
     """
     _check_dims(skeleton, pose)
     seq = as_sequence(pose)
-    n_frames = seq.root_rot.shape[0]
-    pos = np.empty((n_frames, skeleton.n_joints, 3))
-    rot = np.empty((n_frames, skeleton.n_joints, 3, 3))
-    for i, joint in enumerate(skeleton.joints):
-        local = local_rotation(skeleton, i, seq)
-        if joint.parent is None:
-            pos[:, i] = seq.root_trans
-            rot[:, i] = local
-        else:
-            pos[:, i] = pos[:, joint.parent] + rot[:, joint.parent] @ joint.offset
-            rot[:, i] = rot[:, joint.parent] @ local
+    pos, rot, _ = fk_chain(skeleton, seq)
     if seq is pose:
-        return pos, rot
-    return pos[0], rot[0]
+        return frames_first(pos), frames_first(rot)
+    return pos[:, 0], rot[:, 0]
 
 
 def forward_kinematics(skeleton, pose):
@@ -232,15 +315,13 @@ def forward_kinematics(skeleton, pose):
 
 def pose_to_quat(skeleton, pose):
     """The quaternion form of a pose: (n, 4) for one pose, (T, n, 4) for a
-    sequence. Each step of the joint loop covers all frames."""
+    sequence. The local rotations come from one `angle_products` call."""
     _check_dims(skeleton, pose)
     seq = as_sequence(pose)
+    local = angle_products(skeleton, seq.theta)[skeleton.local_slot[1:]]
     q = np.empty((seq.root_rot.shape[0], skeleton.n_joints, 4))
-    for i, joint in enumerate(skeleton.joints):
-        if joint.parent is None:
-            q[:, i] = quat.from_rotvec(seq.root_rot)
-        else:
-            q[:, i] = quat.from_matrix(local_rotation(skeleton, i, seq))
+    q[:, 0] = quat.from_rotvec(seq.root_rot)
+    q[:, 1:] = quat.from_matrix(local).transpose(1, 0, 2)
     return QuatPose(q if seq is pose else q[0])
 
 

@@ -17,7 +17,10 @@ writer makes the hybridnet/1 files that the loader must still read. The
 scalar energies E_3D, E_2D, E_T and E_S, also former package code, are the
 energy definitions that the residual terms are checked against term by term.
 `silhouette_points` (one pose's outline) and `frame_quats` (one frame of a
-motion map) are former package helpers that only tests use.
+motion map) are former package helpers that only tests use, and so are the
+per-angle rotations (`rot_x`, `rot_y`, `rot_z`, `axis_rotation`) and
+`local_rotation` (one joint's eye @ R_0 @ R_1 @ R_2 over all frames), which
+the batched kinematics must reproduce bit for bit, zero signs included.
 """
 
 import numpy as np
@@ -60,7 +63,6 @@ from mocorr.skeleton import (
     clamp_joint_limits,
     fk_frames,
     forward_kinematics,
-    local_rotation,
 )
 
 from conftest import frame_rows
@@ -364,6 +366,57 @@ def energy_silhouette(seq, silhouettes, camera, skeleton, body, n_points=96):
         model = silhouette_points(camera, skeleton, pose, body, n_points)
         total += 0.5 * (_mean_min_sq(observed, model) + _mean_min_sq(model, observed))
     return total / len(seq)
+
+
+# --- per-angle rotations and local rotations ---------------------------------
+
+
+def _plane_rotation(a, i, j):
+    """Rotation by angle a taking axis i towards axis j; batched over a's shape."""
+    c, s = np.cos(a), np.sin(a)
+    m = np.zeros(np.shape(a) + (3, 3))
+    m[..., 3 - i - j, 3 - i - j] = 1.0
+    m[..., i, i] = c
+    m[..., j, j] = c
+    m[..., i, j] = -s
+    m[..., j, i] = s
+    return m
+
+
+def rot_x(a):
+    return _plane_rotation(a, 1, 2)
+
+
+def rot_y(a):
+    return _plane_rotation(a, 2, 0)
+
+
+def rot_z(a):
+    return _plane_rotation(a, 0, 1)
+
+
+_AXIS_ROT = {"X": rot_x, "Y": rot_y, "Z": rot_z}
+
+
+def axis_rotation(axis, angle):
+    """Rotation about a named axis 'X', 'Y' or 'Z': (3, 3), or (..., 3, 3) for an array of angles."""
+    return _AXIS_ROT[axis](angle)
+
+
+def local_rotation(skeleton, i, pose):
+    """Local rotation of joint i: composed axis rotations (root folds in root_rot).
+
+    (3, 3) for one pose, (T, 3, 3) for a sequence; a joint without angles
+    gives the identity (3, 3) either way.
+    """
+    joint = skeleton.joints[i]
+    if joint.parent is None:
+        return quat.to_matrix(quat.from_rotvec(pose.root_rot))
+    r = np.eye(3)
+    angles = pose.theta[..., skeleton.theta_slice(i)]
+    for m, ax in enumerate(joint.dof):
+        r = r @ axis_rotation(ax, angles[..., m])
+    return r
 
 
 # --- per-frame forward kinematics -------------------------------------------

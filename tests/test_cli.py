@@ -256,6 +256,10 @@ MALFORMED = {
     "config train.hidden 0": ("config.json", lambda doc: doc["train"].update(hidden=0)),
     "config train.conv_width -3":
         ("config.json", lambda doc: doc["train"].update(conv_width=-3)),
+    "config train.kernel 4": ("config.json", lambda doc: doc["train"].update(kernel=4)),
+    "config train.kernel 0": ("config.json", lambda doc: doc["train"].update(kernel=0)),
+    "config train.dropout 1.0":
+        ("config.json", lambda doc: doc["train"].update(dropout=1.0)),
     "motion T not a number": ("gt.motion.json", lambda doc: doc.update(T="abc")),
     "observations T null": ("obs_mono.json", lambda doc: doc.update(T=None)),
     "observations frames not a list": ("obs_mono.json", lambda doc: doc.update(frames=5)),

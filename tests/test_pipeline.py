@@ -78,6 +78,10 @@ def test_config_defaults_fill_missing_sections(tmp_path):
     save_document(path, {"format": CONFIG_FORMAT})
     cfg = load_pipeline_config(path)
     assert (cfg.seed, cfg.scene.seed, cfg.train.seed) == (0, 0, 1)
+    # naming one train field keeps the others at those defaults, epochs included
+    save_document(path, {"format": CONFIG_FORMAT, "train": {"window": 8}})
+    cfg = load_pipeline_config(path)
+    assert (cfg.train.window, cfg.train.epochs) == (8, 200)
 
 
 def test_config_unknown_fields_rejected(tmp_path):

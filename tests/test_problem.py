@@ -34,6 +34,7 @@ from mocorr.skeleton import (
     Joint,
     SkeletalPose,
     SkeletonModel,
+    default_skeleton,
     fk_frames,
     forward_kinematics,
     pose_to_quat,
@@ -63,6 +64,7 @@ from oracles import (
     pose_jacobian_sparse,
     pose_params,
     pose_residuals_ragged,
+    pose_to_quat_per_frame,
     project_matrix,
     ragged_rows,
     silhouette_point_jacobians_per_frame,
@@ -344,6 +346,32 @@ def test_batched_fk_equals_per_frame_oracle(seed, n_frames, fixed_share):
         one_pos, one_rot = fk_frames(skeleton, pose)
         assert np.array_equal(one_pos, ref_pos) and np.array_equal(one_rot, ref_rot)
         assert np.array_equal(fk_jacobian(skeleton, pose)[2], ref_jac)
+
+
+@pytest.mark.parametrize("n_frames", [33, 120])
+@pytest.mark.parametrize("tree", ["default", "random with angle-free joints"])
+def test_long_sequence_kinematics_equal_per_frame_oracles(n_frames, tree):
+    """At the lengths the pipeline runs (T = 120 is the default scene), FK,
+    its Jacobian and the quaternion form reproduce the per-frame oracles bit
+    for bit."""
+    rng = np.random.default_rng(n_frames)
+    if tree == "default":
+        skeleton = default_skeleton()
+    else:
+        skeleton = _strip_dofs(make_random_skeleton(rng, n_joints=16), {2, 5, 6, 11})
+    poses = [random_pose(rng, skeleton) for _ in range(n_frames)]
+    seq = stack_poses(poses)
+    pos, rot = fk_frames(skeleton, seq)
+    jpos, jrot, jac = fk_jacobian(skeleton, seq)
+    quats = pose_to_quat(skeleton, seq).quats
+    assert quats.shape == (n_frames, skeleton.n_joints, 4)
+    for t, pose in enumerate(poses):
+        ref_pos, ref_rot = fk_frames_per_frame(skeleton, pose)
+        _, _, ref_jac = fk_jacobian_per_frame(skeleton, pose)
+        assert np.array_equal(pos[t], ref_pos) and np.array_equal(rot[t], ref_rot)
+        assert np.array_equal(jpos[t], ref_pos) and np.array_equal(jrot[t], ref_rot)
+        assert np.array_equal(jac[t], ref_jac)
+        assert np.array_equal(quats[t], pose_to_quat_per_frame(skeleton, pose).quats)
 
 
 def test_projection_jacobian_of_a_stack_matches_single_points(toy_skeleton):

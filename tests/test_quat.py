@@ -10,12 +10,16 @@ from mocorr import quat
 from mocorr.errors import InvalidInputError
 
 from oracles import (
+    axis_rotation,
     central_diff,
     conjugate,
     euler_xyz_from_matrix_per_matrix,
     from_matrix_per_matrix,
     grad_check,
     quat_from_scipy,
+    rot_x,
+    rot_y,
+    rot_z,
     rotvec_matrix_jacobian_per_frame,
     scipy_quat,
 )
@@ -75,7 +79,7 @@ def test_batched_from_matrix_and_euler_equal_per_matrix_oracle():
         mats.append(quat.to_matrix(quat.from_rotvec(v)))
     for sign in (1.0, -1.0):
         a, c = rng.uniform(-1.0, 1.0, 2)
-        mats.append(quat.rot_x(a) @ quat.rot_y(sign * np.pi / 2) @ quat.rot_z(c))
+        mats.append(rot_x(a) @ rot_y(sign * np.pi / 2) @ rot_z(c))
     stack = np.array(mats)
     trace = np.trace(stack, axis1=1, axis2=2)
     pivots = np.argmax(np.diagonal(stack, axis1=1, axis2=2), axis=1)[trace <= 0.0]
@@ -156,14 +160,14 @@ def test_axis_rotation_matches_scipy():
     for axis in ("X", "Y", "Z"):
         for angle in rng.uniform(-np.pi, np.pi, 20):
             ref = Rotation.from_euler(axis.lower(), angle).as_matrix()
-            assert np.allclose(quat.axis_rotation(axis, angle), ref, atol=1e-12)
+            assert np.allclose(axis_rotation(axis, angle), ref, atol=1e-12)
 
 
 def test_euler_xyz_factorization():
     rng = np.random.default_rng(8)
     for _ in range(200):
         a, b, c = rng.uniform(-1.4, 1.4, 3)
-        m = quat.rot_x(a) @ quat.rot_y(b) @ quat.rot_z(c)
+        m = rot_x(a) @ rot_y(b) @ rot_z(c)
         ra, rb, rc = quat.euler_xyz_from_matrix(m)
         assert np.allclose([ra, rb, rc], [a, b, c], atol=1e-9)
 
@@ -172,10 +176,10 @@ def test_euler_xyz_gimbal_lock():
     rng = np.random.default_rng(9)
     for sign in (1.0, -1.0):
         a, c = rng.uniform(-1.0, 1.0, 2)
-        m = quat.rot_x(a) @ quat.rot_y(sign * np.pi / 2) @ quat.rot_z(c)
+        m = rot_x(a) @ rot_y(sign * np.pi / 2) @ rot_z(c)
         ra, rb, rc = quat.euler_xyz_from_matrix(m)
         assert rc == 0.0
-        rebuilt = quat.rot_x(ra) @ quat.rot_y(rb) @ quat.rot_z(rc)
+        rebuilt = rot_x(ra) @ rot_y(rb) @ rot_z(rc)
         assert np.allclose(rebuilt, m, atol=1e-9)
 
 
@@ -230,6 +234,16 @@ def test_batched_rotvec_matrix_jacobian_equals_per_frame_oracle():
     for v, r in zip(vs[:6], ref):
         assert np.array_equal(quat.rotvec_matrix_jacobian(v), r)
     assert np.array_equal(quat.rotvec_matrix_jacobian(vs[::5]), ref[::5])
+    # a 200-row stack, near-zero rows on both sides of the threshold mixed in
+    vs = rng.uniform(-2.5, 2.5, (200, 3))
+    near = rng.choice(200, 50, replace=False)
+    vs[near] *= 10.0 ** rng.uniform(-12, -6, (50, 1))
+    vs[near[:5]] = 0.0
+    vs[near[5:10], 1:] = 0.0
+    jac = quat.rotvec_matrix_jacobian(vs)
+    ref = np.stack([rotvec_matrix_jacobian_per_frame(v) for v in vs])
+    assert np.array_equal(jac, ref)
+    assert np.array_equal(np.signbit(jac), np.signbit(ref))
 
 
 def test_skew_cross_product():

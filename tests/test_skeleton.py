@@ -11,6 +11,7 @@ from mocorr.skeleton import (
     QuatPose,
     SkeletalPose,
     SkeletonModel,
+    angle_products,
     clamp_joint_limits,
     default_skeleton,
     fk_frames,
@@ -23,7 +24,7 @@ from mocorr.skeleton import (
 )
 
 from conftest import make_random_skeleton, make_toy_skeleton, random_pose
-from oracles import fk_homogeneous
+from oracles import fk_homogeneous, local_rotation
 
 
 def test_fk_matches_homogeneous_oracle():
@@ -244,3 +245,25 @@ def test_pose_dimension_mismatch(toy_skeleton):
 def test_pose_rejects_non_finite():
     with pytest.raises(InvalidInputError):
         SkeletalPose(np.array([np.inf]), np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_angle_products_equal_composed_axis_rotations(seed):
+    """Each joint's local rotation among the running products is the
+    oracle's eye @ R_0 @ R_1 @ R_2 bit for bit, zero signs included, on
+    angles of exactly +0.0 and -0.0, where a rotation holds -0.0 entries."""
+    rng = np.random.default_rng(seed)
+    skeleton = default_skeleton() if seed == 0 else make_random_skeleton(rng)
+    n_frames = int(rng.integers(1, 40))
+    theta = rng.uniform(-2.0, 2.0, (n_frames, skeleton.total_dof))
+    draw = rng.uniform(size=theta.shape)
+    theta[draw < 0.3] = 0.0
+    theta[draw > 0.8] = -0.0
+    seq = SkeletalPose(theta, np.zeros((n_frames, 3)), np.zeros((n_frames, 3)))
+    products = angle_products(skeleton, theta)
+    assert products.shape == (skeleton.total_dof + 1, n_frames, 3, 3)
+    for i in range(1, skeleton.n_joints):
+        got = products[skeleton.local_slot[i]]
+        ref = np.broadcast_to(local_rotation(skeleton, i, seq), got.shape)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))

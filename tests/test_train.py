@@ -178,6 +178,13 @@ def test_config_validation():
         for bad in (0, -3):
             with pytest.raises(InvalidInputError):
                 TrainConfig(**{width: bad})
+    for kernel in (4, 0, -1):
+        with pytest.raises(InvalidInputError, match="kernel width"):
+            TrainConfig(kernel=kernel)
+    for dropout in (1.0, -0.1, 1.5):
+        with pytest.raises(InvalidInputError, match="dropout"):
+            TrainConfig(dropout=dropout)
+    TrainConfig(kernel=1, dropout=0.0)
 
 
 def test_decay_boundary_arithmetic():

@@ -1,0 +1,71 @@
+"""Microbenchmark of the kinematics core: forward kinematics, its Jacobian,
+the pose -> quaternion conversion and the root-rotation derivative.
+
+Times `fk_frames`, `fk_jacobian`, `pose_to_quat` and
+`quat.rotvec_matrix_jacobian` on seeded in-limit poses of the default
+skeleton at T = 2, 8 and 120 frames, and prints one JSON line: for each
+function and T, the best of `--repeat` timings of one call, in
+microseconds. BLAS is pinned to one thread before numpy loads. It has no
+timing gate; compare two checkouts by running each one's copy.
+
+    python tools/bench_kinematics.py [--repeat 7]
+"""
+
+import argparse
+import json
+import os
+import sys
+import timeit
+
+FRAMES = (2, 8, 120)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def best_call_us(fn, repeat):
+    """Best over `repeat` runs of the mean time of one call, in microseconds."""
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=7, help="timing runs per case")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, SRC)
+
+    import numpy as np
+
+    from mocorr import quat
+    from mocorr.optim.kinematics import fk_jacobian
+    from mocorr.skeleton import SkeletalPose, default_skeleton, fk_frames, pose_to_quat
+
+    skeleton = default_skeleton()
+    lo, hi = skeleton.theta_min, skeleton.theta_max
+    rng = np.random.default_rng(0)
+    results = {name: {} for name in
+               ("fk_frames", "fk_jacobian", "pose_to_quat", "rotvec_matrix_jacobian")}
+    for n_frames in FRAMES:
+        # in-limit angles, root rotations of up to about 1 rad, roots within 0.3 m
+        theta = lo + (hi - lo) * rng.uniform(0.05, 0.95, (n_frames, skeleton.total_dof))
+        seq = SkeletalPose(theta, rng.uniform(-0.6, 0.6, (n_frames, 3)),
+                           rng.uniform(-0.3, 0.3, (n_frames, 3)))
+        calls = {
+            "fk_frames": lambda: fk_frames(skeleton, seq),
+            "fk_jacobian": lambda: fk_jacobian(skeleton, seq),
+            "pose_to_quat": lambda: pose_to_quat(skeleton, seq),
+            "rotvec_matrix_jacobian": lambda: quat.rotvec_matrix_jacobian(seq.root_rot),
+        }
+        for name, fn in calls.items():
+            results[name][str(n_frames)] = round(best_call_us(fn, args.repeat), 2)
+    print(json.dumps({"unit": "us", "blas_threads": 1, "repeat": args.repeat,
+                      "frames": list(FRAMES), "results": results}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
