@@ -42,6 +42,10 @@ class Camera:
         self.cy = float(self.cy)
         self.rotation = np.asarray(self.rotation, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float)
+        scalars = (self.fx, self.fy, self.cx, self.cy)
+        if not (np.isfinite(scalars).all() and np.isfinite(self.rotation).all()
+                and np.isfinite(self.translation).all()):
+            raise InvalidInputError("camera intrinsics and pose must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise InvalidInputError("focal lengths must be positive")
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):

@@ -13,11 +13,12 @@ mid-write leaves the .partial file behind and never a truncated final file.
 NaN and infinity are not JSON: a document holding one is refused, its
 .partial file removed and the target left as it was; on load the tokens
 NaN, Infinity and -Infinity, which Python's json module would accept, are
-refused too. The writer walks the nested objects itself and encodes each
-other value, or a slice of a long list, with json.dumps, which takes the C
-encoder (json.dump always takes the slower pure-Python one). The output is
-byte for byte json.dumps(doc, sort_keys=True, allow_nan=False), but only a
-small piece of it is held as text at a time.
+refused too, and numeric fields refuse numbers too large for a float, which
+it reads as infinity. The writer walks the nested objects itself and
+encodes each other value, or a slice of a long list, with json.dumps, which
+takes the C encoder (json.dump always takes the slower pure-Python one). The
+output is byte for byte json.dumps(doc, sort_keys=True, allow_nan=False), but
+only a small piece of it is held as text at a time.
 """
 
 import base64
@@ -123,10 +124,11 @@ def _holds_bool(value):
 
 
 def numeric_array(raw, what):
-    """A JSON number or nested list of numbers as a float array.
+    """A JSON number or nested list of numbers as a finite float array.
 
     Strings, booleans (also mixed in among numbers, which numpy would
-    promote), nulls and ragged lists raise ParseError naming `what`."""
+    promote), nulls, ragged lists and numbers that overflow a float (the
+    json module reads 1e400 as inf) raise ParseError naming `what`."""
     if _holds_bool(raw):
         raise ParseError(f"{what} is not numeric")
     try:
@@ -135,7 +137,10 @@ def numeric_array(raw, what):
         raise ParseError(f"{what} is not numeric") from exc
     if arr.dtype.kind not in "iuf":
         raise ParseError(f"{what} is not numeric")
-    return arr.astype(float, copy=False)
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what} holds a non-finite value")
+    return arr
 
 
 def require_array(doc, path, key, shape):

@@ -145,12 +145,8 @@ class Discriminator:
 def motion_channels(motion):
     """Stack each joint's quaternion and confidence into network channels."""
     t, n = motion.n_frames, motion.n_joints
-    x = np.empty((t, CHANNELS_PER_JOINT * n))
-    for j in range(n):
-        x[:, CHANNELS_PER_JOINT * j:CHANNELS_PER_JOINT * j + 4] = \
-            motion.quats[:, 4 * j:4 * j + 4]
-        x[:, CHANNELS_PER_JOINT * j + 4] = motion.conf[:, j]
-    return x
+    return np.concatenate([motion.quats.reshape(t, n, 4), motion.conf[..., None]],
+                          2).reshape(t, -1)
 
 
 def generator_forward(gen, motion, train=False, rng=None):

@@ -2,12 +2,10 @@
 
 Each batch takes one generator step on L_sv + L_adv and, when adversarial
 training is enabled, one discriminator step on L_D against random windows
-drawn from the unpaired reference motions. The discriminator step reuses the
-fake scores, and the forward cache behind them, from the generator step's
-discriminator pass: the discriminator's parameters have not changed in
-between, so a second forward pass over the same fake batch would repeat it
-bit for bit. All sequences are pre-cut to a shared window length so batches
-stack without padding.
+drawn from the unpaired reference motions. One discriminator pass scores the
+generated and the reference windows together, and both steps take their
+values and gradients from those scores. All sequences are pre-cut to a
+shared window length so batches stack without padding.
 """
 
 from dataclasses import dataclass
@@ -16,7 +14,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, NumericFailureError, SequenceTooShortError
 from .losses import loss_adv_grad, loss_disc_grad, loss_sv_grad
-from .model import CHANNELS_PER_JOINT, Discriminator, Generator, motion_channels
+from .model import Discriminator, Generator, motion_channels
 
 # Adam: the two learning rates, the factor they fall by from the decay
 # boundary on, and the moment decay rates and denominator offset
@@ -156,22 +154,6 @@ def make_windows(dataset, unpaired, cfg):
     return inputs, targets, references
 
 
-def discriminator_grads(disc, d_fake, real):
-    """Accumulate dL_D/dparams into the zeroed `disc.grads`; returns L_D.
-
-    The fake half reuses `d_fake` and the cache of the discriminator's last
-    forward pass, which must have scored the fake batch with the current
-    parameters: the generator step's pass does, since only the generator's
-    parameters change after it. The two halves of L_D are independent, so
-    the real batch is backpropagated right after its own forward pass.
-    """
-    disc.zero_grad()
-    disc.backward(2.0 * d_fake / d_fake.size)
-    d_real = disc.forward(real)
-    disc.backward(2.0 * (d_real - 1.0) / d_real.size)
-    return loss_disc_grad(d_real, d_fake)[0]
-
-
 def train(dataset, unpaired, skeleton, cfg):
     """Alternating optimization of generator and discriminator.
 
@@ -216,18 +198,20 @@ def train(dataset, unpaired, skeleton, cfg):
             adv_value = 0.0
             disc_value = 0.0
             if cfg.adversarial:
-                d_fake = disc.forward(pred)
-                adv_value, ddfake = loss_adv_grad(d_fake)
+                b = len(idx)
+                pick = rng_unpaired.integers(0, len(references), size=b)
+                real = np.stack([references[i] for i in pick])
+                scores = disc.forward(np.concatenate([pred, real]))
+                adv_value, ddfake = loss_adv_grad(scores[:b])
+                disc_value, dreal, dfake = loss_disc_grad(scores[b:], scores[:b])
+                # only its input gradient is kept: zero_grad drops its weight gradients
+                dpred = dpred + disc.backward(np.concatenate([ddfake, np.zeros(b)]))[:b]
                 disc.zero_grad()
-                dpred = dpred + disc.backward(ddfake)
+                disc.backward(np.concatenate([dfake, dreal]))
+                adam_disc.step(lr_scale)
             gen.zero_grad()
             gen.backward(dpred)
             adam_gen.step(lr_scale)
-            if cfg.adversarial:
-                pick = rng_unpaired.integers(0, len(references), size=len(idx))
-                real = np.stack([references[i] for i in pick])
-                disc_value = discriminator_grads(disc, d_fake, real)
-                adam_disc.step(lr_scale)
             values = (sv_value, adv_value, disc_value)
             if not all(np.isfinite(v) for v in values):
                 raise NumericFailureError(

@@ -111,8 +111,10 @@ def _field_value(kind, value, where):
         if _is_number(value) and (isinstance(value, int) or value.is_integer()):
             return int(value)
         raise ConfigError(f"{where} must be an integer")
-    if float in kinds and not _is_number(value):
-        raise ConfigError(f"{where} must be a number")
+    # an overflowing literal (json reads 1e400 as inf) and an integer past
+    # the float range fail the bound
+    if float in kinds and not (_is_number(value) and abs(value) <= np.finfo(float).max):
+        raise ConfigError(f"{where} must be a finite number")
     return value
 
 

@@ -9,7 +9,7 @@ piece gains a leading frame axis: theta (T, D), root_rot and root_trans
 root rotation in slot 0: (n, 4) for one pose, (T, n, 4) for a sequence.
 Forward kinematics and pose_to_quat build every joint's axis rotations for
 all frames at once (`angle_products`) and then walk the tree one depth level
-at a time; quat_to_pose loops over joints, each step covering every frame. A
+at a time; quat_to_pose factors every joint of every frame in one call. A
 single pose runs as a sequence of one.
 
 Joint rotation axes are always listed in X, Y, Z order and the local
@@ -339,15 +339,9 @@ def quat_to_pose(skeleton, qpose, root_trans):
         raise InvalidInputError(
             f"quat pose has {q.shape[-2]} joints, skeleton has {skeleton.n_joints}"
         )
-    theta = np.zeros(q.shape[:-2] + (skeleton.total_dof,))
     root_rot = quat.to_rotvec(q[..., 0, :])
-    for i, joint in enumerate(skeleton.joints):
-        if joint.parent is None or not joint.dof:
-            continue
-        a, b, c = quat.euler_xyz_from_matrix(quat.to_matrix(q[..., i, :]))
-        by_axis = {"X": a, "Y": b, "Z": c}
-        theta[..., skeleton.theta_slice(i)] = np.stack([by_axis[ax] for ax in joint.dof],
-                                                       axis=-1)
+    a, b, c = quat.euler_xyz_from_matrix(quat.to_matrix(q))
+    theta = np.stack([a, b, c], -1)[..., skeleton.dof_joint, skeleton.dof_axis]
     pose = SkeletalPose(theta, root_rot, np.asarray(root_trans, dtype=float))
     return clamp_joint_limits(pose, skeleton)
 

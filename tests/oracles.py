@@ -8,12 +8,11 @@ brute-force loops.
 The per-frame pose <-> quaternion conversions, per-frame forward
 kinematics, root-rotation derivative, Levenberg-Marquardt loop, silhouette
 structure, sparse Jacobian builders, per-step GRU, masked sigmoid,
-dict-based Adam, hybridnet/1 checkpoint writer and two-stage flip-flop
-refinement further down are different: they are the earlier, unoptimised
-versions of package code, kept as they were so the optimised versions can be
-required to reproduce them bit for bit, or to rounding where the summation
-order changed. The checkpoint
-writer makes the hybridnet/1 files that the loader must still read. The
+dict-based Adam, two-pass discriminator step, hybridnet/1 checkpoint writer
+and two-stage flip-flop refinement further down are different: they are the
+earlier, unoptimised versions of package code, kept as they were so the
+optimised versions can be required to reproduce them bit for bit, or to
+rounding where the summation order changed. The checkpoint writer makes the hybridnet/1 files that the loader must still read. The
 scalar energies E_3D, E_2D, E_T and E_S, also former package code, are the
 energy definitions that the residual terms are checked against term by term.
 `silhouette_points` (one pose's outline) and `frame_quats` (one frame of a
@@ -39,6 +38,7 @@ from mocorr.errors import (
 from mocorr.jsonio import save_document
 from mocorr.motion import build_motion_map
 from mocorr.net.layers import GRU
+from mocorr.net.losses import loss_disc_grad
 from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
 from mocorr.optim.lm import (
     COST_TOL,
@@ -1191,6 +1191,22 @@ class AdamDicts:
                 m2[k] *= b2
                 m2[k] += (1.0 - b2) * g * g
                 p -= lr * (m1[k] / correction1) / (np.sqrt(m2[k] / correction2) + self.eps)
+
+
+def discriminator_grads(disc, d_fake, real):
+    """Accumulate dL_D/dparams into the zeroed `disc.grads`; returns L_D.
+
+    The fake half reuses `d_fake` and the cache of the discriminator's last
+    forward pass, which must have scored the fake batch with the current
+    parameters: the generator step's pass does, since only the generator's
+    parameters change after it. The two halves of L_D are independent, so
+    the real batch is backpropagated right after its own forward pass.
+    """
+    disc.zero_grad()
+    disc.backward(2.0 * d_fake / d_fake.size)
+    d_real = disc.forward(real)
+    disc.backward(2.0 * (d_real - 1.0) / d_real.size)
+    return loss_disc_grad(d_real, d_fake)[0]
 
 
 def _layer_state(layer):

@@ -105,6 +105,17 @@ def test_camera_validation():
         Camera(500.0, 500.0, 0.0, 0.0, mirror, np.zeros(3))
     with pytest.raises(InvalidInputError):
         Camera(-1.0, 500.0, 0.0, 0.0, np.eye(3), np.zeros(3))
+    # a NaN rotation entry passes the orthonormality test, since every
+    # comparison with NaN is false
+    nan_rot = np.eye(3)
+    nan_rot[0, 1] = np.nan
+    for fields in ((np.inf, 500.0, 0.0, 0.0, np.eye(3), np.zeros(3)),
+                   (500.0, 500.0, np.inf, 0.0, np.eye(3), np.zeros(3)),
+                   (500.0, 500.0, 0.0, np.nan, np.eye(3), np.zeros(3)),
+                   (500.0, 500.0, 0.0, 0.0, nan_rot, np.zeros(3)),
+                   (500.0, 500.0, 0.0, 0.0, np.eye(3), [0.0, 0.0, np.nan])):
+        with pytest.raises(InvalidInputError, match="finite"):
+            Camera(*fields)
 
 
 def test_camera_save_load_round_trip(tmp_path):

@@ -263,6 +263,13 @@ MALFORMED = {
     "motion T not a number": ("gt.motion.json", lambda doc: doc.update(T="abc")),
     "observations T null": ("obs_mono.json", lambda doc: doc.update(T=None)),
     "observations frames not a list": ("obs_mono.json", lambda doc: doc.update(frames=5)),
+    # inf is written as the overflowing literal 1e400, which json reads as inf
+    "camera cx 1e400": ("camera_mono.json", lambda doc: doc.update(cx=np.inf)),
+    "camera fx 1e400": ("camera_mono.json", lambda doc: doc.update(fx=np.inf)),
+    "config weights.lambda_t 1e400":
+        ("config.json", lambda doc: doc["weights"].update(lambda_t=np.inf)),
+    "config scene.noise_px 1e400":
+        ("config.json", lambda doc: doc["scene"].update(noise_px=np.inf)),
 }
 
 
@@ -274,15 +281,16 @@ def test_malformed_files_exit_2(scene_dir, tmp_path, capsys, case):
     change(doc)
     bad = str(tmp_path / name)
     with open(bad, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc).replace("Infinity", "1e400"))
     out = str(tmp_path / "out")
     skeleton = bad if name == "skeleton.json" else path_in(scene_dir, "skeleton.json")
     gt = bad if name == "gt.motion.json" else path_in(scene_dir, "gt.motion.json")
     if name == "config.json":
         argv = ["--config", bad, "--out", out, "synth"]
-    elif name == "obs_mono.json":
-        argv = ["--out", out, "fit", "--obs", bad,
-                "--camera", path_in(scene_dir, "camera_mono.json"), "--skeleton", skeleton]
+    elif name in ("obs_mono.json", "camera_mono.json"):
+        obs = bad if name == "obs_mono.json" else path_in(scene_dir, "obs_mono.json")
+        camera = bad if name == "camera_mono.json" else path_in(scene_dir, "camera_mono.json")
+        argv = ["--out", out, "fit", "--obs", obs, "--camera", camera, "--skeleton", skeleton]
     else:
         argv = ["--out", out, "eval", "--pred", gt, "--gt", gt, "--skeleton", skeleton]
     assert main(argv) == 2

@@ -129,6 +129,24 @@ def test_sequence_conversions_equal_per_frame_oracles(seed):
                        for t in range(n_frames)])
     assert np.any(ref.theta == skeleton.theta_min) and np.any(ref.theta == skeleton.theta_max)
     assert_poses_equal(quat_to_pose(skeleton, QuatPose(q), seq.root_trans), ref)
+
+    # every non-root joint gimbal-locked on every frame: Rx(a) Ry(+-pi/2), so
+    # |m02| = 1 and the lock branch of the Euler factoring runs on whole
+    # joint axes at once
+    shape = (n_frames, n_joints - 1)
+    rx = np.zeros(shape + (3,))
+    rx[..., 0] = rng.uniform(-np.pi, np.pi, shape)
+    ry = np.zeros(shape + (3,))
+    ry[..., 1] = rng.choice([-0.5 * np.pi, 0.5 * np.pi], shape)
+    locked = q.copy()
+    locked[:, 1:] = quat.mul(quat.from_rotvec(rx.reshape(-1, 3)),
+                             quat.from_rotvec(ry.reshape(-1, 3))).reshape(shape + (4,))
+    assert np.all(np.abs(quat.to_matrix(locked[:, 1:])[..., 0, 2]) >= 1.0 - 1e-12)
+    ref_locked = stack_poses([quat_to_pose_per_frame(skeleton, QuatPose(locked[t]),
+                                                     seq.root_trans[t])
+                              for t in range(n_frames)])
+    assert_poses_equal(quat_to_pose(skeleton, QuatPose(locked), seq.root_trans), ref_locked)
+
     turned = MotionMap(q.reshape(n_frames, -1), conf, seq.root_trans)
     assert_poses_equal(extract_poses(turned, skeleton), ref)
 

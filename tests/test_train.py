@@ -6,11 +6,12 @@ import pytest
 from conftest import make_toy_skeleton, stack_poses
 from mocorr.errors import InvalidInputError, SequenceTooShortError
 from mocorr.motion import MotionMap, build_motion_map
-from mocorr.net.losses import loss_adv_grad, loss_disc
+from mocorr.net.losses import loss_adv_grad, loss_disc, loss_sv_grad
 from mocorr.net.model import Discriminator, Generator
-from mocorr.net.train import Adam, TrainConfig, discriminator_grads, make_windows, train
+from mocorr.net.train import (BETA1, BETA2, DECAY, EPS, LR_DISC, LR_GEN, Adam, TrainConfig,
+                              make_windows, train)
 from mocorr.skeleton import SkeletalPose
-from oracles import AdamDicts
+from oracles import AdamDicts, discriminator_grads
 
 SMALL_NET = dict(conv_width=16, local_width=4, hidden=16, disc_hidden=8,
                  kernel=7, dropout=0.0)
@@ -121,6 +122,55 @@ def test_discriminator_step_matches_a_fresh_pass_bitwise():
     disc.backward(2.0 * (d_real - 1.0) / d_real.size)
     assert np.array_equal(reused, params_blob(disc, "grads"))
     assert value == loss_disc(d_real, d_fake_fresh)
+
+
+def test_adversarial_step_matches_two_pass_oracle(monkeypatch):
+    # one epoch of one batch, replayed the earlier way: the generator step's
+    # discriminator pass over the fake windows, then the two-pass
+    # discriminator step over its cache and a second pass over the reals
+    skeleton = make_toy_skeleton()
+    pairs, unpaired = toy_dataset(skeleton, n_seqs=3, t=16)
+    cfg = TrainConfig(epochs=1, batch=8, window=16, stride=16, seed=9,
+                      adversarial=True, **SMALL_NET)
+    passes = []
+    forward = Discriminator.forward
+    monkeypatch.setattr(Discriminator, "forward",
+                        lambda self, q: passes.append(q.shape[0]) or forward(self, q))
+    gen, disc, history = train(pairs, unpaired, skeleton, cfg)
+    monkeypatch.undo()
+    assert passes == [6]  # one pass over 3 generated and 3 reference windows
+
+    streams = np.random.SeedSequence(cfg.seed).spawn(5)
+    rng_gen, rng_disc, rng_shuffle, rng_dropout, rng_unpaired = (
+        np.random.default_rng(s) for s in streams)
+    ref_gen = Generator(skeleton, rng_gen, conv_width=cfg.conv_width,
+                        local_width=cfg.local_width, hidden=cfg.hidden,
+                        kernel=cfg.kernel, dropout=cfg.dropout)
+    ref_disc = Discriminator(skeleton.n_joints, rng_disc, hidden=cfg.disc_hidden)
+    adam_gen = Adam(ref_gen.layers(), LR_GEN, BETA1, BETA2, EPS)
+    adam_disc = Adam(ref_disc.layers(), LR_DISC, BETA1, BETA2, EPS)
+    inputs, targets, references = make_windows(pairs, unpaired, cfg)
+    idx = rng_shuffle.permutation(len(inputs))
+    assert len(idx) <= cfg.batch
+    pred = ref_gen.forward(np.stack([inputs[i] for i in idx]), train=True, rng=rng_dropout)
+    sv_value, dpred = loss_sv_grad(pred, np.stack([targets[i] for i in idx]))
+    d_fake = ref_disc.forward(pred)
+    adv_value, ddfake = loss_adv_grad(d_fake)
+    ref_disc.zero_grad()
+    dpred = dpred + ref_disc.backward(ddfake)
+    ref_gen.zero_grad()
+    ref_gen.backward(dpred)
+    assert cfg.decay_boundary() == 1  # the only epoch runs at the decayed rate
+    adam_gen.step(DECAY)
+    pick = rng_unpaired.integers(0, len(references), size=len(idx))
+    disc_value = discriminator_grads(ref_disc, d_fake, np.stack([references[i] for i in pick]))
+    adam_disc.step(DECAY)
+
+    for model, ref in ((gen, ref_gen), (disc, ref_disc)):
+        np.testing.assert_allclose(params_blob(model), params_blob(ref), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        [history["loss_sv"][0], history["loss_adv"][0], history["loss_disc"][0]],
+        [sv_value, adv_value, disc_value], rtol=0, atol=1e-12)
 
 
 def test_adam_matches_dict_oracle_bitwise():
