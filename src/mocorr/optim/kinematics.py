@@ -34,7 +34,7 @@ def fk_jacobian(skeleton, pose):
 
     # root rotation: pos_i = t + R(v) s_i with s_i fixed in the body frame
     body = (pos - seq.root_trans[:, None]) @ rot[:, 0]
-    d_rot = quat.rotvec_matrix_jacobian(seq.root_rot)
+    d_rot = quat.rotvec_matrix_jacobian(seq.root_rot, rot_j[0])
     jac[..., d:d + 3] = (body[:, None] @ d_rot.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
 
     # world axis of every angle: column `axis` of parent @ (running product

@@ -9,11 +9,28 @@ decreases, so the reported cost history is monotone by construction.
 
 J^T J and J^T r are formed once per Jacobian: dense ones as `jac.T @ jac`,
 solved with `np.linalg.solve`; block ones in symmetric banded storage,
-solved with a banded Cholesky (`scipy.linalg.solveh_banded`). A rejected
-step only raises the damping and solves again. A damped system that cannot
-be solved (singular, or for the banded Cholesky not numerically positive
-definite) or that gives a non-finite step counts as rejected too, so the
-damping rises until it can.
+solved with a banded Cholesky (`scipy.linalg.solveh_banded`).
+
+The damping follows Nielsen's gain-ratio schedule (H. B. Nielsen, "Damping
+Parameter in Marquardt's Method", 1999). An accepted step compares the
+actual decrease with the one the damped linear model predicted,
+rho = (cost - cost_new) / (dx . (damping * dx - J^T r)), scales the damping
+by max(1/3, 1 - (2 rho - 1)^3) and resets nu to 2. A rejected step, or a
+damped system that cannot be solved (singular, or for the banded Cholesky
+not numerically positive definite) or that gives a non-finite step,
+multiplies the damping by nu and doubles nu, and the same Jacobian is
+solved again.
+
+A solve ends with one of these statuses:
+- "gradient": the largest entry of J^T r is at most GRADIENT_TOL;
+- "step": the accepted step is at most STEP_TOL relative to |x|;
+- "cost": one step lowered the cost by at most COST_TOL * max(1, cost);
+- "plateau": the last PLATEAU_WINDOW steps together lowered the cost by at
+  most PLATEAU_TOL * cost (Madsen, Nielsen & Tingleff, "Methods for
+  Non-Linear Least Squares Problems", 2004). The bound scales with the cost
+  itself, so a cost that falls below 1 still converges fully;
+- "stalled": the damping reached its ceiling without an accepted step;
+- "max_iterations": the iteration cap was reached.
 """
 
 from dataclasses import dataclass, field
@@ -23,17 +40,20 @@ from scipy.linalg import solveh_banded
 
 from ..errors import InvalidInputError, NumericFailureError
 
-# damping schedule: start small, raise on a rejected step, lower on an
-# accepted one, and give up on an iteration at the ceiling
+# damping schedule: start small, scale by the gain ratio on an accepted
+# step, by a doubling nu on a rejected one, and give up on an iteration at
+# the ceiling
 DAMPING_INIT = 1e-3
-DAMPING_UP = 10.0
-DAMPING_DOWN = 0.1
+NU_INIT = 2.0
 _DAMPING_CEILING = 1e16
 # stopping tolerances: largest gradient entry, step length relative to |x|,
-# and cost decrease relative to max(1, cost)
+# one step's cost decrease relative to max(1, cost), and the decrease over
+# the last PLATEAU_WINDOW steps relative to the cost itself
 GRADIENT_TOL = 1e-10
 STEP_TOL = 1e-10
 COST_TOL = 1e-12
+PLATEAU_WINDOW = 5
+PLATEAU_TOL = 1e-6
 
 
 @dataclass
@@ -52,6 +72,11 @@ class LMResult:
     iterations: int
     status: str
     cost_history: list = field(default_factory=list)
+    # residual evaluations, the starting point included; trial steps that did
+    # not lower the cost; damped systems that could not be solved
+    residual_evaluations: int = 0
+    rejected_steps: int = 0
+    failed_solves: int = 0
 
 
 def numeric_jacobian(residuals, x, step_scale=1e-6):
@@ -101,9 +126,9 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
         raise NumericFailureError("residuals are not finite at the starting point")
     cost = float(r @ r)
     history = [cost]
-    damping = DAMPING_INIT
+    damping, nu = DAMPING_INIT, NU_INIT
     status = "max_iterations"
-    iterations = 0
+    iterations = evaluations = rejected = failed = 0
 
     for _ in range(opts.max_iterations):
         jac = jacobian(x)
@@ -122,22 +147,29 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
         while damping < _DAMPING_CEILING:
             step = _solve_normal_equations(jtj, grad, damping, banded)
             if step is None:
-                damping *= DAMPING_UP
-                continue
-            x_new = x + step
-            r_new = np.asarray(residuals(x_new), dtype=float)
-            cost_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
-            if cost_new < cost:
-                accepted = True
-                damping *= DAMPING_DOWN
-                break
-            damping *= DAMPING_UP
+                failed += 1
+            else:
+                x_new = x + step
+                r_new = np.asarray(residuals(x_new), dtype=float)
+                evaluations += 1
+                cost_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
+                if cost_new < cost:
+                    accepted = True
+                    break
+                rejected += 1
+            damping *= nu
+            nu *= 2.0
         if not accepted:
             status = "stalled"
             break
 
         iterations += 1
         decrease = cost - cost_new
+        # gain ratio: the actual decrease over the damped model's, which for
+        # cost = r^T r and grad = J^T r is dx . (damping * dx - grad)
+        rho = decrease / (step @ (damping * step - grad))
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        nu = NU_INIT
         step_norm = float(np.linalg.norm(step))
         x, r, cost = x_new, r_new, cost_new
         history.append(cost)
@@ -147,5 +179,11 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
         if decrease <= COST_TOL * max(1.0, cost):
             status = "cost"
             break
+        if (len(history) > PLATEAU_WINDOW
+                and history[-1 - PLATEAU_WINDOW] - cost <= PLATEAU_TOL * cost):
+            status = "plateau"
+            break
 
-    return LMResult(x=x, cost=cost, iterations=iterations, status=status, cost_history=history)
+    return LMResult(x=x, cost=cost, iterations=iterations, status=status,
+                    cost_history=history, residual_evaluations=1 + evaluations,
+                    rejected_steps=rejected, failed_solves=failed)

@@ -153,13 +153,15 @@ def euler_xyz_from_matrix(m):
     return a, b, c
 
 
-def rotvec_matrix_jacobian(v):
+def rotvec_matrix_jacobian(v, r):
     """d(R)/d(v_k) for R = exp([v]_x): array (3, 3, 3) indexed [k, i, j], or
     (T, 3, 3, 3) indexed [t, k, i, j] for rotation vectors (T, 3).
 
-    Closed form of Gallego & Yezzi with a first-order fallback near v = 0,
-    where dR/dv_k -> [e_k]_x. Products keep the shapes of the single-vector
-    form, so each frame gets bit for bit what it would get on its own.
+    `r` is R itself, `to_matrix(from_rotvec(v))`, (3, 3) or (T, 3, 3), which
+    forward kinematics has already built. Closed form of Gallego & Yezzi with
+    a first-order fallback near v = 0, where dR/dv_k -> [e_k]_x. Products keep
+    the shapes of the single-vector form, so each frame gets bit for bit what
+    it would get on its own.
     """
     v = np.asarray(v, dtype=float)
     seq = np.atleast_2d(v)
@@ -169,7 +171,7 @@ def rotvec_matrix_jacobian(v):
     out = np.empty((seq.shape[0], 3, 3, 3))
     out[small] = skew(eye)
     big = seq[~small]
-    r = to_matrix(from_rotvec(big))
+    r = np.asarray(r, dtype=float).reshape(-1, 3, 3)[~small]
     # (eye - r) @ e_k for every k, as matrix-vector products: (N, k, 3)
     cols = ((eye - r)[:, None] @ eye[:, :, None])[..., 0]
     w = big[:, :, None, None] * skew(big)[:, None] + skew(np.cross(big[:, None], cols))

@@ -12,7 +12,9 @@ dict-based Adam, two-pass discriminator step, hybridnet/1 checkpoint writer
 and two-stage flip-flop refinement further down are different: they are the
 earlier, unoptimised versions of package code, kept as they were so the
 optimised versions can be required to reproduce them bit for bit, or to
-rounding where the summation order changed. The checkpoint writer makes the hybridnet/1 files that the loader must still read. The
+rounding where the summation order changed. The Levenberg-Marquardt loop
+takes the solver's current damping schedule and stopping rules; only its
+forming of the normal equations on every retry is the old code. The checkpoint writer makes the hybridnet/1 files that the loader must still read. The
 scalar energies E_3D, E_2D, E_T and E_S, also former package code, are the
 energy definitions that the residual terms are checked against term by term.
 `silhouette_points` (one pose's outline) and `frame_quats` (one frame of a
@@ -42,10 +44,11 @@ from mocorr.net.losses import loss_disc_grad
 from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
 from mocorr.optim.lm import (
     COST_TOL,
-    DAMPING_DOWN,
     DAMPING_INIT,
-    DAMPING_UP,
     GRADIENT_TOL,
+    NU_INIT,
+    PLATEAU_TOL,
+    PLATEAU_WINDOW,
     STEP_TOL,
     LMOptions,
     LMResult,
@@ -552,7 +555,9 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
     """Minimize sum(residuals(x)**2) from x0; returns an LMResult.
 
     The Jacobian may be dense, scipy.sparse (solved with SuperLU's spsolve)
-    or a block Jacobian (its normal equations formed again on every retry)."""
+    or a block Jacobian (its normal equations formed again on every retry).
+    The damping schedule and the stopping rules are the solver's, read from
+    its constants; only the forming of the normal equations is the old one."""
     opts = options if options is not None else LMOptions()
     x = np.array(x0, dtype=float).ravel()
     if jacobian is None:
@@ -563,9 +568,9 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
         raise NumericFailureError("residuals are not finite at the starting point")
     cost = float(r @ r)
     history = [cost]
-    damping = DAMPING_INIT
+    damping, nu = DAMPING_INIT, NU_INIT
     status = "max_iterations"
-    iterations = 0
+    iterations = evaluations = rejected = failed = 0
 
     for _ in range(opts.max_iterations):
         jac = jacobian(x)
@@ -584,22 +589,29 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
         while damping < _DAMPING_CEILING:
             step = _solve_normal_equations_rebuilt(jac, r, grad, damping)
             if step is None:
-                damping *= DAMPING_UP
+                failed += 1
+                damping *= nu
+                nu *= 2.0
                 continue
             x_new = x + step
             r_new = np.asarray(residuals(x_new), dtype=float)
+            evaluations += 1
             cost_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
             if cost_new < cost:
                 accepted = True
-                damping *= DAMPING_DOWN
                 break
-            damping *= DAMPING_UP
+            rejected += 1
+            damping *= nu
+            nu *= 2.0
         if not accepted:
             status = "stalled"
             break
 
         iterations += 1
         decrease = cost - cost_new
+        rho = decrease / (step @ (damping * step - grad))
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        nu = NU_INIT
         step_norm = float(np.linalg.norm(step))
         x, r, cost = x_new, r_new, cost_new
         history.append(cost)
@@ -609,8 +621,14 @@ def levenberg_marquardt_rebuilt(residuals, x0, jacobian=None, options=None):
         if decrease <= COST_TOL * max(1.0, cost):
             status = "cost"
             break
+        if (len(history) > PLATEAU_WINDOW
+                and history[-1 - PLATEAU_WINDOW] - cost <= PLATEAU_TOL * cost):
+            status = "plateau"
+            break
 
-    return LMResult(x=x, cost=cost, iterations=iterations, status=status, cost_history=history)
+    return LMResult(x=x, cost=cost, iterations=iterations, status=status,
+                    cost_history=history, residual_evaluations=1 + evaluations,
+                    rejected_steps=rejected, failed_solves=failed)
 
 
 # --- per-frame silhouette structure and its point Jacobians --------------------

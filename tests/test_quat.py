@@ -212,7 +212,7 @@ def test_rotvec_matrix_jacobian_matches_fd():
     vs = list(rng.uniform(-1.5, 1.5, (20, 3))) + [np.zeros(3),
                                                   np.full(3, 1e-9)]
     for v in vs:
-        jac = quat.rotvec_matrix_jacobian(v)
+        jac = quat.rotvec_matrix_jacobian(v, quat.to_matrix(quat.from_rotvec(v)))
         num = central_diff(lambda x: quat.to_matrix(quat.from_rotvec(x)).ravel(),
                            v, 1e-6)
         analytic = np.stack([jac[k].ravel() for k in range(3)], axis=1)
@@ -222,25 +222,28 @@ def test_rotvec_matrix_jacobian_matches_fd():
 def test_batched_rotvec_matrix_jacobian_equals_per_frame_oracle():
     """A leading frame axis gives each frame bit for bit its single-vector
     value, frames below the small-angle threshold included."""
+    def rotvec_jacobian(v):
+        return quat.rotvec_matrix_jacobian(v, quat.to_matrix(quat.from_rotvec(v)))
+
     rng = np.random.default_rng(14)
     vs = rng.uniform(-2.0, 2.0, (40, 3))
     vs[::5] *= 1e-8  # |v|^2 < 1e-14: first-order fallback
     vs[7] = 0.0
     vs[11] = [6e-8, 0.0, 0.0]  # just above the threshold
-    jac = quat.rotvec_matrix_jacobian(vs)
+    jac = rotvec_jacobian(vs)
     assert jac.shape == (40, 3, 3, 3)
     ref = np.stack([rotvec_matrix_jacobian_per_frame(v) for v in vs])
     assert np.array_equal(jac, ref)
     for v, r in zip(vs[:6], ref):
-        assert np.array_equal(quat.rotvec_matrix_jacobian(v), r)
-    assert np.array_equal(quat.rotvec_matrix_jacobian(vs[::5]), ref[::5])
+        assert np.array_equal(rotvec_jacobian(v), r)
+    assert np.array_equal(rotvec_jacobian(vs[::5]), ref[::5])
     # a 200-row stack, near-zero rows on both sides of the threshold mixed in
     vs = rng.uniform(-2.5, 2.5, (200, 3))
     near = rng.choice(200, 50, replace=False)
     vs[near] *= 10.0 ** rng.uniform(-12, -6, (50, 1))
     vs[near[:5]] = 0.0
     vs[near[5:10], 1:] = 0.0
-    jac = quat.rotvec_matrix_jacobian(vs)
+    jac = rotvec_jacobian(vs)
     ref = np.stack([rotvec_matrix_jacobian_per_frame(v) for v in vs])
     assert np.array_equal(jac, ref)
     assert np.array_equal(np.signbit(jac), np.signbit(ref))

@@ -2,7 +2,8 @@
 the pose -> quaternion conversion and the root-rotation derivative.
 
 Times `fk_frames`, `fk_jacobian`, `pose_to_quat` and
-`quat.rotvec_matrix_jacobian` on seeded in-limit poses of the default
+`quat.rotvec_matrix_jacobian` (given the root rotation matrices, as
+`fk_jacobian` passes them) on seeded in-limit poses of the default
 skeleton at T = 2, 8 and 120 frames, and prints one JSON line: for each
 function and T, the best of `--repeat` timings of one call, in
 microseconds. BLAS is pinned to one thread before numpy loads. It has no
@@ -54,11 +55,12 @@ def main(argv=None):
         theta = lo + (hi - lo) * rng.uniform(0.05, 0.95, (n_frames, skeleton.total_dof))
         seq = SkeletalPose(theta, rng.uniform(-0.6, 0.6, (n_frames, 3)),
                            rng.uniform(-0.3, 0.3, (n_frames, 3)))
+        root = quat.to_matrix(quat.from_rotvec(seq.root_rot))
         calls = {
             "fk_frames": lambda: fk_frames(skeleton, seq),
             "fk_jacobian": lambda: fk_jacobian(skeleton, seq),
             "pose_to_quat": lambda: pose_to_quat(skeleton, seq),
-            "rotvec_matrix_jacobian": lambda: quat.rotvec_matrix_jacobian(seq.root_rot),
+            "rotvec_matrix_jacobian": lambda: quat.rotvec_matrix_jacobian(seq.root_rot, root),
         }
         for name, fn in calls.items():
             results[name][str(n_frames)] = round(best_call_us(fn, args.repeat), 2)
