@@ -8,24 +8,26 @@ import numpy as np
 
 from .. import quat
 from ..camera import Z_EPS
-from ..skeleton import as_sequence, fk_chain, frames_first
+from ..skeleton import angle_products, as_sequence
 
 
-def fk_jacobian(skeleton, pose):
-    """Joint positions, world rotations, and d(positions)/d(pose params).
+def fk_jacobian(skeleton, pose, fk):
+    """d(joint positions)/d(pose params) from the pose's forward kinematics.
 
-    Returns (pos (n,3), rot (n,3,3), jac (n,3,total_dof+6)) for one pose, and
-    the same with a leading frame axis for a sequence: (T,n,3), (T,n,3,3),
-    (T,n,3,total_dof+6). An angle moves a joint by omega x (joint - pivot)
-    where omega is the rotation axis in world coordinates; the root
-    axis-angle derivative uses the closed-form rotation-matrix differential.
-    Every angle's world axis comes from FK's running products in one matmul
-    over all angles and frames, and only the pairs of an angle and a joint it
+    `fk` is what `fk_frames(skeleton, pose)` returned for this pose, the
+    world positions and rotations, which the derivative reuses; only the
+    angles' running products (`angle_products`) are built again. Returns
+    (n, 3, total_dof+6) for one pose, and (T, n, 3, total_dof+6) for a
+    sequence. An angle moves a joint by omega x (joint - pivot) where omega
+    is the rotation axis in world coordinates; the root axis-angle
+    derivative uses the closed-form rotation-matrix differential. Every
+    angle's world axis comes from the running products in one matmul over
+    all angles and frames, and only the pairs of an angle and a joint it
     moves get a cross product; the other angle entries stay zero.
     """
     seq = as_sequence(pose)
-    pos_j, rot_j, products = fk_chain(skeleton, seq)
-    pos, rot = frames_first(pos_j), frames_first(rot_j)
+    pos, rot = fk if seq is pose else (fk[0][None], fk[1][None])
+    products = angle_products(skeleton, seq.theta)
     n_frames, n = pos.shape[:2]
     d = skeleton.total_dof
     jac = np.zeros((n_frames, n, 3, d + 6))
@@ -33,20 +35,21 @@ def fk_jacobian(skeleton, pose):
     jac[..., d + 3:] = np.eye(3)
 
     # root rotation: pos_i = t + R(v) s_i with s_i fixed in the body frame
-    body = (pos - seq.root_trans[:, None]) @ rot[:, 0]
-    d_rot = quat.rotvec_matrix_jacobian(seq.root_rot, rot_j[0])
+    root = rot[:, 0]
+    body = (pos - seq.root_trans[:, None]) @ root
+    d_rot = quat.rotvec_matrix_jacobian(seq.root_rot, root)
     jac[..., d:d + 3] = (body[:, None] @ d_rot.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
 
     # world axis of every angle: column `axis` of parent @ (running product
-    # before the angle), one matmul over all angle slots
+    # before the angle), one matmul over all angle slots; joint axis first,
+    # as the running products have their slot axis first
+    pos_j, rot_j = pos.swapaxes(0, 1), rot.swapaxes(0, 1)
     turned = rot_j[skeleton.slot_parent] @ products[skeleton.before_slot]
     col, moved = skeleton.dof_pairs
     omega = turned[skeleton.rank_pos[col], :, :, skeleton.dof_axis[col]]
     lever = pos_j[moved] - pos_j[skeleton.dof_joint[col]]
-    jac[:, moved, :, col] = np.cross(omega, lever)
-    if seq is pose:
-        return pos, rot, jac
-    return pos[0], rot[0], jac[0]
+    jac[:, moved, :, col] = quat.cross(omega, lever)
+    return jac if seq is pose else jac[0]
 
 
 def projection_jacobian(camera, world_points):

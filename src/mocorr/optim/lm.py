@@ -9,7 +9,8 @@ decreases, so the reported cost history is monotone by construction.
 
 J^T J and J^T r are formed once per Jacobian: dense ones as `jac.T @ jac`,
 solved with `np.linalg.solve`; block ones in symmetric banded storage,
-solved with a banded Cholesky (`scipy.linalg.solveh_banded`).
+solved with a banded Cholesky: LAPACK's `dpbsv`, called directly, the routine
+`scipy.linalg.solveh_banded` runs for these bands without its checks.
 
 The damping follows Nielsen's gain-ratio schedule (H. B. Nielsen, "Damping
 Parameter in Marquardt's Method", 1999). An accepted step compares the
@@ -36,7 +37,7 @@ A solve ends with one of these statuses:
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbsv
 
 from ..errors import InvalidInputError, NumericFailureError
 
@@ -73,10 +74,12 @@ class LMResult:
     status: str
     cost_history: list = field(default_factory=list)
     # residual evaluations, the starting point included; trial steps that did
-    # not lower the cost; damped systems that could not be solved
+    # not lower the cost; damped systems that could not be solved; the
+    # damping the solve ended with
     residual_evaluations: int = 0
     rejected_steps: int = 0
     failed_solves: int = 0
+    final_damping: float = DAMPING_INIT
 
 
 def numeric_jacobian(residuals, x, step_scale=1e-6):
@@ -98,15 +101,20 @@ def _solve_normal_equations(jtj, grad, damping, banded):
     """The step solving (J^T J + damping * I) dx = -grad, or None when that
     system cannot be solved or the step is not finite. `jtj` is dense, or
     when `banded` the upper band of J^T J with its diagonal as the last row."""
-    try:
-        if banded:
-            lhs = jtj.copy()
-            lhs[-1] += damping
-            step = solveh_banded(lhs, -grad, overwrite_ab=True, check_finite=False)
-        else:
+    if banded:
+        # a Fortran-ordered copy, which dpbsv factors in place
+        lhs = np.array(jtj, order="F")
+        lhs[-1] += damping
+        _, step, info = dpbsv(lhs, -grad, overwrite_ab=1, overwrite_b=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbsv")
+        if info > 0:  # a leading minor is not positive definite
+            return None
+    else:
+        try:
             step = np.linalg.solve(jtj + damping * np.eye(grad.size), -grad)
-    except np.linalg.LinAlgError:
-        return None
+        except np.linalg.LinAlgError:
+            return None
     return step if np.all(np.isfinite(step)) else None
 
 
@@ -186,4 +194,5 @@ def levenberg_marquardt(residuals, x0, jacobian=None, options=None):
 
     return LMResult(x=x, cost=cost, iterations=iterations, status=status,
                     cost_history=history, residual_evaluations=1 + evaluations,
-                    rejected_steps=rejected, failed_solves=failed)
+                    rejected_steps=rejected, failed_solves=failed,
+                    final_damping=damping)

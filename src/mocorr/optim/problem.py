@@ -457,11 +457,13 @@ class PoseProblem:
 
     def _state(self, x):
         """The terms' state at x, kept until x changes, so the Jacobian that
-        follows the residuals at the same x reuses FK and the silhouette."""
+        follows the residuals at the same x reuses their FK (`fk_jacobian`
+        takes its positions and rotations) and silhouette."""
         key = x.tobytes()
         if self._cache[0] != key:
             frames = SkeletalPose(*self.unpack(x))
-            state = {"frames": frames, "pos": fk_frames(self.skeleton, frames)[0],
+            fk = fk_frames(self.skeleton, frames)
+            state = {"frames": frames, "fk": fk, "pos": fk[0],
                      "params": np.concatenate(
                          [frames.theta, frames.root_rot, frames.root_trans], axis=1)}
             self._cache = (key, state)
@@ -473,7 +475,7 @@ class PoseProblem:
     def jacobian(self, x):
         state = self._state(x)
         if "jpos" not in state:
-            state["jpos"] = fk_jacobian(self.skeleton, state["frames"])[2]
+            state["jpos"] = fk_jacobian(self.skeleton, state["frames"], state["fk"])
         jac = _jacobian(self.terms, state, BlockJacobian(self.n_rows, self.T, self.Pf))
         u = x.reshape(self.T, self.Pf)[:, :self.D]
         return jac.scale_columns(

@@ -25,18 +25,15 @@ def normalize(q):
 
 
 def canonicalize(q):
-    """Flip sign so w >= 0; ties on w == 0 resolved by first nonzero component."""
+    """Flip sign so w >= 0; ties on w == 0 resolved by first nonzero component.
+
+    One pass: a row flips when its first component that is not zero (-0.0
+    counts as zero) is negative, so NaN and all-zero rows stay as they are.
+    """
     q = np.asarray(q, dtype=float)
-    flat = q.reshape(-1, 4).copy()
-    flip = flat[:, 0] < 0.0
-    # w == 0: look at x, then y, then z so the choice is deterministic
-    zero_w = flat[:, 0] == 0.0
-    for k in (1, 2, 3):
-        relevant = zero_w & (flat[:, k] != 0.0)
-        flip = flip | (relevant & (flat[:, k] < 0.0))
-        zero_w = zero_w & (flat[:, k] == 0.0)
-    flat[flip] *= -1.0
-    return flat.reshape(q.shape)
+    flat = q.reshape(-1, 4)
+    lead = flat[np.arange(flat.shape[0]), np.argmax(flat != 0.0, axis=1)]
+    return np.where(lead[:, None] < 0.0, flat * -1.0, flat).reshape(q.shape)
 
 
 def mul(a, b):
@@ -55,20 +52,15 @@ def mul(a, b):
 
 
 def from_rotvec(v):
-    """Unit quaternion for an axis-angle vector (angle * axis)."""
+    """Unit quaternions (..., 4) of axis-angle vectors (..., 3) (angle * axis)."""
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    v = np.atleast_2d(v)
-    angle = np.linalg.norm(v, axis=-1)
+    # np.linalg.norm's own arithmetic, without its per-call checks
+    angle = np.sqrt(np.add.reduce(v * v, axis=-1))
     half = 0.5 * angle
-    # sin(a/2)/a with series fallback near zero
+    # sin(a/2)/a, with the series value picked near zero
     small = angle < 1e-8
-    s = np.empty_like(angle)
-    s[~small] = np.sin(half[~small]) / angle[~small]
-    s[small] = 0.5 - angle[small] ** 2 / 48.0
-    q = np.concatenate([np.cos(half)[:, None], v * s[:, None]], axis=-1)
-    q = canonicalize(q)
-    return q[0] if single else q
+    s = np.where(small, 0.5 - angle ** 2 / 48.0, np.sin(half) / np.where(small, 1.0, angle))
+    return canonicalize(np.concatenate([np.cos(half)[..., None], v * s[..., None]], axis=-1))
 
 
 def to_rotvec(q):
@@ -159,24 +151,33 @@ def rotvec_matrix_jacobian(v, r):
 
     `r` is R itself, `to_matrix(from_rotvec(v))`, (3, 3) or (T, 3, 3), which
     forward kinematics has already built. Closed form of Gallego & Yezzi with
-    a first-order fallback near v = 0, where dR/dv_k -> [e_k]_x. Products keep
-    the shapes of the single-vector form, so each frame gets bit for bit what
-    it would get on its own.
+    a first-order fallback near v = 0, where dR/dv_k -> [e_k]_x. Every frame
+    runs the closed form on a safe denominator and the fallback is picked
+    after, so no frame is gathered or scattered. Products keep the shapes of
+    the single-vector form, so each frame gets bit for bit what it would get
+    on its own.
     """
     v = np.asarray(v, dtype=float)
     seq = np.atleast_2d(v)
     theta2 = (seq[:, None, :] @ seq[:, :, None])[:, 0, 0]
-    small = theta2 < 1e-14
+    small = (theta2 < 1e-14)[:, None, None, None]
     eye = np.eye(3)
-    out = np.empty((seq.shape[0], 3, 3, 3))
-    out[small] = skew(eye)
-    big = seq[~small]
-    r = np.asarray(r, dtype=float).reshape(-1, 3, 3)[~small]
-    # (eye - r) @ e_k for every k, as matrix-vector products: (N, k, 3)
+    r = np.asarray(r, dtype=float).reshape(-1, 3, 3)
+    # (eye - r) @ e_k for every k, as matrix-vector products: (T, k, 3)
     cols = ((eye - r)[:, None] @ eye[:, :, None])[..., 0]
-    w = big[:, :, None, None] * skew(big)[:, None] + skew(np.cross(big[:, None], cols))
-    out[~small] = (w / theta2[~small, None, None, None]) @ r[:, None]
+    w = seq[:, :, None, None] * skew(seq)[:, None] + skew(cross(seq[:, None], cols))
+    big = (w / np.where(small, 1.0, theta2[:, None, None, None])) @ r[:, None]
+    out = np.where(small, skew(eye), big)
     return out if v.ndim == 2 else out[0]
+
+
+def cross(a, b):
+    """a x b over the last axis of 3-vectors, broadcasting like np.cross and
+    bit for bit its values: the same products and differences, without its
+    per-call set-up."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def skew(v):

@@ -21,7 +21,11 @@ energy definitions that the residual terms are checked against term by term.
 motion map) are former package helpers that only tests use, and so are the
 per-angle rotations (`rot_x`, `rot_y`, `rot_z`, `axis_rotation`) and
 `local_rotation` (one joint's eye @ R_0 @ R_1 @ R_2 over all frames), which
-the batched kinematics must reproduce bit for bit, zero signs included.
+the batched kinematics must reproduce bit for bit, zero signs included. So
+are the looped `canonicalize`, the boolean-mask `from_rotvec` and root-
+rotation derivative, and the FK Jacobian that ran forward kinematics itself
+(`fk_jacobian_own_fk`), which the one-pass, mask-free and FK-sharing
+versions must reproduce bit for bit.
 """
 
 import numpy as np
@@ -41,7 +45,7 @@ from mocorr.jsonio import save_document
 from mocorr.motion import build_motion_map
 from mocorr.net.layers import GRU
 from mocorr.net.losses import loss_disc_grad
-from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
+from mocorr.optim.kinematics import projection_jacobian
 from mocorr.optim.lm import (
     COST_TOL,
     DAMPING_INIT,
@@ -64,8 +68,10 @@ from mocorr.skeleton import (
     _check_dims,
     as_sequence,
     clamp_joint_limits,
+    fk_chain,
     fk_frames,
     forward_kinematics,
+    frames_first,
 )
 
 from conftest import frame_rows
@@ -521,6 +527,82 @@ def rotvec_matrix_jacobian_per_frame(v):
     return out
 
 
+# --- masked and looped rotation helpers, and FK's Jacobian with its own FK ------
+
+
+def canonicalize_looped(q):
+    """Flip sign so w >= 0; ties on w == 0 resolved by first nonzero component,
+    looking at x, then y, then z."""
+    q = np.asarray(q, dtype=float)
+    flat = q.reshape(-1, 4).copy()
+    flip = flat[:, 0] < 0.0
+    zero_w = flat[:, 0] == 0.0
+    for k in (1, 2, 3):
+        relevant = zero_w & (flat[:, k] != 0.0)
+        flip = flip | (relevant & (flat[:, k] < 0.0))
+        zero_w = zero_w & (flat[:, k] == 0.0)
+    flat[flip] *= -1.0
+    return flat.reshape(q.shape)
+
+
+def from_rotvec_masked(v):
+    """Unit quaternion of an axis-angle vector (3,) or of each row of (N, 3),
+    the small-angle series written through a boolean mask."""
+    v = np.asarray(v, dtype=float)
+    single = v.ndim == 1
+    v = np.atleast_2d(v)
+    angle = np.linalg.norm(v, axis=-1)
+    half = 0.5 * angle
+    small = angle < 1e-8
+    s = np.empty_like(angle)
+    s[~small] = np.sin(half[~small]) / angle[~small]
+    s[small] = 0.5 - angle[small] ** 2 / 48.0
+    q = np.concatenate([np.cos(half)[:, None], v * s[:, None]], axis=-1)
+    q = canonicalize_looped(q)
+    return q[0] if single else q
+
+
+def rotvec_matrix_jacobian_masked(v, r):
+    """d(R)/d(v_k) for R = exp([v]_x), (3, 3, 3) or (T, 3, 3, 3), with the
+    small-angle frames scattered and the others gathered by boolean masks."""
+    v = np.asarray(v, dtype=float)
+    seq = np.atleast_2d(v)
+    theta2 = (seq[:, None, :] @ seq[:, :, None])[:, 0, 0]
+    small = theta2 < 1e-14
+    eye = np.eye(3)
+    out = np.empty((seq.shape[0], 3, 3, 3))
+    out[small] = quat.skew(eye)
+    big = seq[~small]
+    r = np.asarray(r, dtype=float).reshape(-1, 3, 3)[~small]
+    cols = ((eye - r)[:, None] @ eye[:, :, None])[..., 0]
+    w = big[:, :, None, None] * quat.skew(big)[:, None] + quat.skew(np.cross(big[:, None], cols))
+    out[~small] = (w / theta2[~small, None, None, None]) @ r[:, None]
+    return out if v.ndim == 2 else out[0]
+
+
+def fk_jacobian_own_fk(skeleton, pose):
+    """(pos, rot, jac) for one pose, (n,3), (n,3,3), (n,3,total_dof+6), or with
+    a leading frame axis for a sequence, running forward kinematics itself."""
+    seq = as_sequence(pose)
+    pos_j, rot_j, products = fk_chain(skeleton, seq)
+    pos, rot = frames_first(pos_j), frames_first(rot_j)
+    n_frames, n = pos.shape[:2]
+    d = skeleton.total_dof
+    jac = np.zeros((n_frames, n, 3, d + 6))
+    jac[..., d + 3:] = np.eye(3)
+    body = (pos - seq.root_trans[:, None]) @ rot[:, 0]
+    d_rot = rotvec_matrix_jacobian_masked(seq.root_rot, rot_j[0])
+    jac[..., d:d + 3] = (body[:, None] @ d_rot.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
+    turned = rot_j[skeleton.slot_parent] @ products[skeleton.before_slot]
+    col, moved = skeleton.dof_pairs
+    omega = turned[skeleton.rank_pos[col], :, :, skeleton.dof_axis[col]]
+    lever = pos_j[moved] - pos_j[skeleton.dof_joint[col]]
+    jac[:, moved, :, col] = np.cross(omega, lever)
+    if seq is pose:
+        return pos, rot, jac
+    return pos[0], rot[0], jac[0]
+
+
 # --- Levenberg-Marquardt rebuilding J^T J on every damping retry -------------
 
 _DAMPING_CEILING = 1e16
@@ -958,7 +1040,7 @@ def _pose_state(problem, x):
     u = xt[:, :problem.D]
     theta = problem.bounds.theta(u)
     frames = SkeletalPose(theta, xt[:, problem.D:problem.D + 3], xt[:, problem.D + 3:])
-    _, _, jpos = fk_jacobian(problem.skeleton, frames)
+    _, _, jpos = fk_jacobian_own_fk(problem.skeleton, frames)
     st = {"frames": frames, "pos": fk_frames(problem.skeleton, frames)[0], "jpos": jpos,
           "dtheta": problem.bounds.dtheta_du(u)}
     sil = _term(problem, "Silhouette")

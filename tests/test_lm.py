@@ -161,6 +161,25 @@ def test_gain_ratio_damping_on_linear_problem():
     assert np.allclose(result.x, x, rtol=0.0, atol=1e-12)
 
 
+def test_final_damping_on_linear_problem():
+    """Every accepted step of a linear problem scales the damping by 1/3, so
+    a solve with no rejected step ends at DAMPING_INIT / 3^iterations."""
+    rng = np.random.default_rng(35)
+    a = 0.03 * rng.standard_normal((12, 5))
+    b = rng.standard_normal(12)
+    result = levenberg_marquardt(lambda x: a @ x - b, np.zeros(5), lambda x: a)
+    assert result.rejected_steps == 0 and result.iterations >= 4
+    damping = DAMPING_INIT
+    for _ in range(result.iterations):
+        damping *= 1.0 / 3.0
+    assert result.final_damping == damping
+    assert np.isclose(result.final_damping, DAMPING_INIT / 3.0 ** result.iterations,
+                      rtol=1e-12, atol=0.0)
+    # a solve that ends at its starting point keeps the initial damping
+    assert levenberg_marquardt(lambda x: a @ x - a @ np.ones(5), np.ones(5),
+                               lambda x: a).final_damping == DAMPING_INIT
+
+
 def _check_counts(result):
     assert result.residual_evaluations == 1 + result.iterations + result.rejected_steps
 

@@ -58,6 +58,7 @@ from oracles import (
     energy_silhouette,
     energy_temporal,
     fk_frames_per_frame,
+    fk_jacobian_own_fk,
     fk_jacobian_per_frame,
     grad_check,
     params_to_pose,
@@ -284,7 +285,7 @@ def test_fk_jacobian_matches_fd(toy_skeleton):
     rng = np.random.default_rng(49)
     for _ in range(5):
         pose = random_pose(rng, toy_skeleton, margin=0.2)
-        _, _, jac = fk_jacobian(toy_skeleton, pose)
+        jac = fk_jacobian(toy_skeleton, pose, fk_frames(toy_skeleton, pose))
 
         def positions(p):
             return forward_kinematics(toy_skeleton,
@@ -298,7 +299,7 @@ def test_fk_jacobian_matches_fd(toy_skeleton):
 def test_batched_fk_jacobian_matches_fd(toy_skeleton):
     rng = np.random.default_rng(52)
     seq = stack_poses([random_pose(rng, toy_skeleton, margin=0.2) for _ in range(3)])
-    _, _, jac = fk_jacobian(toy_skeleton, seq)
+    jac = fk_jacobian(toy_skeleton, seq, fk_frames(toy_skeleton, seq))
     assert jac.shape == (3, toy_skeleton.n_joints, 3, toy_skeleton.total_dof + 6)
     d = toy_skeleton.total_dof
 
@@ -332,7 +333,7 @@ def test_batched_fk_equals_per_frame_oracle(seed, n_frames, fixed_share):
     skeleton = _strip_dofs(skeleton, fixed)
     seq = [random_pose(rng, skeleton) for _ in range(n_frames)]
     pos, rot = fk_frames(skeleton, stack_poses(seq))
-    jpos, jrot, jac = fk_jacobian(skeleton, stack_poses(seq))
+    jac = fk_jacobian(skeleton, stack_poses(seq), (pos, rot))
     n = skeleton.n_joints
     assert pos.shape == (n_frames, n, 3) and rot.shape == (n_frames, n, 3, 3)
     assert jac.shape == (n_frames, n, 3, skeleton.total_dof + 6)
@@ -340,12 +341,31 @@ def test_batched_fk_equals_per_frame_oracle(seed, n_frames, fixed_share):
         ref_pos, ref_rot = fk_frames_per_frame(skeleton, pose)
         _, _, ref_jac = fk_jacobian_per_frame(skeleton, pose)
         assert np.array_equal(pos[t], ref_pos) and np.array_equal(rot[t], ref_rot)
-        assert np.array_equal(jpos[t], ref_pos) and np.array_equal(jrot[t], ref_rot)
         assert np.array_equal(jac[t], ref_jac)
         # a single pose keeps its unbatched shapes and the same values
         one_pos, one_rot = fk_frames(skeleton, pose)
         assert np.array_equal(one_pos, ref_pos) and np.array_equal(one_rot, ref_rot)
-        assert np.array_equal(fk_jacobian(skeleton, pose)[2], ref_jac)
+        assert np.array_equal(fk_jacobian(skeleton, pose, (one_pos, one_rot)), ref_jac)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 6),
+       fixed_share=st.sampled_from([0.0, 0.3, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_fk_jacobian_from_shared_fk_equals_own_fk_oracle(seed, n_frames, fixed_share):
+    """The Jacobian built on fk_frames' positions and rotations is bit for bit
+    the one that ran forward kinematics itself, with root rotations near and
+    at zero mixed into the frames."""
+    rng = np.random.default_rng(seed)
+    skeleton = _strip_dofs(make_random_skeleton(rng), {
+        i for i in range(1, 6) if rng.uniform() < fixed_share})
+    seq = stack_poses([random_pose(rng, skeleton) for _ in range(n_frames)])
+    seq.root_rot[rng.uniform(size=n_frames) < 0.3] *= 1e-9
+    seq.root_rot[rng.uniform(size=n_frames) < 0.2] = 0.0
+    jac = fk_jacobian(skeleton, seq, fk_frames(skeleton, seq))
+    assert np.array_equal(jac, fk_jacobian_own_fk(skeleton, seq)[2])
+    for pose in frames_of(seq):
+        assert np.array_equal(fk_jacobian(skeleton, pose, fk_frames(skeleton, pose)),
+                              fk_jacobian_own_fk(skeleton, pose)[2])
 
 
 @pytest.mark.parametrize("n_frames", [33, 120])
@@ -362,14 +382,13 @@ def test_long_sequence_kinematics_equal_per_frame_oracles(n_frames, tree):
     poses = [random_pose(rng, skeleton) for _ in range(n_frames)]
     seq = stack_poses(poses)
     pos, rot = fk_frames(skeleton, seq)
-    jpos, jrot, jac = fk_jacobian(skeleton, seq)
+    jac = fk_jacobian(skeleton, seq, (pos, rot))
     quats = pose_to_quat(skeleton, seq).quats
     assert quats.shape == (n_frames, skeleton.n_joints, 4)
     for t, pose in enumerate(poses):
         ref_pos, ref_rot = fk_frames_per_frame(skeleton, pose)
         _, _, ref_jac = fk_jacobian_per_frame(skeleton, pose)
         assert np.array_equal(pos[t], ref_pos) and np.array_equal(rot[t], ref_rot)
-        assert np.array_equal(jpos[t], ref_pos) and np.array_equal(jrot[t], ref_rot)
         assert np.array_equal(jac[t], ref_jac)
         assert np.array_equal(quats[t], pose_to_quat_per_frame(skeleton, pose).quats)
 
@@ -526,6 +545,37 @@ def test_probe_points_stay_where_the_tracer_looks(toy_skeleton, monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_forward_kinematics_pass_per_iterate(toy_skeleton, monkeypatch):
+    """residuals(x) then jacobian(x) walks the tree once: the Jacobian reuses
+    the residuals' FK. A Jacobian with no residuals before it runs FK itself
+    and is bit for bit the same."""
+    import mocorr.optim.kinematics as kinematics_module
+    import mocorr.skeleton as skeleton_module
+
+    rng = np.random.default_rng(57)
+    problem, seq, *_ = build_problem(rng, toy_skeleton)
+    fresh = build_problem(np.random.default_rng(57), toy_skeleton)[0]
+    stacked = stack_poses(seq)
+    x = problem.pack(stacked.theta, stacked.root_rot, stacked.root_trans)
+    walks = []
+    fk_chain_real = skeleton_module.fk_chain
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return fk_chain_real(*args, **kwargs)
+
+    # wherever the kinematics could look the tree walk up
+    for module in (skeleton_module, kinematics_module):
+        monkeypatch.setattr(module, "fk_chain", counting, raising=False)
+    problem.residuals(x)
+    jac = problem.jacobian(x)
+    assert len(walks) == 1
+    alone = fresh.jacobian(x)
+    assert len(walks) == 2
+    assert np.array_equal(jac.toarray(), alone.toarray())
+    assert np.array_equal(problem.residuals(x), fresh.residuals(x)) and len(walks) == 2
+
+
 # --- silhouette term -----------------------------------------------------------
 
 
@@ -594,7 +644,7 @@ def point_state(problem, x):
     """The silhouette term and the pose problem's state at x, FK Jacobian
     included."""
     state = problem._state(x)
-    state["jpos"] = fk_jacobian(problem.skeleton, state["frames"])[2]
+    state["jpos"] = fk_jacobian(problem.skeleton, state["frames"], state["fk"])
     return problem.terms[-1], state
 
 
@@ -801,6 +851,17 @@ def test_banded_damped_solve_matches_dense_solve(toy_skeleton):
             step = _solve_normal_equations(band, grad, damping, True)
             ref = np.linalg.solve(dense + damping * np.eye(grad.size), -grad)
             assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_banded_solve_raises_on_an_illegal_lapack_argument(monkeypatch):
+    """dpbsv's info < 0 (an argument LAPACK rejects) is a programming error,
+    not a failed solve: it raises instead of raising the damping."""
+    import mocorr.optim.lm as lm_module
+
+    band = np.array([[0.0, 1.0], [4.0, 4.0]])
+    monkeypatch.setattr(lm_module, "dpbsv", lambda *args, **kwargs: (None, None, -3))
+    with pytest.raises(ValueError, match="argument 3"):
+        _solve_normal_equations(band, np.ones(2), 1e-3, True)
 
 
 def test_banded_solve_returns_none_when_not_positive_definite():

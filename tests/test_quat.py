@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -11,15 +11,18 @@ from mocorr.errors import InvalidInputError
 
 from oracles import (
     axis_rotation,
+    canonicalize_looped,
     central_diff,
     conjugate,
     euler_xyz_from_matrix_per_matrix,
     from_matrix_per_matrix,
+    from_rotvec_masked,
     grad_check,
     quat_from_scipy,
     rot_x,
     rot_y,
     rot_z,
+    rotvec_matrix_jacobian_masked,
     rotvec_matrix_jacobian_per_frame,
     scipy_quat,
 )
@@ -254,3 +257,94 @@ def test_skew_cross_product():
     for _ in range(20):
         u, w = rng.standard_normal((2, 3))
         assert np.allclose(quat.skew(u) @ w, np.cross(u, w), atol=1e-12)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bit patterns: zero signs and NaNs included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# components that exercise every tie of the sign rule: both zeros, NaN, and
+# values of either sign
+quat_components = st.one_of(st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0, -2.5]),
+                            st.floats(-3.0, 3.0))
+
+
+@given(rows=st.lists(st.tuples(*[quat_components] * 4), min_size=1, max_size=12),
+       stacked=st.booleans())
+@example(rows=[(0.0, 0.0, 0.0, 0.0), (-0.0, -0.0, -0.0, -0.0), (-0.0, -0.0, -1.0, 2.0),
+               (np.nan, -1.0, 0.0, 0.0), (0.0, np.nan, -1.0, 0.0), (-0.0, 0.0, 0.0, -3.0)],
+         stacked=True)
+@settings(max_examples=300, deadline=None)
+def test_canonicalize_equals_looped_oracle(rows, stacked):
+    """The one-pass sign rule flips exactly the rows the three-step loop
+    flips: w == 0 ties, +-0.0, NaN and all-zero rows included, over one
+    quaternion, a stack and a stack with two leading axes."""
+    q = np.array(rows)
+    assert same_bits(quat.canonicalize(q), canonicalize_looped(q))
+    assert same_bits(quat.canonicalize(q[0]), canonicalize_looped(q[0]))
+    if stacked and len(rows) % 2 == 0:
+        q = q.reshape(2, -1, 4)
+        assert same_bits(quat.canonicalize(q), canonicalize_looped(q))
+
+
+def mixed_rotvecs(seed, n):
+    """n rotation vectors: ordinary rows mixed with zero rows, rows with zero
+    components of either sign and rows whose angle sits on either side of
+    the 1e-8 (from_rotvec) and sqrt(1e-14) (the root-rotation derivative)
+    thresholds."""
+    rng = np.random.default_rng(seed)
+    vs = rng.uniform(-2.5, 2.5, (n, 3))
+    kind = rng.integers(0, 6, n)
+    scale = 10.0 ** np.select(
+        [kind == 1, kind == 2, kind == 3],
+        [rng.uniform(-14, -9, n), rng.uniform(-8.3, -7.7, n), rng.uniform(-7.3, -6.7, n)], 0.0)
+    vs *= scale[:, None] / np.linalg.norm(vs, axis=1, keepdims=True) ** (kind > 0)[:, None]
+    vs[kind == 4] = 0.0
+    vs[kind == 5, rng.integers(0, 3)] = rng.choice([0.0, -0.0])
+    return vs
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_from_rotvec_and_its_jacobian_equal_masked_oracles(seed, n):
+    """The mask-free from_rotvec and root-rotation derivative give bit for
+    bit the masked versions' values, on single vectors and on (T, 3) stacks
+    that mix near-zero and large rows."""
+    vs = mixed_rotvecs(seed, n)
+    q = quat.from_rotvec(vs)
+    assert same_bits(q, from_rotvec_masked(vs))
+    r = quat.to_matrix(q)
+    jac = quat.rotvec_matrix_jacobian(vs, r)
+    assert same_bits(jac, rotvec_matrix_jacobian_masked(vs, r))
+    for v, qv, rv, jv in zip(vs, q, r, jac):
+        assert same_bits(quat.from_rotvec(v), qv)
+        assert same_bits(from_rotvec_masked(v), qv)
+        assert same_bits(quat.rotvec_matrix_jacobian(v, rv), jv)
+        assert same_bits(rotvec_matrix_jacobian_masked(v, rv), jv)
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(3,), (5, 3), (2, 3, 3),
+                                                             (4, 1, 2, 3)]))
+@settings(max_examples=50, deadline=None)
+def test_from_rotvec_batches_over_leading_axes(seed, shape):
+    """Like to_matrix and canonicalize, from_rotvec takes any (..., 3) stack
+    and gives each vector its flattened call's quaternion."""
+    size = int(np.prod(shape[:-1]))
+    vs = mixed_rotvecs(seed, size).reshape(shape)
+    q = quat.from_rotvec(vs)
+    assert q.shape == shape[:-1] + (4,)
+    assert same_bits(q, quat.from_rotvec(vs.reshape(-1, 3)).reshape(q.shape))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+@settings(max_examples=50, deadline=None)
+def test_cross_equals_numpy_cross_bit_for_bit(seed, n):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, 1, 3)) * 10.0 ** rng.uniform(-8, 3, (n, 1, 1))
+    b = rng.standard_normal((n, 4, 3))
+    b[:, 0] = 0.0
+    b[:, 1, 1] = -0.0
+    assert same_bits(quat.cross(a, b), np.cross(a, b))
+    assert same_bits(quat.cross(a[0, 0], b[0, 2]), np.cross(a[0, 0], b[0, 2]))

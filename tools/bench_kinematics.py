@@ -1,11 +1,13 @@
 """Microbenchmark of the kinematics core: forward kinematics, its Jacobian,
-the pose -> quaternion conversion and the root-rotation derivative.
+the pose -> quaternion conversion and the rotation helpers under them.
 
-Times `fk_frames`, `fk_jacobian`, `pose_to_quat` and
+Times `fk_frames`, `fk_jacobian` (given `fk_frames`' output), the pair of
+them as one LM iterate runs them (`lm_iterate`), `pose_to_quat`,
 `quat.rotvec_matrix_jacobian` (given the root rotation matrices, as
-`fk_jacobian` passes them) on seeded in-limit poses of the default
-skeleton at T = 2, 8 and 120 frames, and prints one JSON line: for each
-function and T, the best of `--repeat` timings of one call, in
+`fk_jacobian` passes them), `quat.from_rotvec` on the root rotations and
+`quat.canonicalize` on every joint quaternion, on seeded in-limit poses of
+the default skeleton at T = 2, 8 and 120 frames, and prints one JSON line:
+for each case and T, the best of `--repeat` timings of one call, in
 microseconds. BLAS is pinned to one thread before numpy loads. It has no
 timing gate; compare two checkouts by running each one's copy.
 
@@ -49,18 +51,24 @@ def main(argv=None):
     lo, hi = skeleton.theta_min, skeleton.theta_max
     rng = np.random.default_rng(0)
     results = {name: {} for name in
-               ("fk_frames", "fk_jacobian", "pose_to_quat", "rotvec_matrix_jacobian")}
+               ("fk_frames", "fk_jacobian", "lm_iterate", "pose_to_quat",
+                "rotvec_matrix_jacobian", "from_rotvec", "canonicalize")}
     for n_frames in FRAMES:
         # in-limit angles, root rotations of up to about 1 rad, roots within 0.3 m
         theta = lo + (hi - lo) * rng.uniform(0.05, 0.95, (n_frames, skeleton.total_dof))
         seq = SkeletalPose(theta, rng.uniform(-0.6, 0.6, (n_frames, 3)),
                            rng.uniform(-0.3, 0.3, (n_frames, 3)))
         root = quat.to_matrix(quat.from_rotvec(seq.root_rot))
+        fk = fk_frames(skeleton, seq)
+        quats = pose_to_quat(skeleton, seq).quats
         calls = {
             "fk_frames": lambda: fk_frames(skeleton, seq),
-            "fk_jacobian": lambda: fk_jacobian(skeleton, seq),
+            "fk_jacobian": lambda: fk_jacobian(skeleton, seq, fk),
+            "lm_iterate": lambda: fk_jacobian(skeleton, seq, fk_frames(skeleton, seq)),
             "pose_to_quat": lambda: pose_to_quat(skeleton, seq),
             "rotvec_matrix_jacobian": lambda: quat.rotvec_matrix_jacobian(seq.root_rot, root),
+            "from_rotvec": lambda: quat.from_rotvec(seq.root_rot),
+            "canonicalize": lambda: quat.canonicalize(quats),
         }
         for name, fn in calls.items():
             results[name][str(n_frames)] = round(best_call_us(fn, args.repeat), 2)

@@ -4,7 +4,8 @@ Generates `--scenes` seeded T = 2 scenes with four sparse views (scene
 seeds `--seed`, `--seed` + 1, ...), runs the monocular fit and the 4-view
 fit of each, and prints one JSON line per fit: the solver's status,
 iterations, residual evaluations, rejected trial steps and failed damped
-solves, the final cost and the fit's wall time in seconds. A last line sums
+solves, the final cost, the damping the solve ended with and the fit's wall
+time in seconds. A last line sums
 them per fit kind. BLAS is pinned to one thread before numpy loads. It has
 no timing gate; compare two checkouts by running each one's copy.
 
@@ -61,7 +62,8 @@ def main(argv=None):
             result = solves[-1]
             record = {"scene_seed": scene_seed, "fit": kind, "status": result.status}
             record.update({name: getattr(result, name) for name in COUNTS})
-            record.update(cost=result.cost, wall_s=round(wall, 4))
+            record.update(cost=result.cost, final_damping=result.final_damping,
+                          wall_s=round(wall, 4))
             print(json.dumps(record))
             for name in COUNTS:
                 totals[kind][name] += record[name]
