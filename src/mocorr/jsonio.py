@@ -15,10 +15,11 @@ NaN and infinity are not JSON: a document holding one is refused, its
 NaN, Infinity and -Infinity, which Python's json module would accept, are
 refused too, and numeric fields refuse numbers too large for a float, which
 it reads as infinity. The writer walks the nested objects itself and
-encodes each other value, or a slice of a long list, with json.dumps, which
+encodes each other value, a list included, whole with json.dumps, which
 takes the C encoder (json.dump always takes the slower pure-Python one). The
 output is byte for byte json.dumps(doc, sort_keys=True, allow_nan=False), but
-only a small piece of it is held as text at a time.
+only one object member's value is held as text at a time. No artifact list
+is long: the longest has one item per frame, and large arrays are strings.
 """
 
 import base64
@@ -30,11 +31,6 @@ import numpy as np
 from .errors import NumericFailureError, ParseError, UnsupportedVersionError
 
 
-# list items encoded per json.dumps call: json.dumps holds every item's text
-# before joining it, so a long list goes out in slices
-_LIST_SLICE = 1024
-
-
 def _write_json(fh, value):
     """Write value as json.dumps(value, sort_keys=True, allow_nan=False)."""
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
@@ -44,13 +40,6 @@ def _write_json(fh, value):
             _write_json(fh, value[key])
             sep = ", "
         fh.write("}")
-    elif isinstance(value, list) and len(value) > _LIST_SLICE:
-        sep = "["
-        for i in range(0, len(value), _LIST_SLICE):
-            text = json.dumps(value[i:i + _LIST_SLICE], sort_keys=True, allow_nan=False)
-            fh.write(sep + text[1:-1])
-            sep = ", "
-        fh.write("]")
     else:
         fh.write(json.dumps(value, sort_keys=True, allow_nan=False))
 

@@ -11,6 +11,11 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..numerics import sigmoid
 
+# BatchNorm: the running statistics' update rate, and the offset added to the
+# variance under the square root
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 class Layer:
     def __init__(self):
@@ -75,10 +80,8 @@ class Conv1d(Layer):
 class BatchNorm(Layer):
     """Per-channel normalization over the batch and time axes."""
 
-    def __init__(self, ch, momentum=0.1, eps=1e-5):
+    def __init__(self, ch):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self._register("gamma", np.ones(ch))
         self._register("beta", np.zeros(ch))
         self.buffers["running_mean"] = np.zeros(ch)
@@ -89,16 +92,15 @@ class BatchNorm(Layer):
             n = x.shape[0] * x.shape[1]
             mean = x.mean(axis=(0, 1))
             var = x.var(axis=(0, 1))
-            m = self.momentum
-            self.buffers["running_mean"] *= 1.0 - m
-            self.buffers["running_mean"] += m * mean
+            self.buffers["running_mean"] *= 1.0 - BN_MOMENTUM
+            self.buffers["running_mean"] += BN_MOMENTUM * mean
             unbiased = var * n / max(n - 1, 1)
-            self.buffers["running_var"] *= 1.0 - m
-            self.buffers["running_var"] += m * unbiased
+            self.buffers["running_var"] *= 1.0 - BN_MOMENTUM
+            self.buffers["running_var"] += BN_MOMENTUM * unbiased
         else:
             mean = self.buffers["running_mean"]
             var = self.buffers["running_var"]
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv
         self._cache = (xhat, inv, train, x.shape[0] * x.shape[1])
         return xhat * self.params["gamma"] + self.params["beta"]

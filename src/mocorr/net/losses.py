@@ -22,12 +22,12 @@ def _as_batch(a):
     return a
 
 
-def loss_sv(pred, ref, quat_weight=QUAT_NORM_WEIGHT):
-    value, _ = loss_sv_grad(pred, ref, quat_weight)
+def loss_sv(pred, ref):
+    value, _ = loss_sv_grad(pred, ref)
     return value
 
 
-def loss_sv_grad(pred, ref, quat_weight=QUAT_NORM_WEIGHT):
+def loss_sv_grad(pred, ref):
     """Mean per-sequence data term plus unit-norm penalty, and d/dpred."""
     pred = _as_batch(pred)
     ref = _as_batch(ref)
@@ -39,11 +39,11 @@ def loss_sv_grad(pred, ref, quat_weight=QUAT_NORM_WEIGHT):
     blocks = pred.reshape(b, pred.shape[1], -1, 4)
     norms = np.linalg.norm(blocks, axis=3)
     dev = norms - 1.0
-    value = (data + quat_weight * float(np.sum(dev * dev))) / b
+    value = (data + QUAT_NORM_WEIGHT * float(np.sum(dev * dev))) / b
 
     grad = 2.0 * diff
     safe = np.where(norms > 1e-12, norms, 1.0)
-    scale = 2.0 * quat_weight * dev / safe
+    scale = 2.0 * QUAT_NORM_WEIGHT * dev / safe
     scale[norms <= 1e-12] = 0.0
     grad += (scale[:, :, :, None] * blocks).reshape(pred.shape)
     return value, grad / b

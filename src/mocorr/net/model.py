@@ -25,8 +25,8 @@ CHANNELS_PER_JOINT = 5
 
 
 class Generator:
-    def __init__(self, skeleton, rng, *, conv_width=128, local_width=16,
-                 hidden=256, kernel=7, dropout=0.1):
+    def __init__(self, skeleton, rng, *, conv_width, local_width, hidden, kernel,
+                 dropout):
         self.n_joints = skeleton.n_joints
         self.conv_width = conv_width
         self.local_width = local_width
@@ -110,7 +110,7 @@ class Generator:
 
 
 class Discriminator:
-    def __init__(self, n_joints, rng, *, hidden=128):
+    def __init__(self, n_joints, rng, *, hidden):
         self.n_joints = n_joints
         self.hidden = hidden
         self.gru = GRU(4 * n_joints, hidden, rng)

@@ -115,9 +115,9 @@ class Adam:
 
 
 def _cut(seq, length, stride):
+    """Windows of `length` frames every `stride` frames, the last one flush
+    with the end; `length` is at most the sequence's length."""
     t = seq.shape[0]
-    if t < length:
-        return [seq]
     starts = list(range(0, t - length + 1, stride))
     if starts[-1] != t - length:
         starts.append(t - length)

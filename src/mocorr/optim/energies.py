@@ -48,16 +48,16 @@ def net_pose_targets(skeleton, net_quats):
     return pose.theta, pose.root_rot
 
 
-def energy_2d(seq, obs, camera, skeleton, threshold=0.8):
+def energy_2d(seq, obs, camera, skeleton):
     """Mean over frames of the mean squared reprojection error of confident joints.
 
-    Joints with confidence below threshold are ignored; frames where no
-    joint passes (or none is visible) contribute zero. This is the cost of
-    the reprojection term at unit weight.
+    Joints with confidence below `EnergyWeights().conf_threshold` are
+    ignored; frames where no joint passes (or none is visible) contribute
+    zero. This is the cost of the reprojection term at unit weight.
     """
     seq = as_sequence(seq)
     if seq.root_trans.shape[0] != obs.n_frames:
         raise InvalidInputError("seq and obs must have equal length")
-    term = Reprojection(View(camera, obs), EnergyWeights(conf_threshold=threshold))
+    term = Reprojection(View(camera, obs), EnergyWeights())
     r = term.residuals({"pos": fk_frames(skeleton, seq)[0]})
     return float(r @ r)

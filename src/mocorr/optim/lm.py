@@ -55,6 +55,8 @@ STEP_TOL = 1e-10
 COST_TOL = 1e-12
 PLATEAU_WINDOW = 5
 PLATEAU_TOL = 1e-6
+# numeric_jacobian's central-difference step, relative to max(1, |x_i|)
+FD_STEP = 1e-6
 
 
 @dataclass
@@ -82,13 +84,13 @@ class LMResult:
     final_damping: float = DAMPING_INIT
 
 
-def numeric_jacobian(residuals, x, step_scale=1e-6):
-    """Central-difference Jacobian with per-coordinate step step_scale*max(1,|x_i|)."""
+def numeric_jacobian(residuals, x):
+    """Central-difference Jacobian with per-coordinate step FD_STEP*max(1,|x_i|)."""
     x = np.asarray(x, dtype=float)
     r0 = np.asarray(residuals(x), dtype=float)
     jac = np.empty((r0.size, x.size))
     for i in range(x.size):
-        h = step_scale * max(1.0, abs(x[i]))
+        h = FD_STEP * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h

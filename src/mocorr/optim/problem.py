@@ -66,6 +66,10 @@ from ..numerics import sigmoid
 from ..skeleton import SkeletalPose, fk_frames
 from .kinematics import fk_jacobian, projection_jacobian
 
+# u_from_theta clips theta's fraction of its range to [m, 1 - m], so that an
+# angle at a joint limit maps to a finite u
+ANGLE_MARGIN = 1e-4
+
 
 class BoundedAngles:
     """theta = lo + (hi - lo) * sigmoid(u); zero-range DOFs pin theta = lo."""
@@ -82,9 +86,9 @@ class BoundedAngles:
         s = sigmoid(u)
         return self.span * s * (1.0 - s)
 
-    def u_from_theta(self, theta, margin=1e-4):
+    def u_from_theta(self, theta):
         safe = np.where(self.active, self.span, 1.0)
-        frac = np.clip((theta - self.lo) / safe, margin, 1.0 - margin)
+        frac = np.clip((theta - self.lo) / safe, ANGLE_MARGIN, 1.0 - ANGLE_MARGIN)
         return np.where(self.active, np.log(frac / (1.0 - frac)), 0.0)
 
 

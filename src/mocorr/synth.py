@@ -24,7 +24,8 @@ from .skeleton import SkeletalPose, default_skeleton, fk_frames
 SIL_NOISE_SCALE = 0.1
 
 # desk-scale stage dressing: pinhole intrinsics, the camera ring around the
-# subject, and the root's band-limited wander (metres, radians)
+# subject, the root's band-limited wander (metres, radians), and the most
+# sinusoids one band-limited curve sums
 FX = 500.0
 FY = 500.0
 CX = 320.0
@@ -35,6 +36,7 @@ TARGET = (0.0, 0.9, 0.0)
 ROOT_CENTER = (0.0, 0.9, 0.0)
 ROOT_AMP = (0.25, 0.06, 0.25)
 ROOT_ROT_AMP = 0.35
+MAX_WAVES = 4
 
 
 @dataclass
@@ -71,15 +73,15 @@ class SyntheticScene:
     marker_ref: MotionMap
 
 
-def _band_limited(rng, n, half_range, amplitude, max_waves=4):
-    """Sum of <= max_waves sinusoids whose peak stays within amplitude*half_range.
+def _band_limited(rng, n, half_range, amplitude):
+    """Sum of <= MAX_WAVES sinusoids whose peak stays within amplitude*half_range.
 
     The band tops out well below Nyquist so adjacent-frame steps stay small
     relative to the motion amplitude; temporal smoothing then regularizes
     without fighting the true motion.
     """
     t = np.arange(n, dtype=float)
-    k = int(rng.integers(1, max_waves + 1))
+    k = int(rng.integers(1, MAX_WAVES + 1))
     amps = rng.uniform(0.2, 1.0, k)
     freqs = rng.uniform(0.004, 0.022, k)
     phases = rng.uniform(0.0, 2.0 * np.pi, k)
@@ -176,10 +178,10 @@ def _marker_reference(rng_warp, rng_jitter, gt_motion, cfg):
     return MotionMap(q.reshape(t_out, 4 * n_j), ref.conf, ref.translations)
 
 
-def synth_generate(cfg, skeleton=None):
+def synth_generate(cfg):
     """Build a fully synthetic scene. Same config (and seed) -> identical scene."""
     cfg.validate()
-    skeleton = skeleton if skeleton is not None else default_skeleton()
+    skeleton = default_skeleton()
     body = default_body(skeleton)
     children = np.random.SeedSequence(cfg.seed).spawn(4 + cfg.V)
     rng_gt = np.random.Generator(np.random.PCG64(children[0]))

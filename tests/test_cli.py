@@ -8,7 +8,9 @@ import shlex
 import numpy as np
 import pytest
 
+import mocorr.cli as cli
 from mocorr.cli import _build_parser, main
+from mocorr.errors import NumericFailureError
 from mocorr.motion import load_motion, save_motion
 from mocorr.net.model import Discriminator, Generator, save_checkpoint
 from mocorr.net.train import TrainConfig
@@ -16,7 +18,7 @@ from mocorr.optim.lm import LMOptions
 from mocorr.pipeline import (PipelineConfig, apply_seed, load_pipeline_config,
                              save_pipeline_config)
 from mocorr.skeleton import load_skeleton
-from mocorr.synth import SceneConfig
+from mocorr.synth import SceneConfig, synth_generate
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -150,6 +152,30 @@ def test_bad_config_exits_2(tmp_path, capsys):
     not_json.write_text("{broken")
     rc = main(["--config", str(not_json), "--out", str(tmp_path), "synth"])
     assert rc == 2
+
+
+def test_config_with_seed_overrides_the_file_seed(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    save_pipeline_config(cfg_path, tiny_config(seed=13))
+    out = tmp_path / "scene"
+    rc = main(["--config", str(cfg_path), "--seed", "5", "--out", str(out), "synth"])
+    assert rc == 0
+    with open(out / "config.json") as fh:
+        assert json.load(fh)["seed"] == 5
+    cfg = load_pipeline_config(out / "config.json")
+    assert (cfg.seed, cfg.scene.seed, cfg.train.seed) == (5, 5, 6)
+    expected = synth_generate(tiny_config(seed=5).scene).gt_motion
+    assert np.array_equal(load_motion(out / "gt.motion.json").quats, expected.quats)
+
+
+def test_numeric_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise NumericFailureError("non-finite scene")
+
+    monkeypatch.setattr(cli, "synth_generate", fail)
+    rc = main(["--seed", "3", "--out", str(tmp_path), "synth"])
+    assert rc == 1
+    assert capsys.readouterr().err == "numeric failure: non-finite scene\n"
 
 
 def test_sparse_fit_count_mismatch_exits_2(scene_dir, tmp_path, capsys):

@@ -7,7 +7,8 @@ from mocorr.camera import default_body, look_at, project_points
 from mocorr.errors import InvalidInputError
 from mocorr.motion import Observations
 from mocorr.optim.energies import EnergyWeights, energy_2d, net_pose_targets
-from mocorr.skeleton import SkeletalPose, forward_kinematics, pose_to_quat
+from mocorr.optim.problem import Reprojection, View
+from mocorr.skeleton import SkeletalPose, fk_frames, forward_kinematics, pose_to_quat
 
 from conftest import (
     frame_rows,
@@ -126,18 +127,18 @@ def test_energy_2d_gate_excludes_conf_079(toy_skeleton, rng):
     conf = np.full(toy_skeleton.n_joints, 1.0)
     conf[1] = 0.79
     base = Observations(uv.copy()[None], conf[None])
-    value = energy_2d(pose, base, camera, toy_skeleton, threshold=0.8)
+    value = energy_2d(pose, base, camera, toy_skeleton)
 
     moved = uv.copy()
     moved[1] += 500.0  # gated-out joint: moving it must change nothing
     value_moved = energy_2d(pose, Observations(moved[None], conf[None]),
-                            camera, toy_skeleton, threshold=0.8)
+                            camera, toy_skeleton)
     assert value_moved == value
 
     conf_in = conf.copy()
     conf_in[1] = 0.8  # at the threshold the joint participates
     value_in = energy_2d(pose, Observations(moved[None], conf_in[None]),
-                         camera, toy_skeleton, threshold=0.8)
+                         camera, toy_skeleton)
     assert value_in > value + 1.0
 
 
@@ -178,7 +179,8 @@ def test_energy_2d_empty_gate_contributes_zero(toy_skeleton, rng):
 def test_energy_2d_equals_per_frame_oracle(seed):
     """The unit-weight reprojection term's cost equals the per-frame loop to
     rounding, on sequences whose last frame is fully gated and whose first
-    frame has a gated-in joint behind the camera."""
+    frame has a gated-in joint behind the camera: through `energy_2d` at the
+    default gate, and through the term itself at a lower one."""
     rng = np.random.default_rng(seed)
     skeleton = make_random_skeleton(rng) if seed % 2 else make_toy_skeleton()
     n_frames = int(rng.integers(2, 6))
@@ -194,9 +196,11 @@ def test_energy_2d_equals_per_frame_oracle(seed):
     conf[-1] = rng.uniform(0.0, 0.79, skeleton.n_joints)
     obs = Observations(rng.uniform(0.0, 640.0, (n_frames, skeleton.n_joints, 2)), conf)
     assert not valid[0, far] and valid[0].any()
-    for threshold in (0.8, 0.5):
+    low_gate = Reprojection(View(camera, obs), EnergyWeights(conf_threshold=0.5))
+    r = low_gate.residuals({"pos": fk_frames(skeleton, stack_poses(seq))[0]})
+    for threshold, value in ((0.8, energy_2d(stack_poses(seq), obs, camera, skeleton)),
+                             (0.5, float(r @ r))):
         expected = energy_2d_per_frame(seq, obs, camera, skeleton, threshold)
-        value = energy_2d(stack_poses(seq), obs, camera, skeleton, threshold)
         assert expected > 0.0
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 

@@ -7,9 +7,10 @@ from mocorr.errors import InvalidInputError, UnfittableError
 from mocorr.metrics import mpjpe
 from mocorr.motion import extract_poses
 from mocorr.optim.energies import EnergyWeights
-from mocorr.optim.fitting import initial_fit, sparse_view_fit
+from mocorr.motion import Observations
+from mocorr.optim.fitting import _root_depth_init, initial_fit, sparse_view_fit
 from mocorr.optim.lm import LMOptions
-from mocorr.skeleton import forward_kinematics
+from mocorr.skeleton import forward_kinematics, identity_pose
 from mocorr.synth import SceneConfig, synth_generate
 
 from conftest import frame_rows, frames_of, take_frames
@@ -135,3 +136,24 @@ def test_root_depth_heuristic_in_range():
     # Monocular depth is the weak direction; it should still land in the
     # right neighbourhood rather than collapse to the camera.
     assert np.all(np.abs(fit_depth - gt_depth) < 0.5)
+
+
+def test_root_depth_without_usable_keypoints():
+    """A frame with no keypoint above 0.05 confidence puts the root on the
+    principal ray: at the previous frame's depth, or 2 m on the first frame."""
+    scene = synth_generate(scene_cfg(T=3))
+    camera, skeleton = scene.mono_camera, scene.skeleton
+    conf = np.zeros((3, skeleton.n_joints))
+    conf[1] = 1.0  # only the middle frame is seen
+    obs = Observations(scene.mono_obs.keypoints, conf)
+    roots = _root_depth_init(skeleton, camera, obs, 0.8)
+
+    in_camera = roots @ camera.rotation.T + camera.translation
+    np.testing.assert_allclose(in_camera[[0, 2], :2], 0.0, atol=1e-12)
+    assert in_camera[0, 2] == pytest.approx(2.0, rel=1e-12)
+    # frame 1 back-projects the rest-pose torso centroid at its depth
+    rest = forward_kinematics(skeleton, identity_pose(skeleton))
+    torso = list(skeleton.region_joints("torso"))
+    centroid = camera.rotation @ (roots[1] + rest[torso].mean(axis=0)) + camera.translation
+    assert in_camera[2, 2] == pytest.approx(centroid[2], rel=1e-12)
+    assert centroid[2] != pytest.approx(2.0, abs=0.05)

@@ -7,6 +7,7 @@ from conftest import make_toy_skeleton, stack_poses
 from mocorr.errors import InvalidInputError, SequenceTooShortError
 from mocorr.net.layers import (
     Affine,
+    BN_EPS,
     BatchNorm,
     Conv1d,
     Dropout,
@@ -187,7 +188,7 @@ def test_conv1d_gradients():
 
 def test_batchnorm_train_values_and_running_stats():
     rng = np.random.default_rng(4)
-    bn = BatchNorm(3, momentum=0.1)
+    bn = BatchNorm(3)
     bn.params["gamma"][...] = rng.uniform(0.5, 1.5, 3)
     bn.params["beta"][...] = rng.normal(size=3)
     rm0 = bn.buffers["running_mean"].copy()
@@ -198,7 +199,7 @@ def test_batchnorm_train_values_and_running_stats():
     n = 8
     mean = x.mean(axis=(0, 1))
     var = x.var(axis=(0, 1))
-    xhat = (x - mean) / np.sqrt(var + bn.eps)
+    xhat = (x - mean) / np.sqrt(var + BN_EPS)
     assert np.allclose(y, xhat * bn.params["gamma"] + bn.params["beta"],
                        rtol=1e-12, atol=1e-14)
     assert np.allclose(bn.buffers["running_mean"], 0.9 * rm0 + 0.1 * mean,
@@ -217,7 +218,7 @@ def test_batchnorm_eval_uses_running_stats():
     x = rng.normal(size=(2, 4, 3))
     y = bn.forward(x, train=False)
     ref = (x - bn.buffers["running_mean"]) / \
-        np.sqrt(bn.buffers["running_var"] + bn.eps)
+        np.sqrt(bn.buffers["running_var"] + BN_EPS)
     assert np.allclose(y, ref * bn.params["gamma"] + bn.params["beta"],
                        rtol=1e-12, atol=1e-14)
 

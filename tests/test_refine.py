@@ -1,10 +1,9 @@
 """Refinement: one LM solve of the full energy, and root placement."""
 
-import importlib
-
 import numpy as np
 import pytest
 
+import mocorr.optim.refine as refine_module
 from mocorr.camera import default_body
 from mocorr.errors import InvalidInputError, NumericFailureError
 from mocorr.metrics import mpjpe
@@ -23,8 +22,6 @@ from conftest import frame_rows, frames_of, stack_poses, take_frames
 from oracles import energy_3d, energy_silhouette, energy_temporal, refine_flipflop
 
 OPTIONS = LMOptions(max_iterations=40)
-# the module, which the package's `refine` function hides as an attribute
-refine_module = importlib.import_module("mocorr.optim.refine")
 
 
 def scene_cfg(**kw):
@@ -39,8 +36,7 @@ def total_energy(motion, net_quats, obs, camera, skeleton, body, weights,
     poses = frames_of(extract_poses(motion, skeleton))
     trans = motion.translations
     value = energy_3d(poses, net_quats, trans, skeleton)
-    value += weights.lambda_2d * energy_2d(stack_poses(poses), obs, camera, skeleton,
-                                           weights.conf_threshold)
+    value += weights.lambda_2d * energy_2d(stack_poses(poses), obs, camera, skeleton)
     net_from_poses = np.stack(
         [pose_to_quat(skeleton, p).quats.ravel() for p in poses])
     value += weights.lambda_t * energy_temporal(net_from_poses, trans, skeleton)

@@ -177,8 +177,11 @@ def test_adam_matches_dict_oracle_bitwise():
     # default widths, so that several arrays span more than one chunk and
     # some end in a partial one
     skeleton = make_toy_skeleton()
-    gen = Generator(skeleton, np.random.default_rng(41))
-    ref = Generator(skeleton, np.random.default_rng(41))
+    cfg = TrainConfig()
+    widths = dict(conv_width=cfg.conv_width, local_width=cfg.local_width,
+                  hidden=cfg.hidden, kernel=cfg.kernel, dropout=cfg.dropout)
+    gen = Generator(skeleton, np.random.default_rng(41), **widths)
+    ref = Generator(skeleton, np.random.default_rng(41), **widths)
     assert any(p.size > Adam.CHUNK and p.size % Adam.CHUNK
                for _, layer in gen.layers() for p in layer.params.values())
     adam = Adam(gen.layers(), 1e-3, 0.9, 0.999, 1e-8)
