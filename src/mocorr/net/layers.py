@@ -62,19 +62,86 @@ class Conv1d(Layer):
         self._cache = (flat, (b, t))
         return flat @ w.T + self.params["bias"]
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
+        """Accumulates the parameter gradients; returns dL/dx, or None when
+        `input_grad` is false."""
         flat, (b, t) = self._cache
         w = self.params["weight"].transpose(0, 2, 1).reshape(self.out_ch, -1)
         dy2 = dy.reshape(-1, self.out_ch)
         dw = dy2.T @ flat.reshape(-1, self.kernel * self.in_ch)
         self.grads["weight"] += dw.reshape(self.out_ch, self.kernel, self.in_ch).transpose(0, 2, 1)
         self.grads["bias"] += dy2.sum(axis=0)
+        if not input_grad:
+            return None
         dflat = (dy2 @ w).reshape(b, t, self.kernel, self.in_ch)
         pad = self.kernel // 2
         dxp = np.zeros((b, t + 2 * pad, self.in_ch))
         for k in range(self.kernel):
             dxp[:, k:k + t, :] += dflat[:, :, k, :]
         return dxp[:, pad:pad + t, :]
+
+
+class GroupedConv1d:
+    """A bank of same-shape Conv1d layers, the g-th reading input channels
+    [g * in_ch, (g + 1) * in_ch), run as batched matmuls.
+
+    The Conv1d layers hold the parameters and gradient buffers; their
+    weights are stacked afresh on every call. Forward builds one patch stack
+    for all groups and returns (groups, batch, time, out_ch). Every GEMM has
+    the operand shapes of the matching Conv1d call (one per group and batch
+    row in forward, one per group for the weight gradient), so outputs and
+    gradients equal the per-layer calls bit for bit.
+    """
+
+    def __init__(self, convs):
+        self.convs = convs
+        self.in_ch = convs[0].in_ch
+        self.out_ch = convs[0].out_ch
+        self.kernel = convs[0].kernel
+        self._cache = None
+
+    def _weights(self):
+        """(groups, out_ch, kernel * in_ch), Conv1d's flattened layout."""
+        w = np.stack([conv.params["weight"] for conv in self.convs])
+        return w.transpose(0, 1, 3, 2).reshape(len(self.convs), self.out_ch, -1)
+
+    def forward(self, x):
+        b, t, _ = x.shape
+        g, k, c = len(self.convs), self.kernel, self.in_ch
+        pad = k // 2
+        # group-major and zero-padded, so that each patch row below is one
+        # contiguous run of k * c values
+        xp = np.zeros((g, b, t + 2 * pad, c))
+        xp[:, :, pad:pad + t] = x.reshape(b, t, g, c).transpose(2, 0, 1, 3)
+        # patches[g, b, t, k, c] = xp[g, b, t + k, c]
+        windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+        flat = windows.transpose(0, 1, 2, 4, 3).reshape(g, b, t, k * c)
+        self._cache = flat
+        y = flat @ self._weights().transpose(0, 2, 1)[:, None]
+        y += np.stack([conv.params["bias"] for conv in self.convs])[:, None, None]
+        return y
+
+    def backward(self, dy, input_grad):
+        """dy: (groups, batch, time, out_ch). Accumulates every layer's
+        parameter gradients; returns dL/dx, or None when `input_grad` is
+        false."""
+        flat = self._cache
+        g, b, t, kc = flat.shape
+        dy2 = dy.reshape(g, b * t, self.out_ch)
+        dw = dy2.transpose(0, 2, 1) @ flat.reshape(g, b * t, kc)
+        dw = dw.reshape(g, self.out_ch, self.kernel, self.in_ch).transpose(0, 1, 3, 2)
+        db = dy2.sum(axis=1)
+        for conv, dw_g, db_g in zip(self.convs, dw, db):
+            conv.grads["weight"] += dw_g
+            conv.grads["bias"] += db_g
+        if not input_grad:
+            return None
+        dflat = (dy2 @ self._weights()).reshape(g, b, t, self.kernel, self.in_ch)
+        pad = self.kernel // 2
+        dxp = np.zeros((g, b, t + 2 * pad, self.in_ch))
+        for k in range(self.kernel):
+            dxp[:, :, k:k + t] += dflat[:, :, :, k]
+        return dxp[:, :, pad:pad + t].transpose(1, 2, 0, 3).reshape(b, t, g * self.in_ch)
 
 
 class BatchNorm(Layer):
@@ -223,7 +290,15 @@ class GRU(Layer):
         self._cache = (x, h_prev, rz, n, ghn)
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, row_scale=None, input_rows=None):
+        """Accumulates the parameter gradients and returns dL/dx.
+
+        With `row_scale` (one factor per batch row) the parameter gradients
+        are those of the upstream row_scale[i] * dout[i], while dx stays that
+        of `dout`. The backward is linear in each row's upstream, so one time
+        loop then serves two losses whose upstreams differ only by a factor
+        per row. dx covers the first `input_rows` rows, or all of them.
+        """
         x, h_prev, rz, n, ghn = self._cache
         b, t, hs = h_prev.shape
         wh = self.params["w_hidden"]
@@ -244,10 +319,19 @@ class GRU(Layer):
             dgh_k = np.concatenate([dgi[:, k, :2 * hs], dgn * r], axis=1)
             dgh[:, k] = dgh_k
             dh += dgh_k @ wh
+        if row_scale is None:
+            xs, hps = x, h_prev
+            self.grads["b_input"] += dgi.reshape(b * t, 3 * hs).sum(axis=0)
+            self.grads["b_hidden"] += dgh.reshape(b * t, 3 * hs).sum(axis=0)
+        else:
+            # scale the narrower operands, x and h_prev, not dgi and dgh
+            xs = x * row_scale[:, None, None]
+            hps = h_prev * row_scale[:, None, None]
+            self.grads["b_input"] += row_scale @ dgi.sum(axis=1)
+            self.grads["b_hidden"] += row_scale @ dgh.sum(axis=1)
         dgi = dgi.reshape(b * t, 3 * hs)
         dgh = dgh.reshape(b * t, 3 * hs)
-        self.grads["w_input"] += dgi.T @ x.reshape(b * t, self.in_dim)
-        self.grads["b_input"] += dgi.sum(axis=0)
-        self.grads["w_hidden"] += dgh.T @ h_prev.reshape(b * t, hs)
-        self.grads["b_hidden"] += dgh.sum(axis=0)
-        return (dgi @ self.params["w_input"]).reshape(b, t, self.in_dim)
+        self.grads["w_input"] += dgi.T @ xs.reshape(b * t, self.in_dim)
+        self.grads["w_hidden"] += dgh.T @ hps.reshape(b * t, hs)
+        rows = b if input_rows is None else input_rows
+        return (dgi[:rows * t] @ self.params["w_input"]).reshape(rows, t, self.in_dim)

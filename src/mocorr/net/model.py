@@ -16,7 +16,7 @@ from ..jsonio import (decode_array, encode_array, load_document, require_array,
                       require_field, require_int, save_document)
 from ..numerics import sigmoid
 from ..skeleton import REGIONS
-from .layers import Affine, BatchNorm, Conv1d, Dropout, ELU, GRU
+from .layers import Affine, BatchNorm, Conv1d, Dropout, ELU, GRU, GroupedConv1d
 
 CHECKPOINT_FORMAT = "hybridnet/2"
 # hybridnet/1 stored each layer array as a list of JSON floats; it still loads
@@ -34,6 +34,8 @@ class Generator:
         self.kernel = kernel
         self.dropout_rate = dropout
         self.region_joints = tuple(skeleton.region_joints(r) for r in REGIONS)
+        # each joint's index into REGIONS; every joint has exactly one region
+        self.joint_region = np.array([REGIONS.index(r) for r in skeleton.region_map])
         in_ch = CHANNELS_PER_JOINT * self.n_joints
 
         self.conv1 = Conv1d(in_ch, conv_width, kernel, rng)
@@ -45,6 +47,7 @@ class Generator:
         self.elu1, self.elu2, self.elu3 = ELU(), ELU(), ELU()
         self.local = [Conv1d(CHANNELS_PER_JOINT, local_width, kernel, rng)
                       for _ in range(self.n_joints)]
+        self.local_convs = GroupedConv1d(self.local)
         fused = conv_width + local_width * len(REGIONS)
         self.gru = GRU(fused, hidden, rng)
         self.drop = Dropout(dropout)
@@ -77,10 +80,7 @@ class Generator:
         g = self.elu1.forward(self.bn1.forward(self.conv1.forward(x), train))
         g = self.elu2.forward(self.bn2.forward(self.conv2.forward(g), train))
         g = self.elu3.forward(self.bn3.forward(self.conv3.forward(g), train))
-        local_feats = []
-        for j in range(self.n_joints):
-            xj = x[:, :, CHANNELS_PER_JOINT * j:CHANNELS_PER_JOINT * (j + 1)]
-            local_feats.append(self.local[j].forward(xj))
+        local_feats = self.local_convs.forward(x)
         codes = [sum(local_feats[j] for j in joints) for joints in self.region_joints]
         fused = np.concatenate([g] + codes, axis=2)
         h = self.gru.forward(fused)
@@ -89,24 +89,24 @@ class Generator:
         y = self.dec2.forward(y)
         return self.dec3.forward(y)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
+        """Accumulates the parameter gradients; returns dL/dx, or None when
+        `input_grad` is false (training never uses it)."""
         d = self.dec3.backward(dy)
         d = self.dec2.backward(d)
         d = self.dec1.backward(d)
         d = self.drop.backward(d)
         dfused = self.gru.backward(d)
+        b, t, _ = dfused.shape
+        dcodes = dfused[:, :, self.conv_width:].reshape(b, t, len(REGIONS), self.local_width)
+        # every joint's conv takes its region code's gradient
+        dlocal = dcodes.transpose(2, 0, 1, 3)[self.joint_region]
+        dx = self.local_convs.backward(dlocal, input_grad)
         dg = dfused[:, :, :self.conv_width]
-        dx = np.zeros((dy.shape[0], dy.shape[1], CHANNELS_PER_JOINT * self.n_joints))
-        for k, joints in enumerate(self.region_joints):
-            lo = self.conv_width + k * self.local_width
-            dcode = dfused[:, :, lo:lo + self.local_width]
-            for j in joints:
-                dxj = self.local[j].backward(dcode)
-                dx[:, :, CHANNELS_PER_JOINT * j:CHANNELS_PER_JOINT * (j + 1)] += dxj
         d = self.conv3.backward(self.bn3.backward(self.elu3.backward(dg)))
         d = self.conv2.backward(self.bn2.backward(self.elu2.backward(d)))
-        dx += self.conv1.backward(self.bn1.backward(self.elu1.backward(d)))
-        return dx
+        d = self.conv1.backward(self.bn1.backward(self.elu1.backward(d)), input_grad)
+        return dx + d if input_grad else None
 
 
 class Discriminator:
@@ -140,6 +140,37 @@ class Discriminator:
         dh = np.zeros((dscore.shape[0], t, self.hidden))
         dh[:, -1, :] = dh_last
         return self.gru.backward(dh)
+
+    def backward_shared(self, dscore_gen, dscore):
+        """One backward for the generator and discriminator steps that share
+        the last forward pass, whose first len(dscore_gen) rows are the
+        generated windows.
+
+        Accumulates the parameter gradients for upstream `dscore` over all
+        rows and returns the input gradient for upstream `dscore_gen` over
+        the generated rows. The GRU time loop runs once: the generated rows
+        at the generator's upstream, so their input gradient is the one
+        `backward` gives, bit for bit, and the reference rows at `dscore`'s.
+        Each row's backward is linear in its upstream, so the weight
+        gradients then rescale the generated rows to `dscore`'s. A generated
+        row whose generator upstream is zero runs at `dscore`'s instead and
+        gives a zero input gradient.
+        """
+        score, t = self._cache
+        n = dscore_gen.shape[0]
+        dlogit = dscore * score * (1.0 - score)
+        dlogit_gen = dscore_gen * score[:n] * (1.0 - score[:n])
+        self.head.backward(dlogit[:, None])
+        live = dlogit_gen != 0.0
+        upstream = dlogit.copy()
+        upstream[:n][live] = dlogit_gen[live]
+        scale = np.ones_like(dlogit)
+        scale[:n][live] = dlogit[:n][live] / dlogit_gen[live]
+        dh = np.zeros((score.shape[0], t, self.hidden))
+        dh[:, -1, :] = upstream[:, None] @ self.head.params["weight"]
+        dq = self.gru.backward(dh, row_scale=scale, input_rows=n)
+        dq[~live] = 0.0
+        return dq
 
 
 def motion_channels(motion):

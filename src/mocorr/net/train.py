@@ -4,8 +4,10 @@ Each batch takes one generator step on L_sv + L_adv and, when adversarial
 training is enabled, one discriminator step on L_D against random windows
 drawn from the unpaired reference motions. One discriminator pass scores the
 generated and the reference windows together, and both steps take their
-values and gradients from those scores. All sequences are pre-cut to a
-shared window length so batches stack without padding.
+values and gradients from those scores, through one shared discriminator
+backward. The generator's backward skips the gradient with respect to its
+data input, which nothing uses. All sequences are pre-cut to a shared
+window length so batches stack without padding.
 """
 
 from dataclasses import dataclass
@@ -54,6 +56,8 @@ class TrainConfig:
             raise InvalidInputError("kernel width must be odd and at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidInputError("dropout rate must lie in [0, 1)")
+        if self.decay_epoch is not None and self.decay_epoch < 1:
+            raise InvalidInputError("decay_epoch must be at least 1")
 
     def decay_boundary(self):
         """First epoch (1-based) that runs at the decayed learning rate."""
@@ -204,13 +208,11 @@ def train(dataset, unpaired, skeleton, cfg):
                 scores = disc.forward(np.concatenate([pred, real]))
                 adv_value, ddfake = loss_adv_grad(scores[:b])
                 disc_value, dreal, dfake = loss_disc_grad(scores[b:], scores[:b])
-                # only its input gradient is kept: zero_grad drops its weight gradients
-                dpred = dpred + disc.backward(np.concatenate([ddfake, np.zeros(b)]))[:b]
                 disc.zero_grad()
-                disc.backward(np.concatenate([dfake, dreal]))
+                dpred = dpred + disc.backward_shared(ddfake, np.concatenate([dfake, dreal]))
                 adam_disc.step(lr_scale)
             gen.zero_grad()
-            gen.backward(dpred)
+            gen.backward(dpred, input_grad=False)
             adam_gen.step(lr_scale)
             values = (sv_value, adv_value, disc_value)
             if not all(np.isfinite(v) for v in values):

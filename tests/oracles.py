@@ -8,8 +8,10 @@ brute-force loops.
 The per-frame pose <-> quaternion conversions, per-frame forward
 kinematics, root-rotation derivative, Levenberg-Marquardt loop, silhouette
 structure, sparse Jacobian builders, per-step GRU, masked sigmoid,
-dict-based Adam, two-pass discriminator step, hybridnet/1 checkpoint writer
-and two-stage flip-flop refinement further down are different: they are the
+dict-based Adam, two-pass discriminator step, the training batch's two
+discriminator backwards, the generator's per-joint convolution loop,
+hybridnet/1 checkpoint writer and two-stage flip-flop refinement further
+down are different: they are the
 earlier, unoptimised versions of package code, kept as they were so the
 optimised versions can be required to reproduce them bit for bit, or to
 rounding where the summation order changed. The Levenberg-Marquardt loop
@@ -45,6 +47,7 @@ from mocorr.jsonio import save_document
 from mocorr.motion import build_motion_map
 from mocorr.net.layers import GRU
 from mocorr.net.losses import loss_disc_grad
+from mocorr.net.model import CHANNELS_PER_JOINT, Generator
 from mocorr.optim.kinematics import projection_jacobian
 from mocorr.optim.lm import (
     COST_TOL,
@@ -1307,6 +1310,58 @@ def discriminator_grads(disc, d_fake, real):
     d_real = disc.forward(real)
     disc.backward(2.0 * (d_real - 1.0) / d_real.size)
     return loss_disc_grad(d_real, d_fake)[0]
+
+
+def discriminator_backward_two_pass(disc, dscore_gen, dscore):
+    """A training batch's discriminator backwards as two passes over the last
+    forward pass, whose first len(dscore_gen) rows are the generated windows:
+    one over [dscore_gen; 0] that keeps only the generated rows' input
+    gradient, then one over `dscore` into the zeroed gradients."""
+    n = dscore_gen.shape[0]
+    dq = disc.backward(np.concatenate([dscore_gen, np.zeros(dscore.shape[0] - n)]))[:n]
+    disc.zero_grad()
+    disc.backward(dscore)
+    return dq
+
+
+class GeneratorPerJoint(Generator):
+    """Generator whose per-joint branch runs each joint's Conv1d on its own
+    channel slice, forward and backward."""
+
+    def forward(self, x, train=False, rng=None):
+        g = self.elu1.forward(self.bn1.forward(self.conv1.forward(x), train))
+        g = self.elu2.forward(self.bn2.forward(self.conv2.forward(g), train))
+        g = self.elu3.forward(self.bn3.forward(self.conv3.forward(g), train))
+        local_feats = []
+        for j in range(self.n_joints):
+            xj = x[:, :, CHANNELS_PER_JOINT * j:CHANNELS_PER_JOINT * (j + 1)]
+            local_feats.append(self.local[j].forward(xj))
+        codes = [sum(local_feats[j] for j in joints) for joints in self.region_joints]
+        fused = np.concatenate([g] + codes, axis=2)
+        h = self.gru.forward(fused)
+        h = self.drop.forward(h, train, rng)
+        y = self.dec1.forward(h)
+        y = self.dec2.forward(y)
+        return self.dec3.forward(y)
+
+    def backward(self, dy):
+        d = self.dec3.backward(dy)
+        d = self.dec2.backward(d)
+        d = self.dec1.backward(d)
+        d = self.drop.backward(d)
+        dfused = self.gru.backward(d)
+        dg = dfused[:, :, :self.conv_width]
+        dx = np.zeros((dy.shape[0], dy.shape[1], CHANNELS_PER_JOINT * self.n_joints))
+        for k, joints in enumerate(self.region_joints):
+            lo = self.conv_width + k * self.local_width
+            dcode = dfused[:, :, lo:lo + self.local_width]
+            for j in joints:
+                dxj = self.local[j].backward(dcode)
+                dx[:, :, CHANNELS_PER_JOINT * j:CHANNELS_PER_JOINT * (j + 1)] += dxj
+        d = self.conv3.backward(self.bn3.backward(self.elu3.backward(dg)))
+        d = self.conv2.backward(self.bn2.backward(self.elu2.backward(d)))
+        dx += self.conv1.backward(self.bn1.backward(self.elu1.backward(d)))
+        return dx
 
 
 def _layer_state(layer):

@@ -286,6 +286,8 @@ MALFORMED = {
     "config train.kernel 0": ("config.json", lambda doc: doc["train"].update(kernel=0)),
     "config train.dropout 1.0":
         ("config.json", lambda doc: doc["train"].update(dropout=1.0)),
+    "config train.decay_epoch 0":
+        ("config.json", lambda doc: doc["train"].update(decay_epoch=0)),
     "motion T not a number": ("gt.motion.json", lambda doc: doc.update(T="abc")),
     "observations T null": ("obs_mono.json", lambda doc: doc.update(T=None)),
     "observations frames not a list": ("obs_mono.json", lambda doc: doc.update(frames=5)),

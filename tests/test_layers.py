@@ -15,17 +15,28 @@ from mocorr.net.layers import (
     GRU,
     _uniform_init,
 )
+from mocorr.net.losses import loss_adv_grad, loss_disc_grad
 from mocorr.net.model import (
     CHANNELS_PER_JOINT,
     Discriminator,
     Generator,
     generator_forward,
+    load_checkpoint,
     motion_channels,
+    save_checkpoint,
 )
+from mocorr.net.train import TrainConfig
 from mocorr.motion import build_motion_map
 from mocorr.numerics import sigmoid
-from mocorr.skeleton import SkeletalPose
-from oracles import GRUStepwise, grad_check, sigmoid_masked
+from mocorr.skeleton import SkeletalPose, default_skeleton
+from oracles import (
+    GeneratorPerJoint,
+    GRUStepwise,
+    discriminator_backward_two_pass,
+    grad_check,
+    save_checkpoint_v1,
+    sigmoid_masked,
+)
 
 
 def param_names(layer):
@@ -528,3 +539,99 @@ def test_discriminator_gradients():
                 analytic.append(gflat[i])
                 numeric.append((lp - lm) / (2.0 * h))
     assert grad_check(np.array(analytic), np.array(numeric)) < 1e-5
+
+
+def layer_grads(net):
+    return [(f"{name}.{k}", layer.grads[k].copy())
+            for name, layer in net.layers() for k in sorted(layer.grads)]
+
+
+# the (8 generated + 8 reference) pass of a default training batch, an
+# uneven small one, and one whose second generated row gets no generator
+# upstream
+@pytest.mark.parametrize("n_gen,n_ref,zero_row", [(8, 8, False), (3, 3, False), (3, 3, True)])
+def test_discriminator_shared_backward_matches_two_pass_oracle(n_gen, n_ref, zero_row):
+    cfg = TrainConfig()
+    n_joints = default_skeleton().n_joints
+    disc = Discriminator(n_joints, np.random.default_rng(33), hidden=cfg.disc_hidden)
+    q = np.random.default_rng(34).normal(size=(n_gen + n_ref, cfg.window, 4 * n_joints))
+    score = disc.forward(q)
+    _, dscore_gen = loss_adv_grad(score[:n_gen])
+    _, dreal, dfake = loss_disc_grad(score[n_gen:], score[:n_gen])
+    if zero_row:
+        dscore_gen[1] = 0.0
+    dscore = np.concatenate([dfake, dreal])
+    dq_ref = discriminator_backward_two_pass(disc, dscore_gen, dscore)
+    grads_ref = layer_grads(disc)
+    disc.zero_grad()
+    dq = disc.backward_shared(dscore_gen, dscore)
+    assert dq.shape == (n_gen, cfg.window, 4 * n_joints)
+    assert rel_err(dq, dq_ref) <= 1e-12
+    if zero_row:
+        assert not np.any(dq[1])
+    for (name, g), (_, g_ref) in zip(layer_grads(disc), grads_ref):
+        assert rel_err(g, g_ref) <= 1e-12, name
+
+
+WIDTHS = {
+    "toy": dict(conv_width=16, local_width=4, hidden=16, kernel=7, dropout=0.0),
+    "default": {k: getattr(TrainConfig(), k)
+                for k in ("conv_width", "local_width", "hidden", "kernel", "dropout")},
+}
+
+
+@pytest.mark.parametrize("widths", sorted(WIDTHS))
+@pytest.mark.parametrize("b,t", [(8, 64), (1, 8), (2, 8), (3, 7)])
+def test_grouped_joint_convs_match_per_joint_oracle(tmp_path, b, t, widths):
+    # one batched matmul runs the GEMMs of the per-joint Conv1d calls with
+    # the same operand shapes, so everything agrees bit for bit
+    skeleton = default_skeleton()
+    gen = Generator(skeleton, np.random.default_rng(35), **WIDTHS[widths])
+    oracle = GeneratorPerJoint(skeleton, np.random.default_rng(35), **WIDTHS[widths])
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(b, t, CHANNELS_PER_JOINT * skeleton.n_joints))
+    y = gen.forward(x, train=True, rng=np.random.default_rng(37))
+    y_ref = oracle.forward(x, train=True, rng=np.random.default_rng(37))
+    assert np.array_equal(y, y_ref)
+    # the GRU's input caches the fused features: global branch, then codes
+    codes = gen.gru._cache[0][:, :, gen.conv_width:]
+    assert np.array_equal(codes, oracle.gru._cache[0][:, :, oracle.conv_width:])
+    dy = rng.normal(size=y.shape)
+    gen.zero_grad()
+    oracle.zero_grad()
+    assert np.array_equal(gen.backward(dy), oracle.backward(dy))
+    for j in range(skeleton.n_joints):
+        for name in ("weight", "bias"):
+            assert np.array_equal(gen.local[j].grads[name], oracle.local[j].grads[name])
+    for (name, g), (_, g_ref) in zip(layer_grads(gen), layer_grads(oracle)):
+        assert np.array_equal(g, g_ref), name
+
+    motion = toy_motion(skeleton, t, seed=38)
+    expected = generator_forward(oracle, motion)
+    disc = Discriminator(skeleton.n_joints, np.random.default_rng(39), hidden=8)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, gen, disc)
+    loaded, _ = load_checkpoint(path, skeleton)
+    assert np.array_equal(generator_forward(loaded, motion), expected)
+    if (b, t) == (1, 8):
+        save_checkpoint_v1(path, gen, disc)
+        loaded, _ = load_checkpoint(path, skeleton)
+        assert np.array_equal(generator_forward(loaded, motion), expected)
+
+
+def test_parameter_only_backward_matches_full_backward_bitwise():
+    skeleton = default_skeleton()
+    cfg = TrainConfig()
+    gen = Generator(skeleton, np.random.default_rng(40), conv_width=cfg.conv_width,
+                    local_width=cfg.local_width, hidden=cfg.hidden, kernel=cfg.kernel,
+                    dropout=cfg.dropout)
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(4, 16, CHANNELS_PER_JOINT * skeleton.n_joints))
+    dy = rng.normal(size=gen.forward(x, train=True, rng=rng).shape)
+    gen.zero_grad()
+    assert gen.backward(dy).shape == x.shape
+    full = layer_grads(gen)
+    gen.zero_grad()
+    assert gen.backward(dy, input_grad=False) is None
+    for (name, g), (_, g_full) in zip(layer_grads(gen), full):
+        assert np.array_equal(g, g_full), name

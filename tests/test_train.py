@@ -6,6 +6,7 @@ import pytest
 from conftest import make_toy_skeleton, stack_poses
 from mocorr.errors import InvalidInputError, SequenceTooShortError
 from mocorr.motion import MotionMap, build_motion_map
+from mocorr.net.layers import GRU
 from mocorr.net.losses import loss_adv_grad, loss_disc, loss_sv_grad
 from mocorr.net.model import Discriminator, Generator
 from mocorr.net.train import (BETA1, BETA2, DECAY, EPS, LR_DISC, LR_GEN, Adam, TrainConfig,
@@ -173,6 +174,48 @@ def test_adversarial_step_matches_two_pass_oracle(monkeypatch):
         [sv_value, adv_value, disc_value], rtol=0, atol=1e-12)
 
 
+def test_one_discriminator_gru_backward_per_batch(monkeypatch):
+    # 3 windows in batches of 2: two batches per epoch
+    skeleton = make_toy_skeleton()
+    pairs, unpaired = toy_dataset(skeleton, n_seqs=3, t=16)
+    cfg = TrainConfig(epochs=2, batch=2, window=16, stride=16, seed=9,
+                      adversarial=True, **SMALL_NET)
+    calls = []
+    backward = GRU.backward
+    monkeypatch.setattr(GRU, "backward", lambda self, dout, **kw: calls.append(self)
+                        or backward(self, dout, **kw))
+    gen, disc, _ = train(pairs, unpaired, skeleton, cfg)
+    assert sum(gru is disc.gru for gru in calls) == 4
+    assert sum(gru is gen.gru for gru in calls) == 4
+
+
+def test_training_takes_parameter_only_generator_backward(monkeypatch):
+    # every training backward gives the parameter gradients of the full
+    # backward, which also forms the input gradient, bit for bit
+    skeleton = make_toy_skeleton()
+    pairs, unpaired = toy_dataset(skeleton, n_seqs=3, t=16)
+    cfg = TrainConfig(epochs=2, batch=2, window=16, stride=16, seed=9,
+                      adversarial=True, **SMALL_NET)
+    backward = Generator.backward
+    calls = []
+
+    def checked(self, dy, input_grad=True):
+        start = [layer.grads[k].copy() for _, layer in self.layers() for k in layer.grads]
+        backward(self, dy)
+        full = params_blob(self, "grads")
+        for g, g0 in zip((layer.grads[k] for _, layer in self.layers() for k in layer.grads),
+                         start):
+            g[...] = g0
+        result = backward(self, dy, input_grad)
+        assert np.array_equal(params_blob(self, "grads"), full)
+        calls.append(input_grad)
+        return result
+
+    monkeypatch.setattr(Generator, "backward", checked)
+    train(pairs, unpaired, skeleton, cfg)
+    assert calls == [False] * 4
+
+
 def test_adam_matches_dict_oracle_bitwise():
     # default widths, so that several arrays span more than one chunk and
     # some end in a partial one
@@ -237,7 +280,10 @@ def test_config_validation():
     for dropout in (1.0, -0.1, 1.5):
         with pytest.raises(InvalidInputError, match="dropout"):
             TrainConfig(dropout=dropout)
-    TrainConfig(kernel=1, dropout=0.0)
+    for decay_epoch in (0, -5):
+        with pytest.raises(InvalidInputError, match="decay_epoch"):
+            TrainConfig(decay_epoch=decay_epoch)
+    TrainConfig(kernel=1, dropout=0.0, decay_epoch=1)
 
 
 def test_decay_boundary_arithmetic():
