@@ -61,6 +61,32 @@ class Camera:
         return points @ self.rotation.T + self.translation
 
 
+class CameraStack:
+    """V cameras as one, for joint positions (T, n, 3).
+
+    `project_points` and `kinematics.projection_jacobian` take a stack where
+    they take a camera and return every view's values on a leading view
+    axis, (V, T, n, ...), in the order of `cameras`. Each field is the
+    cameras' values stacked behind two unit axes that broadcast over the
+    points' (T, n): fx, fy, cx, cy (V, 1, 1), translation (V, 1, 1, 3) and
+    rotation (V, 1, 1, 3, 3). Every product keeps the operand shapes and
+    strides of one camera's, so each view is bit for bit what its own
+    camera gives.
+    """
+
+    def __init__(self, cameras):
+        def stacked(field):
+            return np.stack([getattr(c, field) for c in cameras])[:, None, None]
+
+        self.fx, self.fy, self.cx, self.cy = (stacked(f) for f in ("fx", "fy", "cx", "cy"))
+        self.rotation = stacked("rotation")
+        self.translation = stacked("translation")
+
+    def to_camera(self, points):
+        """World -> every camera's frame for points (T, n, 3): (V, T, n, 3)."""
+        return points @ self.rotation[:, 0].swapaxes(-1, -2) + self.translation
+
+
 def look_at(position, target, fx, fy, cx, cy):
     """Camera at `position` whose optical axis passes through `target`, y-up world."""
     position = np.asarray(position, dtype=float)
@@ -93,7 +119,9 @@ def project_points(camera, points):
     """Batched projection of points (..., 3), e.g. (n, 3) or (T, n, 3).
 
     Returns (uv, z, valid); rows with z <= Z_EPS get uv = 0 and valid False,
-    so callers can mask residuals instead of handling exceptions.
+    so callers can mask residuals instead of handling exceptions. A
+    `CameraStack` projects (T, n, 3) points through all its views at once:
+    (V, T, n, 2), (V, T, n) and (V, T, n).
     """
     p = camera.to_camera(points)
     z = p[..., 2]

@@ -58,6 +58,6 @@ def energy_2d(seq, obs, camera, skeleton):
     seq = as_sequence(seq)
     if seq.root_trans.shape[0] != obs.n_frames:
         raise InvalidInputError("seq and obs must have equal length")
-    term = Reprojection(View(camera, obs), EnergyWeights())
+    term = Reprojection([View(camera, obs)], EnergyWeights())
     r = term.residuals({"pos": fk_frames(skeleton, seq)[0]})
     return float(r @ r)

@@ -8,15 +8,15 @@ import numpy as np
 
 from .. import quat
 from ..camera import Z_EPS
-from ..skeleton import angle_products, as_sequence
+from ..skeleton import as_sequence
 
 
 def fk_jacobian(skeleton, pose, fk):
     """d(joint positions)/d(pose params) from the pose's forward kinematics.
 
-    `fk` is what `fk_frames(skeleton, pose)` returned for this pose, the
-    world positions and rotations, which the derivative reuses; only the
-    angles' running products (`angle_products`) are built again. Returns
+    `fk` is what `fk_frames(skeleton, pose)` returned for this pose: the
+    derivative reuses its world positions and rotations and the angles'
+    running products, so it builds no rotation again. Returns
     (n, 3, total_dof+6) for one pose, and (T, n, 3, total_dof+6) for a
     sequence. An angle moves a joint by omega x (joint - pivot) where omega
     is the rotation axis in world coordinates; the root axis-angle
@@ -27,7 +27,7 @@ def fk_jacobian(skeleton, pose, fk):
     """
     seq = as_sequence(pose)
     pos, rot = fk if seq is pose else (fk[0][None], fk[1][None])
-    products = angle_products(skeleton, seq.theta)
+    products = fk.products
     n_frames, n = pos.shape[:2]
     d = skeleton.total_dof
     jac = np.zeros((n_frames, n, 3, d + 6))
@@ -54,7 +54,9 @@ def fk_jacobian(skeleton, pose, fk):
 
 def projection_jacobian(camera, world_points):
     """d(uv)/d(world) (..., 2, 3), camera-space z (...) and visibility (...)
-    for world points (..., 3); a point at or behind the camera gets zeros."""
+    for world points (..., 3); a point at or behind the camera gets zeros.
+    A `camera.CameraStack` differentiates (T, n, 3) points through all its
+    views at once: (V, T, n, 2, 3), (V, T, n) and (V, T, n)."""
     # one matrix-vector product per point, so a stack of points gets bit for
     # bit the values each point would get on its own
     p = (camera.rotation @ np.asarray(world_points, dtype=float)[..., None])[..., 0]

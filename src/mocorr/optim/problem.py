@@ -2,7 +2,7 @@
 
 Both LM problems are lists of residual terms over per-frame parameter blocks:
 
-- `Reprojection` (E_2D, one per view): confidence-gated pixel errors.
+- `Reprojection` (E_2D, one for all views): confidence-gated pixel errors.
 - `Anchor` (E_3D): the leading parameters against per-frame targets.
 - `Temporal` (E_T): the change of every parameter between frames.
 - `Silhouette` (E_S, one per view with outlines): nearest-neighbour
@@ -14,9 +14,10 @@ the terms take as they are.
 Residuals carry square-rooted weights, so the solver's cost (sum of squared
 residuals) equals the weighted energy exactly. Each term fixes its row count
 when it is built and evaluates every frame in one call. The confidence gate
-is a fixed (T, n) weight array: a joint below the gate keeps its two rows,
-always zero, so one projection call per view covers all frames. Observed
-outlines of different lengths are padded to the longest the same way.
+is a fixed (V, T, n) weight array: a joint below the gate keeps its two
+rows, always zero, so one projection call over the stacked cameras
+(`camera.CameraStack`) covers every view and frame. Observed outlines of
+different lengths are padded to the longest the same way.
 
 The full pose problem optimizes [u, root_rot, root_trans] per frame
 (P = D + 6), with joint angles reparameterized as theta = lo + (hi - lo) *
@@ -29,14 +30,22 @@ the zero-translation FK and their Jacobian is the identity, so it is the
 same reprojection and temporal terms over other parameters.
 
 Frames couple only through the temporal term, so both problems return their
-Jacobian as a `BlockJacobian`: dense row blocks, each starting at one
-frame's P columns and spanning that frame (reprojection, anchor, silhouette)
-or that frame and the next (temporal). J^T J is then block-tridiagonal, and
-`BlockJacobian.normal_equations` forms it in symmetric banded storage, with
-J^T r, straight from the blocks, for the solver's banded Cholesky. Where
-that factorization fails (the damped system is not numerically positive
-definite, as the rank-deficient monocular problem can be at low damping),
-the solver treats the step as rejected and raises the damping.
+Jacobian as a `BlockJacobian`: row blocks, each on one frame's P columns
+(reprojection, anchor, silhouette) or on that frame's and the next's
+(temporal). Reprojection and silhouette blocks are dense; the reprojection
+term's (V, T) blocks form one stack, whose J^T J is one batched matmul. The
+anchor's identity columns and the temporal term's [-s I | s I] are diagonal
+stacks, whose J^T J takes elementwise products in O(P) per frame. J^T J is
+then block-tridiagonal, and `BlockJacobian.normal_equations` forms it in
+symmetric banded storage, with J^T r, straight from the blocks, for the
+solver's banded Cholesky. Where that factorization fails (the damped system
+is not numerically positive definite, as the rank-deficient monocular
+problem can be at low damping), the solver treats the step as rejected and
+raises the damping.
+
+One pose-problem iterate builds each intermediate once: the state at x
+keeps sigmoid(u), which gives theta and dtheta/du, and the FK, whose
+positions, rotations and running products `fk_jacobian` reuses.
 
 The silhouette term is differentiated with the sampling structure frozen:
 nearest-neighbour pairings, the allocation of samples to outline pieces, and
@@ -48,6 +57,7 @@ discrete choices are locally constant.
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +67,7 @@ from ..camera import (
     CIRCLE,
     SEG_HI,
     SEG_LO,
+    CameraStack,
     project_points,
     silhouette_structure,
     stadium_geometry,
@@ -72,7 +83,9 @@ ANGLE_MARGIN = 1e-4
 
 
 class BoundedAngles:
-    """theta = lo + (hi - lo) * sigmoid(u); zero-range DOFs pin theta = lo."""
+    """theta = lo + (hi - lo) * sigmoid(u); zero-range DOFs pin theta = lo.
+    The `_at` forms take s = sigmoid(u), so one sigmoid serves both theta
+    and its derivative."""
 
     def __init__(self, skeleton):
         self.lo = skeleton.theta_min.copy()
@@ -80,16 +93,32 @@ class BoundedAngles:
         self.active = self.span > 0.0
 
     def theta(self, u):
-        return self.lo + self.span * sigmoid(u)
+        return self.theta_at(sigmoid(u))
 
     def dtheta_du(self, u):
-        s = sigmoid(u)
+        return self.slope_at(sigmoid(u))
+
+    def theta_at(self, s):
+        return self.lo + self.span * s
+
+    def slope_at(self, s):
         return self.span * s * (1.0 - s)
 
     def u_from_theta(self, theta):
         safe = np.where(self.active, self.span, 1.0)
         frac = np.clip((theta - self.lo) / safe, ANGLE_MARGIN, 1.0 - ANGLE_MARGIN)
         return np.where(self.active, np.log(frac / (1.0 - frac)), 0.0)
+
+
+class _Frames(NamedTuple):
+    """The natural parameters of x as the sequence pose `fk_frames` and
+    `fk_jacobian` read. The pose problem builds these arrays itself from an
+    x it has checked finite, so a `SkeletalPose`'s checks would only repeat
+    that check."""
+
+    theta: np.ndarray
+    root_rot: np.ndarray
+    root_trans: np.ndarray
 
 
 @dataclass
@@ -121,13 +150,98 @@ def _band_layout(n_frames, p):
     return diag_src, diag_dst, off_dst
 
 
-class BlockJacobian:
-    """A Jacobian of shape (n_rows, n_frames * p) held as dense row blocks.
+def _diagonals(blocks):
+    """The (k, p) view of the diagonals of k contiguous (p, p) blocks."""
+    p = blocks.shape[-1]
+    return blocks.reshape(-1, p * p)[:, ::p + 1]
 
-    Blocks are added in stacks (k, m, w): block i covers the m rows from
-    row0 + i * m and the columns of frame frames[i] (w = p) or of frames[i]
-    and frames[i] + 1 (w = 2p). The start frames of one stack are distinct.
-    Everything outside the blocks is zero.
+
+class _DenseStack:
+    """Dense blocks (V, k, m, w) from row0, one stack of k per view: block
+    (v, i) covers the m rows from row0 + (v * k + i) * m and the columns of
+    frame frames[i] (w = p) or of frames[i] and frames[i] + 1 (w = 2p).
+    `frames` is an index array of distinct frames, or a slice."""
+
+    def __init__(self, row0, frames, blocks):
+        self.row0, self.frames, self.blocks = row0, frames, blocks
+        self.end = row0 + blocks[..., 0].size
+
+    def add_normal(self, r, diag, off, grad):
+        """Add this stack's J^T J and J^T r, view by view; one batched matmul
+        each covers every view."""
+        frames, p = self.frames, grad.shape[1]
+        v, k, m, w = self.blocks.shape
+        bt = self.blocks.swapaxes(-1, -2)
+        btb = bt @ self.blocks
+        btr = (bt @ r[self.row0:self.end].reshape(v, k, m, 1))[..., 0]
+        for view_btb, view_btr in zip(btb, btr):
+            diag[frames] += view_btb[:, :p, :p]
+            grad[frames] += view_btr[:, :p]
+            if w == 2 * p:
+                diag[frames + 1] += view_btb[:, p:, p:]
+                off[frames] += view_btb[:, :p, p:]
+                grad[frames + 1] += view_btr[:, p:]
+
+    def scaled(self, scale):
+        cols = scale[self.frames]
+        if self.blocks.shape[3] == 2 * scale.shape[1]:
+            cols = np.concatenate([cols, scale[self.frames + 1]], axis=1)
+        return _DenseStack(self.row0, self.frames, self.blocks * cols[:, None, :])
+
+    def fill(self, out, p):
+        v, k, m, w = self.blocks.shape
+        frames = np.arange(out.shape[1] // p)[self.frames]
+        for j, view in enumerate(self.blocks):
+            for i, f in enumerate(frames):
+                row = self.row0 + (j * k + i) * m
+                out[row:row + m, f * p:f * p + w] = view[i]
+
+
+class _DiagonalStack:
+    """Diagonal blocks from row0 over frames 0..k-1: block i covers the m
+    rows from row0 + i * m (m <= p), and row j holds left[i, j] in column j
+    of frame i and, with `right`, right[i, j] in column j of frame i + 1;
+    left and right are (k, m). Its J^T J and J^T r are elementwise products,
+    the only nonzero terms of the dense blocks' matmuls, added in their
+    order."""
+
+    def __init__(self, row0, left, right):
+        self.row0, self.left, self.right = row0, left, right
+        self.end = row0 + left.size
+
+    def add_normal(self, r, diag, off, grad):
+        k, m = self.left.shape
+        left, right = self.left, self.right
+        res = r[self.row0:self.end].reshape(k, m)
+        on_diag = _diagonals(diag)
+        on_diag[:k, :m] += left * left
+        grad[:k, :m] += left * res
+        if right is not None:
+            on_diag[1:k + 1, :m] += right * right
+            _diagonals(off)[:k, :m] += left * right
+            grad[1:k + 1, :m] += right * res
+
+    def scaled(self, scale):
+        k, m = self.left.shape
+        right = None if self.right is None else self.right * scale[1:k + 1, :m]
+        return _DiagonalStack(self.row0, self.left * scale[:k, :m], right)
+
+    def fill(self, out, p):
+        k, m = self.left.shape
+        rows = self.row0 + np.arange(k * m)
+        cols = (p * np.arange(k)[:, None] + np.arange(m)).ravel()
+        out[rows, cols] = self.left.ravel()
+        if self.right is not None:
+            out[rows, cols + p] = self.right.ravel()
+
+
+class BlockJacobian:
+    """A Jacobian of shape (n_rows, n_frames * p) held as row blocks.
+
+    Blocks come in stacks of three kinds: dense blocks at chosen frames
+    (`add`), one dense block per view and frame (`add_views`), and diagonal
+    blocks over consecutive frames (`add_diagonal`). Everything outside the
+    blocks is zero.
     """
 
     def __init__(self, n_rows, n_frames, p):
@@ -136,13 +250,29 @@ class BlockJacobian:
         self.p = p
         self._stacks = []
 
+    def _push(self, stack):
+        self._stacks.append(stack)
+        return stack.end
+
     def add(self, row0, frames, blocks):
-        """Add one block (m, w) at a frame, or a stack (k, m, w) at k frames;
-        returns the row after the last one added."""
+        """Add one block (m, w) at a frame, or a stack (k, m, w) at k distinct
+        frames: w = p covers the frame's columns, w = 2p also the next
+        frame's. Returns the row after the last one added."""
         frames = np.atleast_1d(frames)
-        blocks = blocks.reshape((frames.size,) + blocks.shape[-2:])
-        self._stacks.append((row0, frames, blocks))
-        return row0 + blocks.shape[0] * blocks.shape[1]
+        blocks = blocks.reshape((1, frames.size) + blocks.shape[-2:])
+        return self._push(_DenseStack(row0, frames, blocks))
+
+    def add_views(self, row0, blocks):
+        """Add blocks (V, T, m, p): view v's block t covers the m rows from
+        row0 + (v * T + t) * m and the columns of frame t. Returns the row
+        after the last one added."""
+        return self._push(_DenseStack(row0, slice(None), blocks))
+
+    def add_diagonal(self, row0, left, right=None):
+        """Add diagonal blocks over frames 0..k-1 (see `_DiagonalStack`):
+        left (k, m) on each frame's first m columns, and right (k, m) on the
+        next frame's. Returns the row after the last one added."""
+        return self._push(_DiagonalStack(row0, left, right))
 
     def normal_equations(self, r):
         """J^T J in upper banded storage (2p, n_frames * p), as
@@ -151,17 +281,8 @@ class BlockJacobian:
         diag = np.zeros((t, p, p))
         off = np.zeros((max(t - 1, 0), p, p))
         grad = np.zeros((t, p))
-        for row0, frames, blocks in self._stacks:
-            k, m, w = blocks.shape
-            bt = blocks.transpose(0, 2, 1)
-            btb = bt @ blocks
-            btr = (bt @ r[row0:row0 + k * m].reshape(k, m, 1))[..., 0]
-            diag[frames] += btb[:, :p, :p]
-            grad[frames] += btr[:, :p]
-            if w == 2 * p:
-                diag[frames + 1] += btb[:, p:, p:]
-                off[frames] += btb[:, :p, p:]
-                grad[frames + 1] += btr[:, p:]
+        for stack in self._stacks:
+            stack.add_normal(r, diag, off, grad)
         diag_src, diag_dst, off_dst = _band_layout(t, p)
         band = np.zeros((2 * p, t * p))
         band.ravel()[diag_dst] = diag.ravel()[diag_src]
@@ -171,19 +292,13 @@ class BlockJacobian:
     def scale_columns(self, scale):
         """Multiply the columns of frame f by scale[f] (n_frames, p): the
         chain rule for parameters that are elementwise functions of x."""
-        for i, (row0, frames, blocks) in enumerate(self._stacks):
-            cols = scale[frames]
-            if blocks.shape[2] == 2 * self.p:
-                cols = np.concatenate([cols, scale[frames + 1]], axis=1)
-            self._stacks[i] = (row0, frames, blocks * cols[:, None, :])
+        self._stacks = [stack.scaled(scale) for stack in self._stacks]
         return self
 
     def toarray(self):
         out = np.zeros(self.shape)
-        for row0, frames, blocks in self._stacks:
-            k, m, w = blocks.shape
-            for i, f in enumerate(frames):
-                out[row0 + i * m:row0 + (i + 1) * m, f * self.p:f * self.p + w] = blocks[i]
+        for stack in self._stacks:
+            stack.fill(out, self.p)
         return out
 
     def __array__(self, dtype=None, copy=None):
@@ -200,69 +315,69 @@ class BlockJacobian:
 
 
 class Reprojection:
-    """E_2D of one view: weighted pixel errors (T, n, 2) of every joint.
+    """E_2D of every view: weighted pixel errors (V, T, n, 2), view by view.
 
-    A joint below the confidence gate has weight 0; the others in frame t
-    share sqrt(lambda_2d * view.weight / (T * count_t)). A joint at or
-    behind the camera gets zero rows, residual and Jacobian alike.
+    A joint below the confidence gate has weight 0; the others in frame t of
+    view v share sqrt(lambda_2d * views[v].weight / (T * count_vt)). A joint
+    at or behind a camera gets zero rows in that view, residual and Jacobian
+    alike. One projection pass and one projection-Jacobian pass cover every
+    view and frame (`CameraStack`).
     """
 
-    def __init__(self, view, weights):
-        gate = view.obs.conf >= weights.conf_threshold
-        count = np.maximum(gate.sum(axis=1, keepdims=True), 1)
-        share = weights.lambda_2d * view.weight / (gate.shape[0] * count)
+    def __init__(self, views, weights):
+        gate = np.stack([v.obs.conf for v in views]) >= weights.conf_threshold
+        count = np.maximum(gate.sum(axis=2, keepdims=True), 1)
+        view_weight = np.array([v.weight for v in views])[:, None, None]
+        share = weights.lambda_2d * view_weight / (gate.shape[1] * count)
         self.weight = np.where(gate, np.sqrt(share), 0.0)
-        self.camera = view.camera
-        self.targets = view.obs.keypoints
+        self.cameras = CameraStack([v.camera for v in views])
+        self.targets = np.stack([v.obs.keypoints for v in views])
         self.rows = 2 * self.weight.size
 
     def residuals(self, state):
-        uv, _, valid = project_points(self.camera, state["pos"])
+        uv, _, valid = project_points(self.cameras, state["pos"])
         diff = (uv - self.targets) * self.weight[..., None]
         diff[~valid] = 0.0
         return diff.ravel()
 
     def jacobian(self, state, jac, row0):
-        duv, _, _ = projection_jacobian(self.camera, state["pos"])
+        duv, _, _ = projection_jacobian(self.cameras, state["pos"])
         blocks = self.weight[..., None, None] * (duv @ state["jpos"])
-        n_frames = blocks.shape[0]
-        return jac.add(row0, np.arange(n_frames), blocks.reshape(n_frames, -1, jac.p))
+        return jac.add_views(row0, blocks.reshape(blocks.shape[:2] + (-1, jac.p)))
 
 
 class Anchor:
-    """E_3D: the leading k parameters of every frame minus targets (T, k)."""
+    """E_3D: the leading k parameters of every frame minus targets (T, k).
+    Its Jacobian is the identity on those columns, a diagonal stack."""
 
-    def __init__(self, targets, p):
+    def __init__(self, targets):
         self.targets = targets
         self.rows = targets.size
-        n_frames, k = targets.shape
-        self.block = np.zeros((n_frames, k, p))
-        self.block[:, np.arange(k), np.arange(k)] = 1.0
+        self.ones = np.ones(targets.shape)
 
     def residuals(self, state):
         return (state["params"][:, :self.targets.shape[1]] - self.targets).ravel()
 
     def jacobian(self, state, jac, row0):
-        return jac.add(row0, np.arange(self.block.shape[0]), self.block)
+        return jac.add_diagonal(row0, self.ones)
 
 
 class Temporal:
     """E_T: sqrt(lambda_t) times the change of every parameter from each
-    frame to the next, (T - 1, P) rows."""
+    frame to the next, (T - 1, P) rows. Its Jacobian is [-s I | s I] on each
+    pair of frames, a diagonal stack."""
 
     def __init__(self, lambda_t, n_frames, p):
         self.scale = np.sqrt(lambda_t)
         self.rows = (n_frames - 1) * p
-        diag = np.arange(p)
-        self.block = np.zeros((n_frames - 1, p, 2 * p))
-        self.block[:, diag, diag] = -self.scale
-        self.block[:, diag, p + diag] = self.scale
+        self.right = np.full((n_frames - 1, p), self.scale)
+        self.left = -self.right
 
     def residuals(self, state):
         return (self.scale * np.diff(state["params"], axis=0)).ravel()
 
     def jacobian(self, state, jac, row0):
-        return jac.add(row0, np.arange(self.block.shape[0]), self.block)
+        return jac.add_diagonal(row0, self.left, self.right)
 
 
 class Silhouette:
@@ -419,10 +534,11 @@ def _jacobian(terms, state, jac):
 class PoseProblem:
     """Full-pose sequence refinement: E_2D + E_3D + E_T + E_S as residuals.
 
-    Every view adds a reprojection term. `anchor`, angles and root rotations
-    (T, D) and (T, 3), adds E_3D towards them; E_T joins whenever T >= 2.
-    With a capsule `body` and lambda_s > 0, each view whose record holds
-    outline points adds a silhouette term seen through that view's camera.
+    The views share one reprojection term, their rows view by view.
+    `anchor`, angles and root rotations (T, D) and (T, 3), adds E_3D towards
+    them; E_T joins whenever T >= 2. With a capsule `body` and lambda_s > 0,
+    each view whose record holds outline points adds a silhouette term seen
+    through that view's camera. A non-finite x raises InvalidInputError.
     """
 
     def __init__(self, skeleton, views, weights, *, anchor=None, body=None, n_sil=96):
@@ -438,9 +554,9 @@ class PoseProblem:
         self.D = skeleton.total_dof
         self.Pf = self.D + 6
 
-        self.terms = [Reprojection(v, weights) for v in views]
+        self.terms = [Reprojection(views, weights)] if views else []
         if anchor is not None:
-            self.terms.append(Anchor(np.concatenate(anchor, axis=1), self.Pf))
+            self.terms.append(Anchor(np.concatenate(anchor, axis=1)))
         if self.T >= 2:
             self.terms.append(Temporal(weights.lambda_t, self.T, self.Pf))
         if body is not None and weights.lambda_s > 0.0:
@@ -461,15 +577,20 @@ class PoseProblem:
 
     def _state(self, x):
         """The terms' state at x, kept until x changes, so the Jacobian that
-        follows the residuals at the same x reuses their FK (`fk_jacobian`
-        takes its positions and rotations) and silhouette."""
+        follows the residuals at the same x reuses what they built: the
+        angles' sigmoid, FK (`fk_jacobian` takes its positions, rotations and
+        running products) and the silhouette."""
         key = x.tobytes()
         if self._cache[0] != key:
-            frames = SkeletalPose(*self.unpack(x))
+            if not np.isfinite(x).all():
+                raise InvalidInputError("pose entries must be finite")
+            xt = x.reshape(self.T, self.Pf)
+            d = self.D
+            s = sigmoid(xt[:, :d])
+            frames = _Frames(self.bounds.theta_at(s), xt[:, d:d + 3], xt[:, d + 3:])
             fk = fk_frames(self.skeleton, frames)
-            state = {"frames": frames, "fk": fk, "pos": fk[0],
-                     "params": np.concatenate(
-                         [frames.theta, frames.root_rot, frames.root_trans], axis=1)}
+            state = {"frames": frames, "fk": fk, "pos": fk[0], "sigmoid": s,
+                     "params": np.concatenate(frames, axis=1)}
             self._cache = (key, state)
         return self._cache[1]
 
@@ -481,9 +602,8 @@ class PoseProblem:
         if "jpos" not in state:
             state["jpos"] = fk_jacobian(self.skeleton, state["frames"], state["fk"])
         jac = _jacobian(self.terms, state, BlockJacobian(self.n_rows, self.T, self.Pf))
-        u = x.reshape(self.T, self.Pf)[:, :self.D]
-        return jac.scale_columns(
-            np.concatenate([self.bounds.dtheta_du(u), np.ones((self.T, 6))], axis=1))
+        return jac.scale_columns(np.concatenate(
+            [self.bounds.slope_at(state["sigmoid"]), np.ones((self.T, 6))], axis=1))
 
 
 class TranslationProblem:
@@ -499,7 +619,7 @@ class TranslationProblem:
         self.base = fk_frames(skeleton, zeroed)[0]
         self.views = [View(camera, obs)]
         self.weights = weights
-        self.terms = [Reprojection(self.views[0], weights)]
+        self.terms = [Reprojection(self.views, weights)]
         if self.T >= 2:
             self.terms.append(Temporal(weights.lambda_t, self.T, 3))
         self.n_rows = sum(term.rows for term in self.terms)

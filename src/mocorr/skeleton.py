@@ -294,18 +294,30 @@ def frames_first(a):
     return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
+class Kinematics(tuple):
+    """What `fk_frames` returns: the pair (positions, rotations), which
+    unpacks and indexes as a tuple, and as `products` the angles' running
+    products that the tree walk built (`angle_products` of the pose as a
+    sequence), which `fk_jacobian` reuses."""
+
+    def __new__(cls, pos, rot, products):
+        self = super().__new__(cls, (pos, rot))
+        self.products = products
+        return self
+
+
 def fk_frames(skeleton, pose):
-    """World positions and world rotations of every joint.
+    """World positions and world rotations of every joint, as `Kinematics`.
 
     One pose gives (n, 3) and (n, 3, 3); a sequence gives (T, n, 3) and
     (T, n, 3, 3). A single pose runs as a sequence of one.
     """
     _check_dims(skeleton, pose)
     seq = as_sequence(pose)
-    pos, rot, _ = fk_chain(skeleton, seq)
+    pos, rot, products = fk_chain(skeleton, seq)
     if seq is pose:
-        return frames_first(pos), frames_first(rot)
-    return pos[:, 0], rot[:, 0]
+        return Kinematics(frames_first(pos), frames_first(rot), products)
+    return Kinematics(pos[:, 0], rot[:, 0], products)
 
 
 def forward_kinematics(skeleton, pose):

@@ -27,8 +27,13 @@ the batched kinematics must reproduce bit for bit, zero signs included. So
 are the looped `canonicalize`, the boolean-mask `from_rotvec` and root-
 rotation derivative, and the FK Jacobian that ran forward kinematics itself
 (`fk_jacobian_own_fk`), which the one-pass, mask-free and FK-sharing
-versions must reproduce bit for bit.
+versions must reproduce bit for bit. So are the per-view reprojection term
+and the anchor and temporal terms with dense blocks
+(`terms_as_they_were`), which the all-views term and the diagonal stacks
+must reproduce bit for bit.
 """
+
+import copy
 
 import numpy as np
 import scipy.sparse as sp
@@ -991,6 +996,97 @@ class _SparseBuilder:
         )
 
 
+# --- the terms before one reprojection term covered every view -----------------
+#
+# Each view added its own reprojection term, projected on its own, and
+# the anchor and temporal terms added dense blocks (identity columns and
+# [-s I | s I]) to the Jacobian's dense stacks. `terms_as_they_were` puts
+# these back in a problem, in the same row order.
+
+
+class ReprojectionPerView:
+    """E_2D of one view: weighted pixel errors (T, n, 2) of every joint."""
+
+    def __init__(self, view, weights):
+        gate = view.obs.conf >= weights.conf_threshold
+        count = np.maximum(gate.sum(axis=1, keepdims=True), 1)
+        share = weights.lambda_2d * view.weight / (gate.shape[0] * count)
+        self.weight = np.where(gate, np.sqrt(share), 0.0)
+        self.camera = view.camera
+        self.targets = view.obs.keypoints
+        self.rows = 2 * self.weight.size
+
+    def residuals(self, state):
+        uv, _, valid = project_points(self.camera, state["pos"])
+        diff = (uv - self.targets) * self.weight[..., None]
+        diff[~valid] = 0.0
+        return diff.ravel()
+
+    def jacobian(self, state, jac, row0):
+        duv, _, _ = projection_jacobian(self.camera, state["pos"])
+        blocks = self.weight[..., None, None] * (duv @ state["jpos"])
+        n_frames = blocks.shape[0]
+        return jac.add(row0, np.arange(n_frames), blocks.reshape(n_frames, -1, jac.p))
+
+
+class AnchorDense:
+    """E_3D with its Jacobian as dense (k, p) identity-column blocks."""
+
+    def __init__(self, targets, p):
+        self.targets = targets
+        self.rows = targets.size
+        n_frames, k = targets.shape
+        self.block = np.zeros((n_frames, k, p))
+        self.block[:, np.arange(k), np.arange(k)] = 1.0
+
+    def residuals(self, state):
+        return (state["params"][:, :self.targets.shape[1]] - self.targets).ravel()
+
+    def jacobian(self, state, jac, row0):
+        return jac.add(row0, np.arange(self.block.shape[0]), self.block)
+
+
+class TemporalDense:
+    """E_T with its Jacobian as dense (p, 2p) [-s I | s I] blocks."""
+
+    def __init__(self, lambda_t, n_frames, p):
+        self.scale = np.sqrt(lambda_t)
+        self.rows = (n_frames - 1) * p
+        diag = np.arange(p)
+        self.block = np.zeros((n_frames - 1, p, 2 * p))
+        self.block[:, diag, diag] = -self.scale
+        self.block[:, diag, p + diag] = self.scale
+
+    def residuals(self, state):
+        return (self.scale * np.diff(state["params"], axis=0)).ravel()
+
+    def jacobian(self, state, jac, row0):
+        return jac.add(row0, np.arange(self.block.shape[0]), self.block)
+
+
+def terms_as_they_were(problem):
+    """The problem with one reprojection term per view and dense anchor and
+    temporal blocks in place of its all-views and diagonal terms; the other
+    terms are the problem's own, and the rows stay in the same order."""
+    old = copy.copy(problem)
+    if isinstance(problem, PoseProblem):
+        old._cache, p = (None, None), problem.Pf
+    else:
+        p = 3
+    old.terms = []
+    for term in problem.terms:
+        kind = type(term).__name__
+        if kind == "Reprojection":
+            old.terms += [ReprojectionPerView(view, problem.weights) for view in problem.views]
+        elif kind == "Anchor":
+            old.terms.append(AnchorDense(term.targets, p))
+        elif kind == "Temporal":
+            old.terms.append(TemporalDense(problem.weights.lambda_t, problem.T, p))
+        else:
+            old.terms.append(term)
+    return old
+
+
 # --- ragged per-frame builders: the two LM problems before the term layer -----
 #
 # Each view and frame got rows only for the joints that clear the confidence
@@ -1015,12 +1111,11 @@ def ragged_rows(problem):
     layout has, in the same order; False on the rows of gated-out joints and
     of outline padding."""
     keep = []
-    views = iter(problem.views)
     for term in problem.terms:
         kind = type(term).__name__
         if kind == "Reprojection":
-            gate = next(views).obs.conf >= problem.weights.conf_threshold
-            keep.append(np.repeat(gate.ravel(), 2))
+            keep += [np.repeat((view.obs.conf >= problem.weights.conf_threshold).ravel(), 2)
+                     for view in problem.views]
         elif kind == "Silhouette":
             real = np.repeat(~term.pad, 2, axis=1)
             keep.append(np.concatenate(

@@ -196,7 +196,7 @@ def test_energy_2d_equals_per_frame_oracle(seed):
     conf[-1] = rng.uniform(0.0, 0.79, skeleton.n_joints)
     obs = Observations(rng.uniform(0.0, 640.0, (n_frames, skeleton.n_joints, 2)), conf)
     assert not valid[0, far] and valid[0].any()
-    low_gate = Reprojection(View(camera, obs), EnergyWeights(conf_threshold=0.5))
+    low_gate = Reprojection([View(camera, obs)], EnergyWeights(conf_threshold=0.5))
     r = low_gate.residuals({"pos": fk_frames(skeleton, stack_poses(seq))[0]})
     for threshold, value in ((0.8, energy_2d(stack_poses(seq), obs, camera, skeleton)),
                              (0.5, float(r @ r))):

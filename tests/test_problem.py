@@ -27,6 +27,7 @@ from mocorr.optim.problem import (
     BlockJacobian,
     BoundedAngles,
     PoseProblem,
+    Reprojection,
     TranslationProblem,
     View,
 )
@@ -71,6 +72,8 @@ from oracles import (
     silhouette_point_jacobians_per_frame,
     silhouette_points,
     silhouette_structure_per_frame,
+    ReprojectionPerView,
+    terms_as_they_were,
     translation_jacobian_sparse,
     translation_residuals_ragged,
 )
@@ -225,7 +228,7 @@ def test_silhouette_terms_come_from_views_with_outlines(toy_skeleton):
     problem, _, net, views, weights = build_problem(rng, toy_skeleton)
     body, anchor = default_body(toy_skeleton), net_pose_targets(toy_skeleton, net)
     assert views[0].obs.sil_count.all() and not views[1].obs.sil_count.any()
-    kinds = ["Reprojection", "Reprojection", "Anchor", "Temporal"]
+    kinds = ["Reprojection", "Anchor", "Temporal"]
     assert [type(t).__name__ for t in problem.terms] == kinds + ["Silhouette"]
     assert problem.terms[-1].camera is views[0].camera
     for kwargs in ({}, {"body": None},
@@ -235,7 +238,7 @@ def test_silhouette_terms_come_from_views_with_outlines(toy_skeleton):
         assert [type(t).__name__ for t in bare.terms] == kinds
     both = [views[0], View(views[1].camera, views[0].obs, views[1].weight)]
     two = PoseProblem(toy_skeleton, both, weights, anchor=anchor, body=body, n_sil=16)
-    assert [term.camera for term in two.terms[4:]] == [views[0].camera, views[1].camera]
+    assert [term.camera for term in two.terms[3:]] == [views[0].camera, views[1].camera]
 
 
 def test_empty_problem_rejected(toy_skeleton):
@@ -332,8 +335,9 @@ def test_batched_fk_equals_per_frame_oracle(seed, n_frames, fixed_share):
     fixed = {i for i in range(1, skeleton.n_joints) if rng.uniform() < fixed_share}
     skeleton = _strip_dofs(skeleton, fixed)
     seq = [random_pose(rng, skeleton) for _ in range(n_frames)]
-    pos, rot = fk_frames(skeleton, stack_poses(seq))
-    jac = fk_jacobian(skeleton, stack_poses(seq), (pos, rot))
+    fk = fk_frames(skeleton, stack_poses(seq))
+    pos, rot = fk
+    jac = fk_jacobian(skeleton, stack_poses(seq), fk)
     n = skeleton.n_joints
     assert pos.shape == (n_frames, n, 3) and rot.shape == (n_frames, n, 3, 3)
     assert jac.shape == (n_frames, n, 3, skeleton.total_dof + 6)
@@ -343,9 +347,10 @@ def test_batched_fk_equals_per_frame_oracle(seed, n_frames, fixed_share):
         assert np.array_equal(pos[t], ref_pos) and np.array_equal(rot[t], ref_rot)
         assert np.array_equal(jac[t], ref_jac)
         # a single pose keeps its unbatched shapes and the same values
-        one_pos, one_rot = fk_frames(skeleton, pose)
+        one = fk_frames(skeleton, pose)
+        one_pos, one_rot = one
         assert np.array_equal(one_pos, ref_pos) and np.array_equal(one_rot, ref_rot)
-        assert np.array_equal(fk_jacobian(skeleton, pose, (one_pos, one_rot)), ref_jac)
+        assert np.array_equal(fk_jacobian(skeleton, pose, one), ref_jac)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 6),
@@ -381,8 +386,9 @@ def test_long_sequence_kinematics_equal_per_frame_oracles(n_frames, tree):
         skeleton = _strip_dofs(make_random_skeleton(rng, n_joints=16), {2, 5, 6, 11})
     poses = [random_pose(rng, skeleton) for _ in range(n_frames)]
     seq = stack_poses(poses)
-    pos, rot = fk_frames(skeleton, seq)
-    jac = fk_jacobian(skeleton, seq, (pos, rot))
+    fk = fk_frames(skeleton, seq)
+    pos, rot = fk
+    jac = fk_jacobian(skeleton, seq, fk)
     quats = pose_to_quat(skeleton, seq).quats
     assert quats.shape == (n_frames, skeleton.n_joints, 4)
     for t, pose in enumerate(poses):
@@ -508,7 +514,7 @@ def test_joint_behind_camera_has_zero_rows_in_both_problems(toy_skeleton):
     x_trans = trans.pack(np.stack([p.root_trans for p in seq]))
     for problem, x, step in ((pose, x_pose, 1e-6), (trans, x_trans, 1e-7)):
         reprojection = problem.terms[0]
-        assert np.all(reprojection.weight[behind] > 0.0)
+        assert np.all(reprojection.weight[0][behind] > 0.0)
         rows = np.repeat(behind.ravel(), 2)  # the term's (T, n, 2) rows, first
         r = problem.residuals(x)
         jac = problem.jacobian(x).toarray()
@@ -574,6 +580,46 @@ def test_one_forward_kinematics_pass_per_iterate(toy_skeleton, monkeypatch):
     assert len(walks) == 2
     assert np.array_equal(jac.toarray(), alone.toarray())
     assert np.array_equal(problem.residuals(x), fresh.residuals(x)) and len(walks) == 2
+
+
+def test_residuals_then_jacobian_build_the_angle_products_once(toy_skeleton, monkeypatch):
+    """The Jacobian reuses the running products that the residuals' FK
+    built, so one iterate builds each joint's axis rotations once."""
+    import mocorr.optim.kinematics as kinematics_module
+    import mocorr.skeleton as skeleton_module
+
+    problem, seq, *_ = build_problem(np.random.default_rng(58), toy_skeleton)
+    stacked = stack_poses(seq)
+    x = problem.pack(stacked.theta, stacked.root_rot, stacked.root_trans)
+    calls = []
+    angle_products_real = skeleton_module.angle_products
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return angle_products_real(*args, **kwargs)
+
+    # wherever the kinematics could look the products up
+    for module in (skeleton_module, kinematics_module):
+        monkeypatch.setattr(module, "angle_products", counting, raising=False)
+    problem.residuals(x)
+    problem.jacobian(x)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["angle", "root_rot", "root_trans"])
+def test_non_finite_x_is_refused(toy_skeleton, column, value):
+    """A NaN or inf anywhere in x raises InvalidInputError, from the
+    residuals and from a Jacobian with no residuals before it; an infinite
+    angle parameter would otherwise map to a finite angle at its limit."""
+    problem, seq, *_ = build_problem(np.random.default_rng(59), toy_skeleton)
+    stacked = stack_poses(seq)
+    x = problem.pack(stacked.theta, stacked.root_rot, stacked.root_trans)
+    col = {"angle": 0, "root_rot": problem.D, "root_trans": problem.D + 3}[column]
+    x.reshape(problem.T, problem.Pf)[-1, col] = value
+    for evaluate in (problem.residuals, problem.jacobian):
+        with pytest.raises(InvalidInputError, match="finite"):
+            evaluate(x)
 
 
 # --- silhouette term -----------------------------------------------------------
@@ -791,8 +837,7 @@ def test_outlines_of_different_lengths_are_padded(toy_skeleton):
                      np.stack([p.root_trans for p in seq]))
     r = problem.residuals(x)
     padded = ~ragged_rows(problem)
-    assert padded.sum() == 2 * (problem.terms[0].weight == 0.0).sum() + \
-        2 * (problem.terms[1].weight == 0.0).sum() + 2 * 6
+    assert padded.sum() == 2 * (problem.terms[0].weight == 0.0).sum() + 2 * 6
     assert np.all(r[padded] == 0.0)
     analytic = problem.jacobian(x).toarray()
     assert np.all(analytic[padded] == 0.0)
@@ -862,6 +907,104 @@ def test_banded_solve_raises_on_an_illegal_lapack_argument(monkeypatch):
     monkeypatch.setattr(lm_module, "dpbsv", lambda *args, **kwargs: (None, None, -3))
     with pytest.raises(ValueError, match="argument 3"):
         _solve_normal_equations(band, np.ones(2), 1e-3, True)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def normal_equations_of(terms, state, rows, n_frames, p, scale):
+    """Residuals, the column-scaled BlockJacobian and its normal equations
+    of the terms at a state, rows in term order."""
+    r = np.concatenate([term.residuals(state) for term in terms])
+    jac = BlockJacobian(rows, n_frames, p)
+    row = 0
+    for term in terms:
+        row = term.jacobian(state, jac, row)
+    assert row == rows == r.size
+    jac.scale_columns(scale)
+    return r, jac, jac.normal_equations(r)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_views=st.integers(1, 4),
+       n_frames=st.sampled_from([1, 2, 3, 4, 5, 120]))
+@settings(max_examples=40, deadline=None)
+def test_all_views_term_equals_per_view_terms_bit_for_bit(seed, n_views, n_frames):
+    """One reprojection term over V distinct cameras gives bit for bit what
+    one term per view gives, in view order: residuals, toarray(), and the
+    band and grad of the normal equations, with the columns scaled as the
+    pose problem scales them. Every case has gated joints, a frame of one
+    view with no joint through the gate, and a joint behind the first
+    camera only."""
+    rng = np.random.default_rng(seed)
+    n, p = 6, 11
+    angles = rng.uniform(0.0, 2.0 * np.pi) + 0.5 * np.pi * np.arange(n_views)
+    cameras = [look_at(3.0 * np.array([np.sin(a), 0.4, np.cos(a)]), np.zeros(3),
+                       *rng.uniform(300.0, 600.0, 2), 320.0, 240.0) for a in angles]
+    pos = rng.uniform(-0.5, 0.5, (n_frames, n, 3))
+    t, j = rng.integers(n_frames), rng.integers(n)
+    centre = -cameras[0].rotation.T @ cameras[0].translation
+    pos[t, j] = 1.1 * centre
+    views = []
+    for camera in cameras:
+        conf = rng.uniform(0.3, 1.0, (n_frames, n))
+        conf[rng.integers(n_frames)] = 0.5
+        views.append(View(camera, Observations(rng.uniform(0.0, 640.0, (n_frames, n, 2)),
+                                               conf), rng.uniform(0.2, 1.0)))
+    visible = [project_points(camera, pos)[2] for camera in cameras]
+    assert not visible[0][t, j] and all(v[t, j] for v in visible[1:])
+    weights = EnergyWeights(lambda_2d=rng.uniform(0.5, 2.0))
+    state = {"pos": pos, "jpos": rng.normal(size=(n_frames, n, 3, p))}
+    scale = rng.uniform(0.1, 2.0, (n_frames, p))
+    rows = 2 * n_views * n_frames * n
+    new = normal_equations_of([Reprojection(views, weights)], state, rows, n_frames, p,
+                              scale)
+    old = normal_equations_of([ReprojectionPerView(v, weights) for v in views], state,
+                              rows, n_frames, p, scale)
+    assert_same_bits(new[0], old[0])
+    assert_same_bits(new[1].toarray(), old[1].toarray())
+    for a, b in zip(new[2], old[2]):
+        assert_same_bits(a, b)
+
+
+def anchored_problems(n_frames, lambda_t):
+    """A two-view anchored pose problem and a translation problem over
+    n_frames frames, each with a point to evaluate."""
+    rng = np.random.default_rng(n_frames)
+    skeleton = make_toy_skeleton()
+    seq = [random_pose(rng, skeleton, margin=0.25, trans_scale=0.15)
+           for _ in range(n_frames)]
+    views = [View(make_camera(a), observed_frames(rng, skeleton, make_camera(a), seq), w)
+             for a, w in ((0.0, 0.6), (2.0, 0.4))]
+    weights = EnergyWeights(lambda_2d=1.3, lambda_t=lambda_t)
+    targets = seq_to_net(skeleton, [random_pose(rng, skeleton) for _ in range(n_frames)])
+    pose = PoseProblem(skeleton, views, weights, anchor=net_pose_targets(skeleton, targets))
+    x = pose.pack(*fixed_angles(seq), np.stack([p.root_trans for p in seq]))
+    trans = TranslationProblem(skeleton, views[0].camera, views[0].obs, weights,
+                               *fixed_angles(seq))
+    x_trans = trans.pack(np.stack([p.root_trans for p in seq]))
+    return ((pose, x + rng.normal(0.0, 0.05, x.shape)),
+            (trans, x_trans + rng.normal(0.0, 0.05, x_trans.shape)))
+
+
+@pytest.mark.parametrize("n_frames, lambda_t", [(2, 5.0), (8, 5.0), (120, 20.0), (8, 0.0)])
+def test_diagonal_stacks_equal_dense_blocks_bit_for_bit(n_frames, lambda_t):
+    """The anchor's and temporal term's diagonal stacks give bit for bit the
+    normal equations, expanded Jacobian and nonzero count of their former
+    dense blocks (with one reprojection term per view), in both problems."""
+    for problem, x in anchored_problems(n_frames, lambda_t):
+        kinds = [type(term).__name__ for term in problem.terms]
+        assert "Temporal" in kinds
+        old = terms_as_they_were(problem)
+        r, r_old = problem.residuals(x), old.residuals(x)
+        assert_same_bits(r, r_old)
+        jac, jac_old = problem.jacobian(x), old.jacobian(x)
+        assert_same_bits(jac.toarray(), jac_old.toarray())
+        assert np.count_nonzero(jac) == np.count_nonzero(jac_old)
+        for a, b in zip(jac.normal_equations(r), jac_old.normal_equations(r_old)):
+            assert_same_bits(a, b)
 
 
 def test_banded_solve_returns_none_when_not_positive_definite():

@@ -267,3 +267,19 @@ def test_angle_products_equal_composed_axis_rotations(seed):
         ref = np.broadcast_to(local_rotation(skeleton, i, seq), got.shape)
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_fk_frames_is_a_pair_that_keeps_the_running_products(rng):
+    """fk_frames unpacks and indexes as (positions, rotations), and carries
+    the angles' running products of the pose as a sequence, bit for bit
+    what angle_products builds, for one pose and for a sequence alike."""
+    skeleton = default_skeleton()
+    poses = [random_pose(rng, skeleton) for _ in range(3)]
+    seq = SkeletalPose(*(np.stack([getattr(p, part) for p in poses])
+                         for part in ("theta", "root_rot", "root_trans")))
+    for pose, theta in ((seq, seq.theta), (poses[0], poses[0].theta[None])):
+        fk = fk_frames(skeleton, pose)
+        pos, rot = fk
+        assert len(fk) == 2 and fk[0] is pos and fk[1] is rot
+        assert pos.shape == theta.shape[:1] * (pose is seq) + (skeleton.n_joints, 3)
+        assert np.array_equal(fk.products, angle_products(skeleton, theta))
