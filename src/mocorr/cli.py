@@ -95,7 +95,6 @@ def _out_path(args, name):
 
 def _cmd_synth(args):
     cfg = _load_config(args)
-    cfg.validate()
     scene = synth_generate(cfg.scene)
     os.makedirs(args.out, exist_ok=True)
     write_scene(scene, args.out)

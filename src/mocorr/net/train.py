@@ -168,7 +168,8 @@ def train(dataset, unpaired, skeleton, cfg):
     if cfg.adversarial and not unpaired:
         raise InvalidInputError("adversarial training needs unpaired reference motions")
     n = skeleton.n_joints
-    for motion, _ in dataset:
+    reals = unpaired if cfg.adversarial else []
+    for motion in [noisy for noisy, _ in dataset] + reals:
         if motion.n_joints != n:
             raise InvalidInputError("motion joint count does not match the skeleton")
     streams = np.random.SeedSequence(cfg.seed).spawn(5)
@@ -185,7 +186,7 @@ def train(dataset, unpaired, skeleton, cfg):
     adam_gen = Adam(gen.layers(), LR_GEN, BETA1, BETA2, EPS)
     adam_disc = Adam(disc.layers(), LR_DISC, BETA1, BETA2, EPS)
 
-    inputs, targets, references = make_windows(dataset, unpaired if cfg.adversarial else [], cfg)
+    inputs, targets, references = make_windows(dataset, reals, cfg)
     boundary = cfg.decay_boundary()
     history = {"loss_sv": [], "loss_adv": [], "loss_disc": []}
     for epoch in range(1, cfg.epochs + 1):

@@ -30,16 +30,16 @@ the zero-translation FK and their Jacobian is the identity, so it is the
 same reprojection and temporal terms over other parameters.
 
 Frames couple only through the temporal term, so both problems return their
-Jacobian as a `BlockJacobian`: row blocks, each on one frame's P columns
-(reprojection, anchor, silhouette) or on that frame's and the next's
-(temporal). Reprojection and silhouette blocks are dense; the reprojection
-term's (V, T) blocks form one stack, whose J^T J is one batched matmul. The
-anchor's identity columns and the temporal term's [-s I | s I] are diagonal
-stacks, whose J^T J takes elementwise products in O(P) per frame. J^T J is
-then block-tridiagonal, and `BlockJacobian.normal_equations` forms it in
-symmetric banded storage, with J^T r, straight from the blocks, for the
-solver's banded Cholesky. Where that factorization fails (the damped system
-is not numerically positive definite, as the rank-deficient monocular
+Jacobian as a `BlockJacobian` of two stack kinds. Dense stacks hold
+(V, k, m, P) blocks, each on one frame's P columns: the reprojection term's
+(V, T) blocks and the silhouette term's blocks at its outline frames. Their
+J^T J is one batched matmul. Diagonal stacks hold the anchor's identity
+columns and the temporal term's [-s I | s I] on each pair of frames, the one
+coupling across frames; their J^T J takes elementwise products in O(P) per
+frame. J^T J is then block-tridiagonal, and `BlockJacobian.normal_equations`
+forms it in symmetric banded storage, with J^T r, straight from the blocks,
+for the solver's banded Cholesky. Where that factorization fails (the damped
+system is not numerically positive definite, as the rank-deficient monocular
 problem can be at low damping), the solver treats the step as rejected and
 raises the damping.
 
@@ -84,19 +84,13 @@ ANGLE_MARGIN = 1e-4
 
 class BoundedAngles:
     """theta = lo + (hi - lo) * sigmoid(u); zero-range DOFs pin theta = lo.
-    The `_at` forms take s = sigmoid(u), so one sigmoid serves both theta
-    and its derivative."""
+    Both forms take s = sigmoid(u), so one sigmoid serves theta and its
+    derivative dtheta/du."""
 
     def __init__(self, skeleton):
         self.lo = skeleton.theta_min.copy()
         self.span = skeleton.theta_max - skeleton.theta_min
         self.active = self.span > 0.0
-
-    def theta(self, u):
-        return self.theta_at(sigmoid(u))
-
-    def dtheta_du(self, u):
-        return self.slope_at(sigmoid(u))
 
     def theta_at(self, s):
         return self.lo + self.span * s
@@ -157,10 +151,10 @@ def _diagonals(blocks):
 
 
 class _DenseStack:
-    """Dense blocks (V, k, m, w) from row0, one stack of k per view: block
+    """Dense blocks (V, k, m, p) from row0, one stack of k per view: block
     (v, i) covers the m rows from row0 + (v * k + i) * m and the columns of
-    frame frames[i] (w = p) or of frames[i] and frames[i] + 1 (w = 2p).
-    `frames` is an index array of distinct frames, or a slice."""
+    frame frames[i]. `frames` is an index array of distinct frames, or a
+    slice."""
 
     def __init__(self, row0, frames, blocks):
         self.row0, self.frames, self.blocks = row0, frames, blocks
@@ -169,32 +163,25 @@ class _DenseStack:
     def add_normal(self, r, diag, off, grad):
         """Add this stack's J^T J and J^T r, view by view; one batched matmul
         each covers every view."""
-        frames, p = self.frames, grad.shape[1]
-        v, k, m, w = self.blocks.shape
+        v, k, m, _ = self.blocks.shape
         bt = self.blocks.swapaxes(-1, -2)
         btb = bt @ self.blocks
         btr = (bt @ r[self.row0:self.end].reshape(v, k, m, 1))[..., 0]
         for view_btb, view_btr in zip(btb, btr):
-            diag[frames] += view_btb[:, :p, :p]
-            grad[frames] += view_btr[:, :p]
-            if w == 2 * p:
-                diag[frames + 1] += view_btb[:, p:, p:]
-                off[frames] += view_btb[:, :p, p:]
-                grad[frames + 1] += view_btr[:, p:]
+            diag[self.frames] += view_btb
+            grad[self.frames] += view_btr
 
     def scaled(self, scale):
-        cols = scale[self.frames]
-        if self.blocks.shape[3] == 2 * scale.shape[1]:
-            cols = np.concatenate([cols, scale[self.frames + 1]], axis=1)
-        return _DenseStack(self.row0, self.frames, self.blocks * cols[:, None, :])
+        return _DenseStack(self.row0, self.frames,
+                           self.blocks * scale[self.frames][:, None, :])
 
     def fill(self, out, p):
-        v, k, m, w = self.blocks.shape
+        k, m = self.blocks.shape[1:3]
         frames = np.arange(out.shape[1] // p)[self.frames]
         for j, view in enumerate(self.blocks):
             for i, f in enumerate(frames):
                 row = self.row0 + (j * k + i) * m
-                out[row:row + m, f * p:f * p + w] = view[i]
+                out[row:row + m, f * p:(f + 1) * p] = view[i]
 
 
 class _DiagonalStack:
@@ -238,10 +225,9 @@ class _DiagonalStack:
 class BlockJacobian:
     """A Jacobian of shape (n_rows, n_frames * p) held as row blocks.
 
-    Blocks come in stacks of three kinds: dense blocks at chosen frames
-    (`add`), one dense block per view and frame (`add_views`), and diagonal
-    blocks over consecutive frames (`add_diagonal`). Everything outside the
-    blocks is zero.
+    Blocks come in stacks of two kinds: dense blocks per view at chosen
+    frames (`add`) and diagonal blocks over consecutive frames
+    (`add_diagonal`). Everything outside the blocks is zero.
     """
 
     def __init__(self, n_rows, n_frames, p):
@@ -255,18 +241,11 @@ class BlockJacobian:
         return stack.end
 
     def add(self, row0, frames, blocks):
-        """Add one block (m, w) at a frame, or a stack (k, m, w) at k distinct
-        frames: w = p covers the frame's columns, w = 2p also the next
-        frame's. Returns the row after the last one added."""
-        frames = np.atleast_1d(frames)
-        blocks = blocks.reshape((1, frames.size) + blocks.shape[-2:])
+        """Add blocks (V, k, m, p) at k distinct frames, an index array, or at
+        every frame (slice(None)): view v's block i covers the m rows from
+        row0 + (v * k + i) * m and the columns of frame frames[i]. Returns
+        the row after the last one added."""
         return self._push(_DenseStack(row0, frames, blocks))
-
-    def add_views(self, row0, blocks):
-        """Add blocks (V, T, m, p): view v's block t covers the m rows from
-        row0 + (v * T + t) * m and the columns of frame t. Returns the row
-        after the last one added."""
-        return self._push(_DenseStack(row0, slice(None), blocks))
 
     def add_diagonal(self, row0, left, right=None):
         """Add diagonal blocks over frames 0..k-1 (see `_DiagonalStack`):
@@ -343,7 +322,7 @@ class Reprojection:
     def jacobian(self, state, jac, row0):
         duv, _, _ = projection_jacobian(self.cameras, state["pos"])
         blocks = self.weight[..., None, None] * (duv @ state["jpos"])
-        return jac.add_views(row0, blocks.reshape(blocks.shape[:2] + (-1, jac.p)))
+        return jac.add(row0, slice(None), blocks.reshape(blocks.shape[:2] + (-1, jac.p)))
 
 
 class Anchor:
@@ -436,7 +415,7 @@ class Silhouette:
         k = np.arange(self.frames.size)[:, None]
         blocks = np.concatenate([self.w_obs[..., None, None] * dmodel[k, nn_obs],
                                  self.w_model * dmodel], axis=1)
-        return jac.add(row0, self.frames, blocks.reshape(k.size, -1, jac.p))
+        return jac.add(row0, self.frames, blocks.reshape(1, k.size, -1, jac.p))
 
     def point_jacobians(self, state):
         """d(model point)/d[theta, rv, tr] for every sampled outline point of
@@ -551,6 +530,8 @@ class PoseProblem:
         self.T = views[0].obs.n_frames if views else len(anchor[0])
         if any(v.obs.n_frames != self.T for v in views):
             raise InvalidInputError("all views must cover the same frames")
+        if any(v.obs.conf.shape[1] != skeleton.n_joints for v in views):
+            raise InvalidInputError("observations must hold one keypoint per skeleton joint")
         self.D = skeleton.total_dof
         self.Pf = self.D + 6
 
@@ -573,7 +554,7 @@ class PoseProblem:
         """Angles, root rotations and root translations of x, each (T, ·)."""
         xt = x.reshape(self.T, self.Pf)
         d = self.D
-        return self.bounds.theta(xt[:, :d]), xt[:, d:d + 3], xt[:, d + 3:]
+        return self.bounds.theta_at(sigmoid(xt[:, :d])), xt[:, d:d + 3], xt[:, d + 3:]
 
     def _state(self, x):
         """The terms' state at x, kept until x changes, so the Jacobian that
@@ -614,6 +595,8 @@ class TranslationProblem:
         self.T = obs.n_frames
         if len(theta) != self.T or len(root_rot) != self.T:
             raise InvalidInputError("need one fixed pose per frame")
+        if obs.conf.shape[1] != skeleton.n_joints:
+            raise InvalidInputError("observations must hold one keypoint per skeleton joint")
         zeroed = SkeletalPose(np.asarray(theta, dtype=float),
                               np.asarray(root_rot, dtype=float), np.zeros((self.T, 3)))
         self.base = fk_frames(skeleton, zeroed)[0]

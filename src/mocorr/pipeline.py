@@ -62,12 +62,6 @@ class PipelineConfig:
     weights: EnergyWeights = field(default_factory=EnergyWeights)
     lm: LMOptions = field(default_factory=LMOptions)
 
-    def validate(self):
-        try:
-            self.scene.validate()
-        except InvalidInputError as exc:
-            raise ConfigError(f"scene: {exc}") from exc
-
 
 def default_pipeline_config(seed=0):
     """Defaults with the seed threaded through every stage."""
@@ -165,7 +159,6 @@ def load_pipeline_config(path):
         else:
             raise ConfigError(f"unknown config field {key!r}")
     cfg = PipelineConfig(**kwargs)
-    cfg.validate()
     return apply_seed(cfg, cfg.seed)
 
 
@@ -250,7 +243,6 @@ def run_pipeline(cfg, out_dir, checkpoint=None, log=None):
     When `checkpoint` names an existing checkpoint file, training is skipped
     and the stored generator is used instead. Returns the report dict.
     """
-    cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
 
     def say(msg):

@@ -49,7 +49,7 @@ class SceneConfig:
     amplitude: float = 0.8
     sil_points: int = 96
 
-    def validate(self):
+    def __post_init__(self):
         if self.T < 2:
             raise InvalidInputError("scene needs T >= 2 frames")
         if self.V < 2:
@@ -180,7 +180,6 @@ def _marker_reference(rng_warp, rng_jitter, gt_motion, cfg):
 
 def synth_generate(cfg):
     """Build a fully synthetic scene. Same config (and seed) -> identical scene."""
-    cfg.validate()
     skeleton = default_skeleton()
     body = default_body(skeleton)
     children = np.random.SeedSequence(cfg.seed).spawn(4 + cfg.V)

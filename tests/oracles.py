@@ -53,6 +53,7 @@ from mocorr.motion import build_motion_map
 from mocorr.net.layers import GRU
 from mocorr.net.losses import loss_disc_grad
 from mocorr.net.model import CHANNELS_PER_JOINT, Generator
+from mocorr.numerics import sigmoid
 from mocorr.optim.kinematics import projection_jacobian
 from mocorr.optim.lm import (
     COST_TOL,
@@ -164,11 +165,6 @@ def chamfer_sq(a, b):
         best = min(float(np.sum((p - q) ** 2)) for q in b)
         total += best
     return total / len(a)
-
-
-def axis_matrix(axis, angle):
-    return Rotation.from_euler(AXES[axis].lower() if isinstance(axis, int)
-                               else axis.lower(), angle).as_matrix()
 
 
 def central_diff(f, x, step):
@@ -1000,8 +996,43 @@ class _SparseBuilder:
 #
 # Each view added its own reprojection term, projected on its own, and
 # the anchor and temporal terms added dense blocks (identity columns and
-# [-s I | s I]) to the Jacobian's dense stacks. `terms_as_they_were` puts
-# these back in a problem, in the same row order.
+# [-s I | s I]) to the Jacobian's dense stacks. The temporal blocks span a
+# frame and the next, a form `BlockJacobian` no longer holds, so
+# `PairBlocks` keeps its assembly. `terms_as_they_were` puts these back in a
+# problem, in the same row order.
+
+
+class PairBlocks:
+    """Dense blocks (k, m, 2p) from row0: block i covers the m rows from
+    row0 + i * m and the columns of frames[i] and frames[i] + 1, an index
+    array of distinct frames. A stack of `BlockJacobian`, which it joins
+    through `_push`."""
+
+    def __init__(self, row0, frames, blocks):
+        self.row0, self.frames, self.blocks = row0, frames, blocks
+        self.end = row0 + blocks[..., 0].size
+
+    def add_normal(self, r, diag, off, grad):
+        frames, p = self.frames, grad.shape[1]
+        k, m, _ = self.blocks.shape
+        bt = self.blocks.swapaxes(-1, -2)
+        btb = bt @ self.blocks
+        btr = (bt @ r[self.row0:self.end].reshape(k, m, 1))[..., 0]
+        diag[frames] += btb[:, :p, :p]
+        grad[frames] += btr[:, :p]
+        diag[frames + 1] += btb[:, p:, p:]
+        off[frames] += btb[:, :p, p:]
+        grad[frames + 1] += btr[:, p:]
+
+    def scaled(self, scale):
+        cols = np.concatenate([scale[self.frames], scale[self.frames + 1]], axis=1)
+        return PairBlocks(self.row0, self.frames, self.blocks * cols[:, None, :])
+
+    def fill(self, out, p):
+        m = self.blocks.shape[1]
+        for i, f in enumerate(self.frames):
+            row = self.row0 + i * m
+            out[row:row + m, f * p:(f + 2) * p] = self.blocks[i]
 
 
 class ReprojectionPerView:
@@ -1026,7 +1057,7 @@ class ReprojectionPerView:
         duv, _, _ = projection_jacobian(self.camera, state["pos"])
         blocks = self.weight[..., None, None] * (duv @ state["jpos"])
         n_frames = blocks.shape[0]
-        return jac.add(row0, np.arange(n_frames), blocks.reshape(n_frames, -1, jac.p))
+        return jac.add(row0, np.arange(n_frames), blocks.reshape(1, n_frames, -1, jac.p))
 
 
 class AnchorDense:
@@ -1043,7 +1074,7 @@ class AnchorDense:
         return (state["params"][:, :self.targets.shape[1]] - self.targets).ravel()
 
     def jacobian(self, state, jac, row0):
-        return jac.add(row0, np.arange(self.block.shape[0]), self.block)
+        return jac.add(row0, np.arange(self.block.shape[0]), self.block[None])
 
 
 class TemporalDense:
@@ -1061,7 +1092,7 @@ class TemporalDense:
         return (self.scale * np.diff(state["params"], axis=0)).ravel()
 
     def jacobian(self, state, jac, row0):
-        return jac.add(row0, np.arange(self.block.shape[0]), self.block)
+        return jac._push(PairBlocks(row0, np.arange(self.block.shape[0]), self.block))
 
 
 def terms_as_they_were(problem):
@@ -1136,11 +1167,12 @@ def _pose_state(problem, x):
     silhouette term, the outline and per-frame nearest neighbours at x."""
     xt = x.reshape(problem.T, problem.Pf)
     u = xt[:, :problem.D]
-    theta = problem.bounds.theta(u)
-    frames = SkeletalPose(theta, xt[:, problem.D:problem.D + 3], xt[:, problem.D + 3:])
+    s = sigmoid(u)
+    frames = SkeletalPose(problem.bounds.theta_at(s), xt[:, problem.D:problem.D + 3],
+                          xt[:, problem.D + 3:])
     _, _, jpos = fk_jacobian_own_fk(problem.skeleton, frames)
     st = {"frames": frames, "pos": fk_frames(problem.skeleton, frames)[0], "jpos": jpos,
-          "dtheta": problem.bounds.dtheta_du(u)}
+          "dtheta": problem.bounds.slope_at(s)}
     sil = _term(problem, "Silhouette")
     if sil is not None:
         outline = silhouette_structure(sil.camera, sil.skeleton, st["pos"][sil.frames],

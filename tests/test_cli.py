@@ -11,7 +11,7 @@ import pytest
 import mocorr.cli as cli
 from mocorr.cli import _build_parser, main
 from mocorr.errors import NumericFailureError
-from mocorr.motion import load_motion, save_motion
+from mocorr.motion import MotionMap, load_motion, save_motion
 from mocorr.net.model import Discriminator, Generator, save_checkpoint
 from mocorr.net.train import TrainConfig
 from mocorr.optim.lm import LMOptions
@@ -128,6 +128,18 @@ def test_refine_zero_quaternion_exits_2(scene_dir, tmp_path, capsys):
                "--skeleton", path_in(scene_dir, "skeleton.json"), "--no-silhouette"])
     assert rc == 2
     assert "cannot normalize zero quaternion" in capsys.readouterr().err
+
+
+def test_train_with_a_reference_of_another_joint_count_exits_2(scene_dir, tmp_path, capsys):
+    ref = load_motion(path_in(scene_dir, "marker_ref.motion.json"))
+    fewer = str(tmp_path / "ref.motion.json")
+    save_motion(fewer, MotionMap(ref.quats[:, :-4], ref.conf[:, :-1], ref.translations))
+    gt = path_in(scene_dir, "gt.motion.json")
+    rc = main(["--config", scene_dir["config"], "--out", str(tmp_path), "train",
+               "--init", gt, "--sv", gt, "--ref", fewer,
+               "--skeleton", path_in(scene_dir, "skeleton.json")])
+    assert rc == 2
+    assert "joint count" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(scene_dir, tmp_path, capsys):
@@ -272,6 +284,12 @@ def test_missing_subcommand_is_a_usage_error():
     assert excinfo.value.code == 2
 
 
+def _drop_last_joint(doc):
+    doc["n_joints"] -= 1
+    for frame in doc["frames"]:
+        del frame["keypoints"][-1], frame["conf"][-1]
+
+
 MALFORMED = {
     "skeleton limits of the wrong length":
         ("skeleton.json", lambda doc: doc["joints"][1].update(limits=[[0.0, 1.0]])),
@@ -291,6 +309,7 @@ MALFORMED = {
     "motion T not a number": ("gt.motion.json", lambda doc: doc.update(T="abc")),
     "observations T null": ("obs_mono.json", lambda doc: doc.update(T=None)),
     "observations frames not a list": ("obs_mono.json", lambda doc: doc.update(frames=5)),
+    "observations with one joint fewer": ("obs_mono.json", _drop_last_joint),
     # inf is written as the overflowing literal 1e400, which json reads as inf
     "camera cx 1e400": ("camera_mono.json", lambda doc: doc.update(cx=np.inf)),
     "camera fx 1e400": ("camera_mono.json", lambda doc: doc.update(fx=np.inf)),

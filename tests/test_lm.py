@@ -65,15 +65,23 @@ def test_block_jacobian_matches_dense():
     rng = np.random.default_rng(31)
     a = rng.standard_normal((10, 4))
     b = rng.standard_normal(10)
-    # two frames of two columns: four rows on frame 0, six across both
+    # two frames of two columns: four rows on frame 0, two on frame 1, two
+    # diagonal rows across both frames and one diagonal row on each frame
+    left, right, anchor = rng.standard_normal((3, 2))
     a[:4, 2:] = 0.0
+    a[4:6, :2] = 0.0
+    a[6:] = 0.0
+    a[[6, 7, 6, 7, 8, 9], [0, 1, 2, 3, 0, 2]] = np.concatenate([left, right, anchor])
 
     def blocks(x):
         jac = BlockJacobian(10, 2, 2)
-        jac.add(0, 0, a[:4, :2])
-        jac.add(4, 0, a[4:])
+        jac.add(0, np.array([0]), a[None, None, :4, :2])
+        jac.add(4, np.array([1]), a[None, None, 4:6, 2:])
+        jac.add_diagonal(6, left[None], right[None])
+        jac.add_diagonal(8, anchor[:, None])
         return jac
 
+    assert np.array_equal(blocks(None).toarray(), a)
     dense = levenberg_marquardt(lambda x: a @ x - b, np.zeros(4), lambda x: a)
     block = levenberg_marquardt(lambda x: a @ x - b, np.zeros(4), blocks)
     assert np.max(np.abs(dense.x - block.x)) < 1e-8

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_skeleton
-from mocorr.errors import ConfigError, NumericFailureError, ParseError
+from mocorr.errors import ConfigError, InvalidInputError, NumericFailureError, ParseError
 from mocorr.jsonio import load_document, save_document
 from mocorr.metrics import frame_mpjpe, mpjpe, pck
 from mocorr.motion import MotionMap
@@ -140,16 +140,19 @@ def test_config_removed_fields_rejected(tmp_path, section, name):
         load_pipeline_config(path)
 
 
-def test_config_validation_and_seed_fanout():
+def test_config_validation_and_seed_fanout(tmp_path):
     cfg = default_pipeline_config(11)
     assert cfg.seed == 11
     assert cfg.scene.seed == 11
     assert cfg.train.seed == 12
     apply_seed(cfg, 40)
     assert (cfg.seed, cfg.scene.seed, cfg.train.seed) == (40, 40, 41)
-    cfg.scene.T = 1
-    with pytest.raises(ConfigError):
-        cfg.validate()
+    with pytest.raises(InvalidInputError, match="T >= 2"):
+        SceneConfig(T=1)
+    path = tmp_path / "config.json"
+    save_document(path, {"format": CONFIG_FORMAT, "scene": {"T": 1}})
+    with pytest.raises(ConfigError, match="scene: "):
+        load_pipeline_config(path)
 
 
 def test_unit_quat_rows():

@@ -15,6 +15,7 @@ from mocorr.camera import (
 )
 from mocorr.errors import EmptySilhouetteError, InvalidInputError
 from mocorr.motion import Observations
+from mocorr.numerics import sigmoid
 from mocorr.optim.energies import EnergyWeights, net_pose_targets
 from mocorr.optim.kinematics import fk_jacobian, projection_jacobian
 from mocorr.optim.lm import (
@@ -257,12 +258,27 @@ def test_view_frame_count_mismatch(toy_skeleton):
                     EnergyWeights())
 
 
+def test_observations_with_another_joint_count_are_refused(toy_skeleton):
+    """A record with one joint fewer than the skeleton is refused by both
+    problems, in any view, before a projection reaches numpy broadcasting."""
+    rng = np.random.default_rng(44)
+    cam = make_camera()
+    seq = [random_pose(rng, toy_skeleton) for _ in range(3)]
+    frames = observed_frames(rng, toy_skeleton, cam, seq)
+    fewer = Observations(frames.keypoints[:, :-1], frames.conf[:, :-1])
+    for views in ([View(cam, fewer)], [View(cam, frames), View(cam, fewer)]):
+        with pytest.raises(InvalidInputError, match="one keypoint per skeleton joint"):
+            PoseProblem(toy_skeleton, views, EnergyWeights())
+    with pytest.raises(InvalidInputError, match="one keypoint per skeleton joint"):
+        TranslationProblem(toy_skeleton, cam, fewer, EnergyWeights(), *fixed_angles(seq))
+
+
 def test_bounded_angles_strictly_interior(toy_skeleton):
     bounds = BoundedAngles(toy_skeleton)
     rng = np.random.default_rng(46)
     for _ in range(50):
         u = rng.uniform(-30.0, 30.0, toy_skeleton.total_dof)
-        theta = bounds.theta(u)
+        theta = bounds.theta_at(sigmoid(u))
         assert np.all(theta > toy_skeleton.theta_min)
         assert np.all(theta < toy_skeleton.theta_max)
 
@@ -272,7 +288,7 @@ def test_bounded_angles_round_trip(toy_skeleton):
     rng = np.random.default_rng(47)
     lo, hi = toy_skeleton.theta_min, toy_skeleton.theta_max
     theta = lo + (hi - lo) * rng.uniform(0.01, 0.99, toy_skeleton.total_dof)
-    back = bounds.theta(bounds.u_from_theta(theta))
+    back = bounds.theta_at(sigmoid(bounds.u_from_theta(theta)))
     assert np.max(np.abs(back - theta)) < 1e-9
 
 
@@ -280,8 +296,8 @@ def test_bounded_angles_derivative(toy_skeleton):
     bounds = BoundedAngles(toy_skeleton)
     rng = np.random.default_rng(48)
     u = rng.uniform(-3.0, 3.0, toy_skeleton.total_dof)
-    numeric = central_diff(bounds.theta, u, 1e-6)
-    assert np.allclose(np.diag(bounds.dtheta_du(u)), numeric, atol=1e-8)
+    numeric = central_diff(lambda v: bounds.theta_at(sigmoid(v)), u, 1e-6)
+    assert np.allclose(np.diag(bounds.slope_at(sigmoid(u))), numeric, atol=1e-8)
 
 
 def test_fk_jacobian_matches_fd(toy_skeleton):
@@ -1008,10 +1024,13 @@ def test_diagonal_stacks_equal_dense_blocks_bit_for_bit(n_frames, lambda_t):
 
 
 def test_banded_solve_returns_none_when_not_positive_definite():
-    jac = BlockJacobian(4, 2, 2)
-    jac.add(0, 0, np.array([[1.0, 2.0, 0.0, 1.0], [0.5, -1.0, 1.0, 0.0]]))
-    jac.add(2, [0, 1], np.array([[[1.0, 0.0]], [[0.0, 3.0]]]))
-    band, grad = jac.normal_equations(np.ones(4))
+    # two frames of two columns; the diagonal rows couple them
+    jac = BlockJacobian(6, 2, 2)
+    jac.add(0, np.array([0]), np.array([[[[1.0, 2.0], [0.5, -1.0]]]]))
+    jac.add_diagonal(2, np.array([[0.5, 1.0]]), np.array([[1.0, -0.5]]))
+    jac.add(4, np.array([0, 1]), np.array([[[[1.0, 0.0]], [[0.0, 3.0]]]]))
+    band, grad = jac.normal_equations(np.ones(6))
+    assert np.any(band[:-1, 2:] != 0.0)
     assert _solve_normal_equations(band, grad, 1e-3, True) is not None
     band[-1, 1] = -5.0
     assert _solve_normal_equations(band, grad, 1e-3, True) is None

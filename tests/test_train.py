@@ -307,6 +307,16 @@ def test_adversarial_requires_unpaired_references():
         train(pairs, [], skeleton, cfg)
 
 
+def test_unpaired_references_of_another_joint_count_rejected():
+    skeleton = make_toy_skeleton()
+    pairs, unpaired = toy_dataset(skeleton, n_seqs=2, t=16)
+    ref = unpaired[0]
+    fewer = MotionMap(ref.quats[:, :-4], ref.conf[:, :-1], ref.translations)
+    cfg = TrainConfig(epochs=1, window=16, adversarial=True, **SMALL_NET)
+    with pytest.raises(InvalidInputError, match="joint count"):
+        train(pairs, unpaired + [fewer], skeleton, cfg)
+
+
 def test_sequences_below_receptive_width_rejected():
     skeleton = make_toy_skeleton()
     short = smooth_motion(skeleton, 5, seed=7)
